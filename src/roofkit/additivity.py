@@ -11,9 +11,7 @@ still below -tolerance afterwards is reported as flagged.
 from __future__ import annotations
 
 import math
-import os
 import statistics
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -121,40 +119,78 @@ def _settle(report: AdditivityReport, recompute, refine: bool) -> AdditivityRepo
     return refined
 
 
-def _split(omega: DensityMatrix, phi: Channel, psi: Channel) -> tuple[DensityMatrix, DensityMatrix, SubsystemShape]:
+def _roof_trio(phi: Channel, psi: Channel, omega: DensityMatrix, options: RoofOptions) -> tuple[dict, dict]:
+    """Roof results and output entropies of the joint input and its marginals."""
     shape = SubsystemShape((phi.in_dim, psi.in_dim))
     shape.require_total(omega.dim)
-    return (
-        partial_trace(omega, shape, (0,)),
-        partial_trace(omega, shape, (1,)),
-        shape,
+    inputs = {
+        "joint": (tensor_channel(phi, psi), omega),
+        "left": (phi, partial_trace(omega, shape, (0,))),
+        "right": (psi, partial_trace(omega, shape, (1,))),
+    }
+    roofs = {k: ccooe(ch, rho, options) for k, (ch, rho) in inputs.items()}
+    return roofs, {k: output_entropy(ch, rho) for k, (ch, rho) in inputs.items()}
+
+
+def _chi_subadditivity_row(roof: dict, entropy: dict):
+    chi = {k: entropy[k] - roof[k] for k in ("joint", "left", "right")}
+    extra = {
+        "roof_margin": roof["joint"] - roof["left"] - roof["right"],
+        "entropy_gap": entropy["joint"] - entropy["left"] - entropy["right"],
+        "chi": chi,
+    }
+    return chi["left"] + chi["right"], "lower", chi["joint"], "lower", extra
+
+
+# kind -> (lhs, lhs bound, rhs, rhs bound, extra diagnostics), read off the
+# roof values and output entropies of one trio
+_TRIO_ROWS = {
+    "superadditivity": lambda roof, entropy: (
+        roof["joint"], "upper", roof["left"] + roof["right"], "upper", {}
+    ),
+    "chi-subadditivity": _chi_subadditivity_row,
+    "corollary-max": lambda roof, entropy: (
+        roof["joint"], "upper", max(roof["left"], roof["right"]), "upper", {}
+    ),
+}
+
+
+def _report(kind, channels, state, lhs, lhs_bound, rhs, rhs_bound, tolerance, diagnostics):
+    return AdditivityReport(
+        kind=kind,
+        channels=channels,
+        state=state,
+        lhs=lhs,
+        lhs_bound=lhs_bound,
+        rhs=rhs,
+        rhs_bound=rhs_bound,
+        margin=lhs - rhs,
+        tolerance=tolerance,
+        verdict=INCONCLUSIVE,
+        refined=False,
+        diagnostics=diagnostics,
     )
 
 
-def _roof_trio(phi: Channel, psi: Channel, omega: DensityMatrix, options: RoofOptions) -> dict:
-    left, right, _ = _split(omega, phi, psi)
-    joint = tensor_channel(phi, psi)
-    roof_joint = ccooe(joint, omega, options)
-    roof_left = ccooe(phi, left, options)
-    roof_right = ccooe(psi, right, options)
-    return {
-        "joint": roof_joint,
-        "left": roof_left,
-        "right": roof_right,
-        "entropy_joint": output_entropy(joint, omega),
-        "entropy_left": output_entropy(phi, left),
-        "entropy_right": output_entropy(psi, right),
-    }
+def _checked(build, options: RoofOptions | None, refine: bool) -> AdditivityReport:
+    options = options or RoofOptions()
+    return _settle(build(options), lambda: build(options.refined()), refine)
 
 
-def _trio_diag(trio: dict) -> dict:
-    return {
-        "roof_joint": trio["joint"].value,
-        "roof_left": trio["left"].value,
-        "roof_right": trio["right"].value,
-        "converged": [trio[k].converged for k in ("joint", "left", "right")],
-        "restarts": trio["joint"].restarts_used,
-    }
+def _trio_check(kind, phi, psi, omega, options, tolerance, refine, state_label) -> AdditivityReport:
+    def build(opts: RoofOptions) -> AdditivityReport:
+        roofs, entropy = _roof_trio(phi, psi, omega, opts)
+        roof = {k: r.value for k, r in roofs.items()}
+        lhs, lhs_bound, rhs, rhs_bound, extra = _TRIO_ROWS[kind](roof, entropy)
+        diag = {f"roof_{k}": v for k, v in roof.items()}
+        diag["converged"] = [r.converged for r in roofs.values()]
+        diag["restarts"] = roofs["joint"].restarts_used
+        return _report(
+            kind, (phi.label, psi.label), state_label, lhs, lhs_bound, rhs, rhs_bound,
+            tolerance, {**diag, **extra},
+        )
+
+    return _checked(build, options, refine)
 
 
 def superadditivity_margin(
@@ -171,28 +207,9 @@ def superadditivity_margin(
     Both sides are optimizer upper bounds, so a negative margin is evidence
     of a convergence gap before it is evidence of anything else.
     """
-
-    def build(opts: RoofOptions) -> AdditivityReport:
-        trio = _roof_trio(phi, psi, omega, opts)
-        lhs = trio["joint"].value
-        rhs = trio["left"].value + trio["right"].value
-        return AdditivityReport(
-            kind="superadditivity",
-            channels=(phi.label, psi.label),
-            state=state_label,
-            lhs=lhs,
-            lhs_bound="upper",
-            rhs=rhs,
-            rhs_bound="upper",
-            margin=lhs - rhs,
-            tolerance=tolerance,
-            verdict=INCONCLUSIVE,
-            refined=False,
-            diagnostics=_trio_diag(trio),
-        )
-
-    options = options or RoofOptions()
-    return _settle(build(options), lambda: build(options.refined()), refine)
+    return _trio_check(
+        "superadditivity", phi, psi, omega, options, tolerance, refine, state_label
+    )
 
 
 def chi_subadditivity_margin(
@@ -211,36 +228,9 @@ def chi_subadditivity_margin(
     holds as an exact arithmetic identity; the roof margin is kept in the
     diagnostics.
     """
-
-    def build(opts: RoofOptions) -> AdditivityReport:
-        trio = _roof_trio(phi, psi, omega, opts)
-        chi_joint = trio["entropy_joint"] - trio["joint"].value
-        chi_left = trio["entropy_left"] - trio["left"].value
-        chi_right = trio["entropy_right"] - trio["right"].value
-        lhs = chi_left + chi_right
-        diag = _trio_diag(trio)
-        diag["roof_margin"] = trio["joint"].value - trio["left"].value - trio["right"].value
-        diag["entropy_gap"] = (
-            trio["entropy_joint"] - trio["entropy_left"] - trio["entropy_right"]
-        )
-        diag["chi"] = {"joint": chi_joint, "left": chi_left, "right": chi_right}
-        return AdditivityReport(
-            kind="chi-subadditivity",
-            channels=(phi.label, psi.label),
-            state=state_label,
-            lhs=lhs,
-            lhs_bound="lower",
-            rhs=chi_joint,
-            rhs_bound="lower",
-            margin=lhs - chi_joint,
-            tolerance=tolerance,
-            verdict=INCONCLUSIVE,
-            refined=False,
-            diagnostics=diag,
-        )
-
-    options = options or RoofOptions()
-    return _settle(build(options), lambda: build(options.refined()), refine)
+    return _trio_check(
+        "chi-subadditivity", phi, psi, omega, options, tolerance, refine, state_label
+    )
 
 
 def corollary_bound_check(
@@ -253,28 +243,9 @@ def corollary_bound_check(
     state_label: str = "omega",
 ) -> AdditivityReport:
     """Check roof(joint) >= max of the two marginal roofs."""
-
-    def build(opts: RoofOptions) -> AdditivityReport:
-        trio = _roof_trio(phi, psi, omega, opts)
-        lhs = trio["joint"].value
-        rhs = max(trio["left"].value, trio["right"].value)
-        return AdditivityReport(
-            kind="corollary-max",
-            channels=(phi.label, psi.label),
-            state=state_label,
-            lhs=lhs,
-            lhs_bound="upper",
-            rhs=rhs,
-            rhs_bound="upper",
-            margin=lhs - rhs,
-            tolerance=tolerance,
-            verdict=INCONCLUSIVE,
-            refined=False,
-            diagnostics=_trio_diag(trio),
-        )
-
-    options = options or RoofOptions()
-    return _settle(build(options), lambda: build(options.refined()), refine)
+    return _trio_check(
+        "corollary-max", phi, psi, omega, options, tolerance, refine, state_label
+    )
 
 
 def min_output_margin(
@@ -290,24 +261,13 @@ def min_output_margin(
         joint_val, _ = min_output_entropy(tensor_channel(phi, psi), opts)
         left_val, _ = min_output_entropy(phi, opts)
         right_val, _ = min_output_entropy(psi, opts)
-        rhs = max(left_val, right_val)
-        return AdditivityReport(
-            kind="min-output",
-            channels=(phi.label, psi.label),
-            state="(pure optimum)",
-            lhs=joint_val,
-            lhs_bound="upper",
-            rhs=rhs,
-            rhs_bound="upper",
-            margin=joint_val - rhs,
-            tolerance=tolerance,
-            verdict=INCONCLUSIVE,
-            refined=False,
-            diagnostics={"min_left": left_val, "min_right": right_val},
+        return _report(
+            "min-output", (phi.label, psi.label), "(pure optimum)", joint_val, "upper",
+            max(left_val, right_val), "upper", tolerance,
+            {"min_left": left_val, "min_right": right_val},
         )
 
-    options = options or RoofOptions()
-    return _settle(build(options), lambda: build(options.refined()), refine)
+    return _checked(build, options, refine)
 
 
 # --- truncation experiment --------------------------------------------------
@@ -652,9 +612,9 @@ def scan_random(
 ) -> ScanResult:
     """Deterministic batch of additivity checks over random channel pairs.
 
-    Channels and states for item i derive from (seed, i) streams, so reruns
-    reproduce the batch exactly regardless of the thread count taken from
-    ROOFKIT_THREADS.  Flagged items are serialized into `replay`.
+    Items run one after another in a single thread; channels and states for
+    item i derive from (seed, i) streams, so reruns reproduce the batch
+    exactly.  Flagged items are serialized into `replay`.
     """
     if samples < 0:
         raise ParameterError(f"sample count must be non-negative, got {samples}")
@@ -671,18 +631,10 @@ def scan_random(
         omega = random_density(dim, dim, (seed, i, 2))
         return phi, psi, omega
 
-    def evaluate(i: int) -> AdditivityReport:
-        phi, psi, omega = make_item(i)
-        return runner(
-            phi, psi, omega, options, tolerance, state_label=f"item-{i}"
-        )
-
-    threads = max(1, int(os.environ.get("ROOFKIT_THREADS", "1")))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(evaluate, range(samples)))
-    else:
-        reports = [evaluate(i) for i in range(samples)]
+    reports = [
+        runner(*make_item(i), options, tolerance, state_label=f"item-{i}")
+        for i in range(samples)
+    ]
 
     margins = [r.margin for r in reports]
     replay = []

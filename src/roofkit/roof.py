@@ -18,7 +18,7 @@ import numpy as np
 
 from .channels import Channel, output_entropy
 from .core import DensityMatrix, PureState, SubsystemShape, hermitian_eig, rng_for
-from .entropy import relative_entropy, spectrum_entropy
+from .entropy import relative_entropy
 from .errors import DimensionError, ParameterError, ValidityError
 
 SUPPORT_CUT = 1e-12
@@ -135,32 +135,59 @@ def _member_outputs(kstack: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.n
     return np.einsum("kom,kpm->mop", w, w.conj()), w
 
 
-def _roof_value(kstack: np.ndarray, g: np.ndarray, m_mat: np.ndarray) -> float:
-    a, _ = _member_outputs(kstack, g @ m_mat.T)
-    vals = np.clip(np.linalg.eigvalsh(a), 0.0, None)   # (m, out)
-    t = vals.sum(axis=1)
-    ent = -(vals * np.log(np.where(vals > 0.0, vals, 1.0))).sum(axis=1)
-    tln = np.where(t > 0.0, t, 1.0)
-    return float(ent.sum() + (t * np.log(tln)).sum())
+def _spectral(a: np.ndarray, grad: bool = False):
+    """Sum over a PSD stack of t log t - Tr A log A, with t = Tr A.
 
-
-def _roof_value_grad(
-    kstack: np.ndarray, g: np.ndarray, m_mat: np.ndarray
-) -> tuple[float, np.ndarray]:
-    v = g @ m_mat.T
-    a, w = _member_outputs(kstack, v)
-    lam, u = np.linalg.eigh(a)                         # (m, out), (m, out, out)
+    This is the trace-weighted entropy of the normalized members.  With
+    `grad` it also returns dF/dA per matrix from one `eigh`; value-only
+    calls, which the line search makes, take the cheaper `eigvalsh`.
+    """
+    if grad:
+        lam, u = np.linalg.eigh(a)                     # (m, out), (m, out, out)
+    else:
+        lam = np.linalg.eigvalsh(a)
     lam = np.clip(lam, 0.0, None)
     t = lam.sum(axis=1)
     ent = -(lam * np.log(np.where(lam > 0.0, lam, 1.0))).sum(axis=1)
     value = float(ent.sum() + (t * np.log(np.where(t > 0.0, t, 1.0))).sum())
-    # dH/dA in the output eigenbasis is -log(lambda) + log(trace); the floor
+    if not grad:
+        return value
+    # dF/dA in the eigenbasis is -log(lambda) + log(trace); the floor
     # keeps the off-support limit finite without changing the descent sign
     gvals = -np.log(np.maximum(lam, LOG_FLOOR)) + np.log(np.maximum(t, LOG_FLOOR))[:, None]
-    d = np.einsum("mop,mp,mqp->moq", u, gvals, u.conj())
-    dw = np.einsum("moq,kqm->kom", d, w)
-    grad_v = np.einsum("koa,kom->am", kstack.conj(), dw)
-    return value, grad_v.T @ g.conj()
+    return value, np.einsum("mop,mp,mqp->moq", u, gvals, u.conj())
+
+
+def _objective(kstack: np.ndarray, g: np.ndarray | None = None, group_size: int = 1):
+    """Value and gradient functions of the spectral kernel on channel outputs.
+
+    A manifold point M lifts to the unnormalized members, the columns of
+    g @ M.T (of M itself when g is None, the unit sphere St(d, 1)).
+    Consecutive members are summed in blocks of `group_size` before the
+    kernel, and dF/dA is pulled back through the Kraus stack and the lift.
+    """
+
+    def outputs(m_mat):
+        a, w = _member_outputs(kstack, m_mat if g is None else g @ m_mat.T)
+        if group_size > 1:
+            a = np.stack(
+                [a[b : b + group_size].sum(axis=0) for b in range(0, len(a), group_size)]
+            )
+        return a, w
+
+    def value_fn(m_mat):
+        return _spectral(outputs(m_mat)[0])
+
+    def grad_fn(m_mat):
+        a, w = outputs(m_mat)
+        value, d = _spectral(a, grad=True)
+        if group_size > 1:
+            d = np.repeat(d, group_size, axis=0)[: w.shape[2]]
+        dw = np.einsum("moq,kqm->kom", d, w)
+        grad_v = np.einsum("koa,kom->am", kstack.conj(), dw)
+        return value, grad_v if g is None else grad_v.T @ g.conj()
+
+    return value_fn, grad_fn
 
 
 def _polar(x: np.ndarray) -> np.ndarray:
@@ -261,14 +288,7 @@ def ccooe(channel: Channel, rho: DensityMatrix, options: RoofOptions | None = No
         raise DimensionError(f"state dimension {rho.dim} != channel input {channel.in_dim}")
     g, rank = _support_factor(rho)
     size = _resolve_size(options, rank)
-    kstack = channel.kraus_stack()
-
-    def value_fn(m_mat):
-        return _roof_value(kstack, g, m_mat)
-
-    def grad_fn(m_mat):
-        return _roof_value_grad(kstack, g, m_mat)
-
+    value_fn, grad_fn = _objective(channel.kraus_stack(), g)
     best, best_idx = _multistart(value_fn, grad_fn, size, rank, options)
     ensemble = ensemble_from_mixing(rho, best.m_mat)
     value = average_output_entropy(channel, ensemble)
@@ -324,58 +344,21 @@ def chi_direct(
         raise DimensionError(f"state dimension {rho.dim} != channel input {channel.in_dim}")
     g, rank = _support_factor(rho)
     size = _resolve_size(options, rank)
-    kstack = channel.kraus_stack()
-    out_state = channel.apply_raw(rho.entries)
-    bvals, bvecs = hermitian_eig(out_state)
-    log_b = (bvecs * np.log(np.maximum(bvals, LOG_FLOOR))) @ bvecs.conj().T
-    groups = [list(range(b, min(b + group_size, size))) for b in range(0, size, group_size)]
-
-    def group_outputs(m_mat):
-        a, _ = _member_outputs(kstack, g @ m_mat.T)
-        return np.stack([a[idx].sum(axis=0) for idx in groups])
-
-    def value_fn(m_mat):
-        return -_holevo_terms(group_outputs(m_mat), log_b).sum()
-
-    def grad_fn(m_mat):
-        v = g @ m_mat.T
-        a, w = _member_outputs(kstack, v)
-        ga = np.stack([a[idx].sum(axis=0) for idx in groups])
-        lam, u = np.linalg.eigh(ga)
-        lam = np.clip(lam, 0.0, None)
-        t = np.maximum(lam.sum(axis=1), LOG_FLOOR)
-        value = -float(_holevo_terms(ga, log_b).sum())
-        gvals = np.log(np.maximum(lam, LOG_FLOOR)) - np.log(t)[:, None]
-        d = np.einsum("bop,bp,bqp->boq", u, gvals, u.conj()) - log_b[None, :, :]
-        member_d = np.empty((size,) + log_b.shape, dtype=complex)
-        for b, idx in enumerate(groups):
-            member_d[idx] = d[b]
-        dw = np.einsum("moq,kqm->kom", member_d, w)
-        grad_v = np.einsum("koa,kom->am", kstack.conj(), dw)
-        return value, -(grad_v.T @ g.conj())
-
+    # sum_b Tr A_b log channel(rho) = Tr channel(rho) log channel(rho) is
+    # constant on the manifold, so the Holevo sum is S(channel(rho)) minus
+    # the spectral kernel on the grouped outputs
+    value_fn, grad_fn = _objective(channel.kraus_stack(), g, group_size)
     best, _ = _multistart(value_fn, grad_fn, size, rank, options)
-    return _holevo_report(channel, rho, g, best.m_mat, groups)
+    return _holevo_report(channel, rho, g, best.m_mat, group_size)
 
 
-def _holevo_terms(group_states: np.ndarray, log_b: np.ndarray) -> np.ndarray:
-    """Per-group Tr A log A - Tr A log t - Tr A log B for unnormalized outputs."""
-    lam = np.clip(np.linalg.eigvalsh(group_states), 0.0, None)
-    t = lam.sum(axis=1)
-    pos = lam > 0.0
-    alog = (lam * np.log(np.where(pos, lam, 1.0))).sum(axis=1)
-    tlog = np.where(t > 0.0, t * np.log(np.where(t > 0.0, t, 1.0)), 0.0)
-    cross = np.einsum("bop,po->b", group_states, log_b).real
-    return alog - tlog - cross
-
-
-def _holevo_report(channel, rho, g, m_mat, groups) -> float:
+def _holevo_report(channel, rho, g, m_mat, group_size) -> float:
     """Final value through the public relative-entropy path."""
     v = g @ m_mat.T
     reference = DensityMatrix(channel.apply_raw(rho.entries))
     total, dropped = 0.0, 0
-    for idx in groups:
-        block = v[:, idx]
+    for b in range(0, v.shape[1], group_size):
+        block = v[:, b : b + group_size]
         t_b = block @ block.conj().T
         weight = float(t_b.trace().real)
         if weight <= WEIGHT_DROP:
@@ -401,53 +384,13 @@ def min_output_entropy(
 ) -> tuple[float, PureState]:
     """Upper bound on the minimal output entropy over pure inputs.
 
-    Multi-restart projected gradient descent on the unit sphere with the
-    same backtracking scheme as the roof optimizer; returns the value and
-    the achieving input.
+    Runs the roof optimizer on the unit sphere, the Stiefel manifold
+    St(d, 1), with one member and no barycenter constraint; returns the
+    value and the achieving input.
     """
     options = options or RoofOptions()
-    kstack = channel.kraus_stack()
-
-    def value_fn(psi):
-        a, _ = _member_outputs(kstack, psi.reshape(-1, 1))
-        return spectrum_entropy(np.clip(np.linalg.eigvalsh(a[0]), 0.0, None))
-
-    def grad_fn(psi):
-        a, w = _member_outputs(kstack, psi.reshape(-1, 1))
-        lam, u = np.linalg.eigh(a[0])
-        lam = np.clip(lam, 0.0, None)
-        value = spectrum_entropy(lam)
-        d = (u * -np.log(np.maximum(lam, LOG_FLOOR))) @ u.conj().T
-        kd = np.einsum("oq,kq->ko", d, w[:, :, 0])
-        return value, np.einsum("koa,ko->a", kstack.conj(), kd)
-
-    best_val, best_psi = math.inf, None
-    for idx in range(options.restarts):
-        rng = rng_for(options.seed, idx)
-        psi = rng.normal(size=channel.in_dim) + 1j * rng.normal(size=channel.in_dim)
-        psi /= np.linalg.norm(psi)
-        value, grad = grad_fn(psi)
-        step = 1.0
-        for _ in range(options.max_iterations):
-            xi = grad - (psi.conj() @ grad) * psi
-            gn = float(np.linalg.norm(xi))
-            if gn < options.grad_tol:
-                break
-            t = min(2.0 * step, 1.0)
-            accepted = False
-            while t > 1e-14:
-                cand = psi - t * xi
-                cand /= np.linalg.norm(cand)
-                cand_val = value_fn(cand)
-                if cand_val <= value - ARMIJO * t * gn**2:
-                    accepted = True
-                    break
-                t /= 2.0
-            if not accepted:
-                break
-            psi, step = cand, t
-            value, grad = grad_fn(psi)
-        if value < best_val - TIE_TOL:
-            best_val, best_psi = value, psi
-    state = PureState(best_psi / np.linalg.norm(best_psi))
+    value_fn, grad_fn = _objective(channel.kraus_stack())
+    best, _ = _multistart(value_fn, grad_fn, channel.in_dim, 1, options)
+    psi = best.m_mat[:, 0]
+    state = PureState(psi / np.linalg.norm(psi))
     return output_entropy(channel, state.density()), state

@@ -321,3 +321,20 @@ class TestScanRandom:
 def test_env_thread_cap_is_not_sticky():
     # the env var is read per call, never cached at import time
     assert "ROOFKIT_THREADS" not in os.environ
+
+
+def test_checks_share_one_trio():
+    phi, psi = dephasing(0.3), random_stinespring(2, 2, 2, 93)
+    omega = random_density(4, 4, 94)
+    reports = [
+        check(phi, psi, omega, FAST, refine=False)
+        for check in (superadditivity_margin, chi_subadditivity_margin, corollary_bound_check)
+    ]
+    keys = ("roof_joint", "roof_left", "roof_right")
+    trio = [reports[0].diagnostics[k] for k in keys]
+    for report in reports:
+        assert [report.diagnostics[k] for k in keys] == trio
+        assert report.margin == report.lhs - report.rhs
+    corollary = reports[2]
+    assert (corollary.lhs_bound, corollary.rhs_bound) == ("upper", "upper")
+    assert corollary.lhs == trio[0] and corollary.rhs == max(trio[1], trio[2])

@@ -310,3 +310,26 @@ class TestMinOutputEntropy:
         assert output_entropy(dephasing(0.25), witness.density()) == pytest.approx(
             value, abs=1e-9
         )
+
+
+@pytest.mark.parametrize("objective", ["roof", "chi-grouped", "sphere"])
+def test_gradient_matches_central_differences(objective):
+    # dF = 2 Re<G, dM> for the Euclidean gradient G of every objective
+    from roofkit.roof import _objective, _random_start, _support_factor
+
+    rng = np.random.default_rng(61)
+    kstack = random_stinespring(3, 2, 3, 62).kraus_stack()
+    if objective == "sphere":
+        value_fn, grad_fn = _objective(kstack)
+        m_mat = _random_start(rng, 3, 1)
+    else:
+        g, rank = _support_factor(random_density(3, 2, 63))  # rank-deficient
+        assert rank == 2
+        value_fn, grad_fn = _objective(kstack, g, 2 if objective == "chi-grouped" else 1)
+        m_mat = _random_start(rng, rank * rank, rank)
+    direction = rng.normal(size=m_mat.shape) + 1j * rng.normal(size=m_mat.shape)
+    value, grad = grad_fn(m_mat)
+    assert value == value_fn(m_mat)
+    h = 1e-5
+    central = (value_fn(m_mat + h * direction) - value_fn(m_mat - h * direction)) / (2 * h)
+    assert central == pytest.approx(2.0 * np.vdot(grad, direction).real, rel=1e-6)
