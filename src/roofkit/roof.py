@@ -6,6 +6,13 @@ of rho into the (unnormalized) member v_i, so every parameter point is a
 valid ensemble with barycenter rho.  Multi-restart projected gradient
 descent over that manifold yields certified *upper* bounds on the roof;
 reported optima are never lower bounds.
+
+The restarts descend in lockstep: a batch of starts is one (R, m, r) stack,
+so each iteration makes one batched gradient call and, per backtracking
+round, one batched retraction and value call over the restarts still
+searching.  Each restart keeps its own step and stop rule, and a batch holds
+at most BATCH_ENTRIES member-output entries.  A restart's trajectory does
+not depend on the batch it runs in, so neither does any result.
 """
 
 from __future__ import annotations
@@ -27,6 +34,8 @@ LOG_FLOOR = 1e-12
 ARMIJO = 1e-4
 TIE_TOL = 1e-12
 SIZE_CAP = 64
+# member-output entries (restarts x members x out^2) one lockstep batch holds
+BATCH_ENTRIES = 4096
 
 
 @dataclass(frozen=True)
@@ -130,32 +139,33 @@ def average_output_entropy(channel: Channel, ensemble: Ensemble) -> float:
 
 
 def _member_outputs(kstack: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-member channel outputs of the unnormalized columns of v."""
-    w = kstack @ v                                     # (env, out, m)
-    return np.einsum("kom,kpm->mop", w, w.conj()), w
+    """Per-member channel outputs of the unnormalized columns of a (B, d, m) stack."""
+    w = kstack @ v[:, None]                            # (B, env, out, m)
+    return np.einsum("bkom,bkpm->bmop", w, w.conj()), w
 
 
 def _spectral(a: np.ndarray, grad: bool = False):
-    """Sum over a PSD stack of t log t - Tr A log A, with t = Tr A.
+    """Sum over each PSD stack a[b] of t log t - Tr A log A, with t = Tr A.
 
-    This is the trace-weighted entropy of the normalized members.  With
-    `grad` it also returns dF/dA per matrix from one `eigh`; value-only
-    calls, which the line search makes, take the cheaper `eigvalsh`.
+    This is the trace-weighted entropy of the normalized members, one value
+    per batch index b.  With `grad` it also returns dF/dA per matrix from
+    one `eigh`; value-only calls, which the line search makes, take the
+    cheaper `eigvalsh`.
     """
     if grad:
-        lam, u = np.linalg.eigh(a)                     # (m, out), (m, out, out)
+        lam, u = np.linalg.eigh(a)                     # (B, m, out), (B, m, out, out)
     else:
         lam = np.linalg.eigvalsh(a)
     lam = np.clip(lam, 0.0, None)
-    t = lam.sum(axis=1)
-    ent = -(lam * np.log(np.where(lam > 0.0, lam, 1.0))).sum(axis=1)
-    value = float(ent.sum() + (t * np.log(np.where(t > 0.0, t, 1.0))).sum())
+    t = lam.sum(axis=-1)
+    ent = -(lam * np.log(np.where(lam > 0.0, lam, 1.0))).sum(axis=-1)
+    value = ent.sum(axis=-1) + (t * np.log(np.where(t > 0.0, t, 1.0))).sum(axis=-1)
     if not grad:
         return value
     # dF/dA in the eigenbasis is -log(lambda) + log(trace); the floor
     # keeps the off-support limit finite without changing the descent sign
-    gvals = -np.log(np.maximum(lam, LOG_FLOOR)) + np.log(np.maximum(t, LOG_FLOOR))[:, None]
-    return value, np.einsum("mop,mp,mqp->moq", u, gvals, u.conj())
+    gvals = -np.log(np.maximum(lam, LOG_FLOOR)) + np.log(np.maximum(t, LOG_FLOOR))[..., None]
+    return value, np.einsum("bmop,bmp,bmqp->bmoq", u, gvals, u.conj())
 
 
 def _objective(kstack: np.ndarray, g: np.ndarray | None = None, group_size: int = 1):
@@ -165,27 +175,29 @@ def _objective(kstack: np.ndarray, g: np.ndarray | None = None, group_size: int 
     g @ M.T (of M itself when g is None, the unit sphere St(d, 1)).
     Consecutive members are summed in blocks of `group_size` before the
     kernel, and dF/dA is pulled back through the Kraus stack and the lift.
+    Both functions take one point or a stack of points, with any leading
+    shape, and return one value per point.
     """
 
     def outputs(m_mat):
-        a, w = _member_outputs(kstack, m_mat if g is None else g @ m_mat.T)
+        m_mat = m_mat.reshape(-1, *m_mat.shape[-2:])
+        a, w = _member_outputs(kstack, m_mat if g is None else g @ np.swapaxes(m_mat, -1, -2))
         if group_size > 1:
-            a = np.stack(
-                [a[b : b + group_size].sum(axis=0) for b in range(0, len(a), group_size)]
-            )
+            a = np.add.reduceat(a, np.arange(0, a.shape[1], group_size), axis=1)
         return a, w
 
     def value_fn(m_mat):
-        return _spectral(outputs(m_mat)[0])
+        return _spectral(outputs(m_mat)[0]).reshape(m_mat.shape[:-2])[()]
 
     def grad_fn(m_mat):
         a, w = outputs(m_mat)
         value, d = _spectral(a, grad=True)
         if group_size > 1:
-            d = np.repeat(d, group_size, axis=0)[: w.shape[2]]
-        dw = np.einsum("moq,kqm->kom", d, w)
-        grad_v = np.einsum("koa,kom->am", kstack.conj(), dw)
-        return value, grad_v if g is None else grad_v.T @ g.conj()
+            d = np.repeat(d, group_size, axis=1)[:, : w.shape[-1]]
+        dw = np.einsum("bmoq,bkqm->bkom", d, w)
+        grad_v = np.einsum("koa,bkom->bam", kstack.conj(), dw)
+        grad = grad_v if g is None else np.swapaxes(grad_v, -1, -2) @ g.conj()
+        return value.reshape(m_mat.shape[:-2])[()], grad.reshape(m_mat.shape)
 
     return value_fn, grad_fn
 
@@ -196,12 +208,14 @@ def _polar(x: np.ndarray) -> np.ndarray:
 
 
 def _tangent(m_mat: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    sym = m_mat.conj().T @ grad
-    return grad - m_mat @ (sym + sym.conj().T) / 2.0
+    sym = np.swapaxes(m_mat.conj(), -1, -2) @ grad
+    return grad - m_mat @ (sym + np.swapaxes(sym.conj(), -1, -2)) / 2.0
 
 
 @dataclass
 class _RunStats:
+    """One restart's end point, or every restart's along a leading axis."""
+
     m_mat: np.ndarray
     value: float
     grad_norm: float
@@ -209,31 +223,46 @@ class _RunStats:
     converged: bool
 
 
-def _stiefel_minimize(value_fn, grad_fn, m0: np.ndarray, options: RoofOptions) -> _RunStats:
-    """Projected gradient descent with backtracking and polar retraction."""
-    m_mat = m0
-    step = 1.0
+def _lockstep(value_fn, grad_fn, m_mat: np.ndarray, options: RoofOptions) -> _RunStats:
+    """Projected gradient descent with backtracking and polar retraction.
+
+    Runs a stack of starts together.  Every restart keeps its own step, its
+    own Armijo test and its own stop: it leaves when its gradient norm drops
+    below `grad_tol`, when its line search fails, or at the iteration cap.
+    """
+    m_mat = m_mat.copy()
     value, grad = grad_fn(m_mat)
-    iterations = 0
-    grad_norm = math.inf
-    for iterations in range(1, options.max_iterations + 1):
-        xi = _tangent(m_mat, grad)
-        grad_norm = float(np.linalg.norm(xi))
-        if grad_norm < options.grad_tol:
-            return _RunStats(m_mat, value, grad_norm, iterations, True)
-        t = min(2.0 * step, 1.0)
-        accepted = False
-        while t > 1e-14:
-            cand = _polar(m_mat - t * xi)
-            cand_val = value_fn(cand)
-            if cand_val <= value - ARMIJO * t * grad_norm**2:
-                accepted = True
-                break
-            t /= 2.0
-        if not accepted:
+    step = np.ones(len(m_mat))
+    grad_norm = np.full(len(m_mat), math.inf)
+    iterations = np.zeros(len(m_mat), dtype=int)
+    live = np.arange(len(m_mat))
+    for it in range(1, options.max_iterations + 1):
+        iterations[live] = it
+        xi = _tangent(m_mat[live], grad[live])
+        # one norm per restart: a vectorized norm rounds differently
+        norms = [float(np.linalg.norm(x)) for x in xi]
+        grad_norm[live] = norms
+        descending = ~(grad_norm[live] < options.grad_tol)
+        live, xi = live[descending], xi[descending]
+        if not live.size:
             break
-        m_mat, step = cand, t
-        value, grad = grad_fn(m_mat)
+        squares = np.array([n**2 for n in norms])[descending]
+        t = np.minimum(2.0 * step[live], 1.0)
+        accepted = np.zeros(len(live), dtype=bool)
+        search = np.arange(len(live))
+        while (search := search[t[search] > 1e-14]).size:
+            rows = live[search]
+            cand = _polar(m_mat[rows] - t[search, None, None] * xi[search])
+            ok = value_fn(cand) <= value[rows] - ARMIJO * t[search] * squares[search]
+            m_mat[rows[ok]] = cand[ok]
+            accepted[search[ok]] = True
+            search = search[~ok]
+            t[search] /= 2.0
+        live = live[accepted]
+        if not live.size:
+            break
+        step[live] = t[accepted]
+        value[live], grad[live] = grad_fn(m_mat[live])
     return _RunStats(m_mat, value, grad_norm, iterations, grad_norm < options.grad_tol)
 
 
@@ -252,15 +281,37 @@ def _random_start(rng: np.random.Generator, size: int, rank: int) -> np.ndarray:
     return _polar(g)
 
 
-def _multistart(value_fn, grad_fn, size: int, rank: int, options: RoofOptions) -> tuple[_RunStats, int]:
-    best: _RunStats | None = None
-    best_idx = 0
-    for idx in range(options.restarts):
-        start = _random_start(rng_for(options.seed, idx), size, rank)
-        run = _stiefel_minimize(value_fn, grad_fn, start, options)
-        if best is None or run.value < best.value - TIE_TOL:
-            best, best_idx = run, idx
-    return best, best_idx
+def _multistart(
+    value_fn, grad_fn, size: int, rank: int, options: RoofOptions, entries: int
+) -> tuple[_RunStats, int]:
+    """Best of `options.restarts` descents from the seeded starts.
+
+    Restart idx starts from the stream rng_for(seed, idx).  The restarts run
+    through `_lockstep` in batches of consecutive indices, as many per batch
+    as fit BATCH_ENTRIES member-output entries at `entries` per restart
+    (never fewer than one); each restart stops on its own rule inside its
+    batch.  Scanning in index order, a restart replaces the best only when
+    its value is lower by more than TIE_TOL.  A restart's trajectory is the
+    same whichever batch it runs in, so the result does not depend on the
+    budget.
+    """
+    per_batch = max(1, BATCH_ENTRIES // entries)
+    best = None                                        # (batch runs, row, restart index)
+    for lo in range(0, options.restarts, per_batch):
+        idx = range(lo, min(lo + per_batch, options.restarts))
+        starts = np.stack([_random_start(rng_for(options.seed, i), size, rank) for i in idx])
+        runs = _lockstep(value_fn, grad_fn, starts, options)
+        for j, i in enumerate(idx):
+            if best is None or runs.value[j] < best[0].value[best[1]] - TIE_TOL:
+                best = runs, j, i
+    runs, j, best_idx = best
+    return _RunStats(
+        runs.m_mat[j],
+        float(runs.value[j]),
+        float(runs.grad_norm[j]),
+        int(runs.iterations[j]),
+        bool(runs.converged[j]),
+    ), best_idx
 
 
 @dataclass
@@ -289,7 +340,9 @@ def ccooe(channel: Channel, rho: DensityMatrix, options: RoofOptions | None = No
     g, rank = _support_factor(rho)
     size = _resolve_size(options, rank)
     value_fn, grad_fn = _objective(channel.kraus_stack(), g)
-    best, best_idx = _multistart(value_fn, grad_fn, size, rank, options)
+    best, best_idx = _multistart(
+        value_fn, grad_fn, size, rank, options, size * channel.out_dim**2
+    )
     ensemble = ensemble_from_mixing(rho, best.m_mat)
     value = average_output_entropy(channel, ensemble)
     return RoofResult(
@@ -348,7 +401,7 @@ def chi_direct(
     # constant on the manifold, so the Holevo sum is S(channel(rho)) minus
     # the spectral kernel on the grouped outputs
     value_fn, grad_fn = _objective(channel.kraus_stack(), g, group_size)
-    best, _ = _multistart(value_fn, grad_fn, size, rank, options)
+    best, _ = _multistart(value_fn, grad_fn, size, rank, options, size * channel.out_dim**2)
     return _holevo_report(channel, rho, g, best.m_mat, group_size)
 
 
@@ -390,7 +443,7 @@ def min_output_entropy(
     """
     options = options or RoofOptions()
     value_fn, grad_fn = _objective(channel.kraus_stack())
-    best, _ = _multistart(value_fn, grad_fn, channel.in_dim, 1, options)
+    best, _ = _multistart(value_fn, grad_fn, channel.in_dim, 1, options, channel.out_dim**2)
     psi = best.m_mat[:, 0]
     state = PureState(psi / np.linalg.norm(psi))
     return output_entropy(channel, state.density()), state

@@ -31,6 +31,7 @@ from roofkit import (
     random_pure,
     random_stinespring,
     tensor,
+    truncation_experiment,
     von_neumann_entropy,
 )
 
@@ -333,3 +334,107 @@ def test_gradient_matches_central_differences(objective):
     h = 1e-5
     central = (value_fn(m_mat + h * direction) - value_fn(m_mat - h * direction)) / (2 * h)
     assert central == pytest.approx(2.0 * np.vdot(grad, direction).real, rel=1e-6)
+
+
+@pytest.mark.parametrize("objective", ["roof", "chi-grouped", "sphere"])
+def test_batched_kernel_matches_points(objective):
+    # a stack of points gives, row by row, the bits of one point at a time
+    from roofkit.roof import _objective, _random_start, _support_factor
+
+    rng = np.random.default_rng(71)
+    kstack = random_stinespring(3, 2, 3, 72).kraus_stack()
+    if objective == "sphere":
+        value_fn, grad_fn = _objective(kstack)
+        size, rank = 3, 1
+    else:
+        # rank 3 gives 9 members, so grouping by 2 leaves a singleton block
+        g, rank = _support_factor(random_density(3, 3 if objective == "chi-grouped" else 2, 73))
+        value_fn, grad_fn = _objective(kstack, g, 2 if objective == "chi-grouped" else 1)
+        size = rank * rank
+    stack = np.stack([_random_start(rng, size, rank) for _ in range(5)])
+    values = value_fn(stack)
+    grad_values, grads = grad_fn(stack)
+    assert values.shape == grad_values.shape == (5,)
+    assert grads.shape == stack.shape
+    for i, point in enumerate(stack):
+        value, grad = grad_fn(point)
+        assert values[i] == value_fn(point)
+        assert grad_values[i] == value
+        assert np.array_equal(grads[i], grad)
+
+
+def _summary(out):
+    """Every bit of a public result that a restart's trajectory decides."""
+    if hasattr(out, "ensemble"):
+        return (out.value, out.iterations, out.converged, out.best_restart, out.gradient_norm,
+                out.ensemble.weights, np.array([s.amplitudes for s in out.ensemble.states]))
+    if hasattr(out, "steps"):
+        return [(s.weight, s.output_entropy, s.roof_value) for s in out.steps]
+    if isinstance(out, tuple):
+        return (out[0], out[1].amplitudes)
+    return out
+
+
+def _same(a, b):
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
+    return a == b
+
+
+BUDGET_CASES = {
+    "eof-pure": lambda: eof(random_pure(4, 111).density(), SubsystemShape((2, 2)), FAST),
+    "eof-rank2": lambda: eof(random_density(4, 2, 112), SubsystemShape((2, 2)), FAST),
+    "eof-rank4": lambda: eof(random_density(4, 4, 113), SubsystemShape((2, 2)), FAST),
+    "ccooe-square-mixing": lambda: ccooe(
+        random_stinespring(3, 3, 2, 114), random_density(3, 2, 115),
+        RoofOptions(restarts=8, ensemble_size=2, seed=1),
+    ),
+    "ccooe-one-restart": lambda: ccooe(
+        random_stinespring(3, 3, 2, 114), random_density(3, 2, 115), RoofOptions(restarts=1, seed=2)
+    ),
+    # 9 members grouped by 2
+    "chi-grouped-odd": lambda: chi_direct(
+        random_stinespring(3, 3, 2, 116), random_density(3, 3, 117), FAST, group_size=2
+    ),
+    # pure outputs: the log singularity
+    "min-output-noiseless": lambda: min_output_entropy(noiseless(3), FAST),
+    # the rank-1 rung compresses the state to one dimension: a one-member roof
+    "truncation-rank-one-rung": lambda: truncation_experiment(
+        random_density(16, 16, 118), SubsystemShape((2, 2, 2, 2)), (1, 2)
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BUDGET_CASES))
+def test_results_do_not_depend_on_batch_budget(case, monkeypatch):
+    from roofkit import roof
+
+    multistart, lockstep = roof._multistart, roof._lockstep
+
+    def run():
+        best_runs, batches = [], []
+
+        def record_multistart(*args):
+            best, idx = multistart(*args)
+            best_runs.append((best.value, best.iterations, best.converged, best.grad_norm,
+                              idx, best.m_mat))
+            return best, idx
+
+        def record_lockstep(value_fn, grad_fn, starts, options):
+            batches.append(len(starts))
+            return lockstep(value_fn, grad_fn, starts, options)
+
+        monkeypatch.setattr(roof, "_multistart", record_multistart)
+        monkeypatch.setattr(roof, "_lockstep", record_lockstep)
+        return _summary(BUDGET_CASES[case]()), best_runs, batches
+
+    together = run()
+    monkeypatch.setattr(roof, "BATCH_ENTRIES", 1)
+    alone = run()
+    assert set(alone[2]) == {1}
+    if case != "ccooe-one-restart":
+        assert max(together[2]) > 1
+    assert _same(together[0], alone[0])
+    assert _same(together[1], alone[1])
