@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -46,6 +46,7 @@ from .core import (
 from .entropy import spectrum_entropy
 from .errors import DegenerateTruncationError, ParameterError
 from .roof import RoofOptions, ccooe, min_output_entropy
+from .serialize import decode_phase_spec
 
 CONSISTENT = "consistent"
 INCONCLUSIVE = "inconclusive"
@@ -70,22 +71,6 @@ class AdditivityReport:
     verdict: str
     refined: bool
     diagnostics: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "channels": list(self.channels),
-            "state": self.state,
-            "lhs": self.lhs,
-            "lhs_bound": self.lhs_bound,
-            "rhs": self.rhs,
-            "rhs_bound": self.rhs_bound,
-            "margin": self.margin,
-            "tolerance": self.tolerance,
-            "verdict": self.verdict,
-            "refined": self.refined,
-            "diagnostics": self.diagnostics,
-        }
 
 
 def _violation_possible(lhs_bound: str, rhs_bound: str) -> bool:
@@ -289,7 +274,6 @@ class TruncationTrace:
     """Per-rank record of the compress-and-renormalize experiment."""
 
     factor_dims: tuple[int, ...]
-    ranks: tuple[int, ...]
     steps: list[TruncationStep]
     full_output_entropy: float
     residual_ok: bool
@@ -297,20 +281,6 @@ class TruncationTrace:
     weights_monotone: bool
     final_weight: float
     final_entropy_gap: float
-
-    def rows(self) -> list[dict]:
-        return [
-            {
-                "rank": s.rank,
-                "weight": s.weight,
-                "output_entropy": s.output_entropy,
-                "roof_value": s.roof_value,
-                "residual_min_eig": s.residual_min_eig,
-                "entropy_bound": s.entropy_bound,
-                "skipped": s.skipped,
-            }
-            for s in self.steps
-        ]
 
 
 def truncation_experiment(
@@ -381,7 +351,6 @@ def truncation_experiment(
     final_gap = abs(live[-1].output_entropy - full_entropy) if live else math.nan
     return TruncationTrace(
         factor_dims=dims,
-        ranks=ranks,
         steps=steps,
         full_output_entropy=full_entropy,
         residual_ok=residual_ok,
@@ -410,17 +379,6 @@ class ContinuityProbe:
     roof_trend_ok: bool
     final_entropy_dev: float
     final_roof_dev: float
-
-    def table(self) -> list[dict]:
-        return [
-            {
-                "index": r.index,
-                "distance": r.distance,
-                "entropy_dev": r.entropy_dev,
-                "roof_dev": r.roof_dev,
-            }
-            for r in self.rows
-        ]
 
 
 def _median_trend_ok(values, tol: float = 5e-3) -> bool:
@@ -476,15 +434,12 @@ def continuity_probe(
 
 @dataclass
 class TransferRow:
-    index: int
+    item: int
     margin: float
     margin_complement: float
     roof_left: float
     roof_left_complement: float
-
-    @property
-    def agreement_dev(self) -> float:
-        return abs(self.roof_left - self.roof_left_complement)
+    agreement_dev: float
 
 
 @dataclass
@@ -523,13 +478,16 @@ def complementary_transfer_probe(
             phi_hat, psi_hat, omega, options, tolerance, state_label=f"sample-{i}"
         )
         flagged += int(direct.verdict == FLAGGED) + int(mirrored.verdict == FLAGGED)
+        roof_left = direct.diagnostics["roof_left"]
+        roof_left_complement = mirrored.diagnostics["roof_left"]
         rows.append(
             TransferRow(
-                index=i,
+                item=i,
                 margin=direct.margin,
                 margin_complement=mirrored.margin,
-                roof_left=direct.diagnostics["roof_left"],
-                roof_left_complement=mirrored.diagnostics["roof_left"],
+                roof_left=roof_left,
+                roof_left_complement=roof_left_complement,
+                agreement_dev=abs(roof_left - roof_left_complement),
             )
         )
     return TransferProbe(
@@ -579,8 +537,6 @@ def channel_from_family(family: dict, rng: np.random.Generator) -> Channel:
             outputs.append(DensityMatrix(mat / mat.trace().real))
         return measure_prepare(povm, outputs)
     if kind == "phase":
-        from .serialize import decode_phase_spec
-
         return random_phase_channel(decode_phase_spec(family))
     raise ParameterError(f"unknown channel family {kind!r}")
 
@@ -648,7 +604,7 @@ def scan_random(
                     "psi_family": psi_family,
                     "seed": seed,
                     "state_eigenvalues": sorted(np.linalg.eigvalsh(omega.entries).tolist()),
-                    "report": rep.to_dict(),
+                    "report": asdict(rep),
                 }
             )
     return ScanResult(

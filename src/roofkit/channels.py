@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from math import prod
 from typing import Sequence
 
@@ -21,6 +22,7 @@ from .core import (
     SubsystemShape,
     hermitian_eig,
     partial_transpose,
+    require_keep,
     rng_for,
     trace_out,
 )
@@ -251,31 +253,20 @@ def measure_prepare(povm: Sequence[np.ndarray], outputs: Sequence[DensityMatrix]
 
 
 def partial_trace_channel(shape: SubsystemShape, keep: Sequence[int]) -> Channel:
-    """Partial trace over the factors not in `keep`, as an explicit channel."""
+    """Partial trace over the factors not in `keep`, as an explicit channel.
+
+    Kraus operator j is the Kronecker product of I_d for each kept factor and
+    the basis row e_j^T for each traced factor, with j in row-major order.
+    """
     dims = shape.factor_dims
-    n = len(dims)
-    keep = tuple(keep)
-    if not keep or list(keep) != sorted(set(keep)):
-        raise ParameterError(f"keep indices must be non-empty and strictly increasing, got {keep}")
-    if keep[0] < 0 or keep[-1] >= n:
-        raise ParameterError(f"keep indices {keep} out of range for {n} factors")
-    traced = tuple(i for i in range(n) if i not in keep)
-    keep_dims = tuple(dims[i] for i in keep)
+    keep = require_keep(keep, len(dims))
+    traced = tuple(i for i in range(len(dims)) if i not in keep)
     tr_dims = tuple(dims[i] for i in traced)
-    d_keep, d_tr, total = prod(keep_dims), prod(tr_dims), prod(dims)
     ops = []
-    for j in range(d_tr):
-        jt = np.unravel_index(j, tr_dims) if traced else ()
-        k = np.zeros((d_keep, total), dtype=complex)
-        for a in range(d_keep):
-            at = np.unravel_index(a, keep_dims)
-            full = [0] * n
-            for pos, i in enumerate(keep):
-                full[i] = at[pos]
-            for pos, i in enumerate(traced):
-                full[i] = jt[pos]
-            k[a, np.ravel_multi_index(tuple(full), dims)] = 1.0
-        ops.append(k)
+    for j in range(prod(tr_dims)):
+        rows = dict(zip(traced, np.unravel_index(j, tr_dims)))
+        factors = [np.eye(d)[[rows[i]]] if i in rows else np.eye(d) for i, d in enumerate(dims)]
+        ops.append(reduce(np.kron, factors))
     return Channel(ops, label=f"trace-out{list(traced)}of{list(dims)}")
 
 

@@ -17,11 +17,14 @@ import math
 import os
 import sys
 import time
+from dataclasses import asdict, fields
 
 import numpy as np
 
 from .additivity import (
+    _CHECKS,
     FLAGGED,
+    TransferRow,
     channel_from_family,
     chi_subadditivity_margin,
     complementary_transfer_probe,
@@ -74,6 +77,8 @@ LN2 = math.log(2.0)
 def _named_state(text: str) -> DensityMatrix:
     parts = text.split(":")
     kind = parts[0]
+    if kind in ("mixed", "pure", "random", "diag") and len(parts) < 2:
+        raise ParameterError(f"named state {text!r} needs a parameter after ':'")
     if kind == "mixed":
         d = int(parts[1])
         return DensityMatrix(np.eye(d) / d)
@@ -113,6 +118,8 @@ def _family_dict(text: str) -> dict:
         return read_json(text)
     parts = text.split(":")
     kind = parts[0]
+    if kind in ("noiseless", "depolarizing", "random", "measure_prepare") and len(parts) < 2:
+        raise ParameterError(f"channel family {text!r} needs a dimension after ':'")
     if kind == "noiseless":
         return {"family": "noiseless", "dim": int(parts[1])}
     if kind == "dephasing":
@@ -245,6 +252,10 @@ _MARGIN_CMDS = {
 
 def cmd_additivity(args) -> int:
     started = time.perf_counter()
+    needed = ("dims",) if args.mode == "truncate" else ("left", "right")
+    missing = [f"--{name}" for name in needed if getattr(args, name) is None]
+    if missing:
+        raise ParameterError(f"additivity {args.mode} needs {' and '.join(missing)}")
     if args.mode in _MARGIN_CMDS:
         left = _load_channel(args.left, args.seed, 0)
         right = _load_channel(args.right, args.seed, 1)
@@ -252,9 +263,8 @@ def cmd_additivity(args) -> int:
         report = _MARGIN_CMDS[args.mode](
             left, right, rho, _options(args), args.tolerance
         )
-        payload = report.to_dict()
         csvs = [("margins.csv", ADDITIVITY_CSV_FIELDS, additivity_csv_rows([report]))]
-        _emit(args, f"additivity-{args.mode}", payload, started, csvs)
+        _emit(args, f"additivity-{args.mode}", asdict(report), started, csvs)
         return 2 if report.verdict == FLAGGED else 0
 
     if args.mode == "truncate":
@@ -265,18 +275,8 @@ def cmd_additivity(args) -> int:
             tuple(int(n) for n in args.ranks.split(",")),
             _options(args),
         )
-        payload = {
-            "factor_dims": list(trace.factor_dims),
-            "full_output_entropy": trace.full_output_entropy,
-            "residual_ok": trace.residual_ok,
-            "entropy_bound_ok": trace.entropy_bound_ok,
-            "weights_monotone": trace.weights_monotone,
-            "final_weight": trace.final_weight,
-            "final_entropy_gap": trace.final_entropy_gap,
-            "steps": trace.rows(),
-        }
         csvs = [("truncation.csv", TRUNCATION_CSV_FIELDS, truncation_csv_rows(trace))]
-        _emit(args, "additivity-truncate", payload, started, csvs)
+        _emit(args, "additivity-truncate", asdict(trace), started, csvs)
         return 0
 
     if args.mode == "scan":
@@ -289,15 +289,7 @@ def cmd_additivity(args) -> int:
             tolerance=args.tolerance,
             check=args.check,
         )
-        payload = {
-            "samples": args.samples,
-            "check": args.check,
-            "min_margin": result.min_margin,
-            "mean_margin": result.mean_margin,
-            "flagged": result.flagged,
-            "reports": [r.to_dict() for r in result.reports],
-            "replay": result.replay,
-        }
+        payload = {"samples": args.samples, "check": args.check, **asdict(result)}
         csvs = [("margins.csv", ADDITIVITY_CSV_FIELDS, additivity_csv_rows(result.reports))]
         _emit(args, "additivity-scan", payload, started, csvs)
         return 2 if result.flagged else 0
@@ -308,25 +300,9 @@ def cmd_additivity(args) -> int:
         probe = complementary_transfer_probe(
             left, right, args.samples, args.seed, _options(args), args.tolerance
         )
-        rows = [
-            {
-                "item": r.index,
-                "margin": r.margin,
-                "margin_complement": r.margin_complement,
-                "roof_left": r.roof_left,
-                "roof_left_complement": r.roof_left_complement,
-                "agreement_dev": r.agreement_dev,
-            }
-            for r in probe.rows
-        ]
-        payload = {
-            "max_agreement_dev": probe.max_agreement_dev,
-            "flagged": probe.flagged,
-            "rows": rows,
-        }
-        fields = ("item", "margin", "margin_complement", "roof_left",
-                  "roof_left_complement", "agreement_dev")
-        csvs = [("complement.csv", fields, rows)]
+        payload = asdict(probe)
+        columns = [f.name for f in fields(TransferRow)]
+        csvs = [("complement.csv", columns, payload["rows"])]
         _emit(args, "additivity-complement", payload, started, csvs)
         return 2 if probe.flagged else 0
 
@@ -464,11 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", default=None, help="four factors for truncate, e.g. 2x2x2x2")
     p.add_argument("--ranks", default="1,2", help="ascending ranks for truncate")
     p.add_argument("--samples", type=int, default=20)
-    p.add_argument(
-        "--check",
-        choices=("superadditivity", "chi-subadditivity", "corollary-max"),
-        default="superadditivity",
-    )
+    p.add_argument("--check", choices=tuple(_CHECKS), default="superadditivity")
     _add_state(p)
     _add_common(p)
     p.set_defaults(func=cmd_additivity)

@@ -197,15 +197,21 @@ def tensor(a, b) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-def trace_out(arr: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
-    """Partial trace of a raw matrix over the factors not listed in `keep`."""
-    dims = tuple(int(d) for d in dims)
-    n = len(dims)
+def require_keep(keep: Sequence[int], n: int) -> tuple[int, ...]:
+    """Kept-factor indices, checked to be non-empty, strictly increasing and below n."""
     keep = tuple(keep)
     if not keep or list(keep) != sorted(set(keep)):
         raise ParameterError(f"keep indices must be non-empty and strictly increasing, got {keep}")
     if keep[0] < 0 or keep[-1] >= n:
         raise ParameterError(f"keep indices {keep} out of range for {n} factors")
+    return keep
+
+
+def trace_out(arr: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
+    """Partial trace of a raw matrix over the factors not listed in `keep`."""
+    dims = tuple(int(d) for d in dims)
+    n = len(dims)
+    keep = require_keep(keep, n)
     if arr.shape != (prod(dims), prod(dims)):
         raise DimensionError(f"matrix shape {arr.shape} does not match factors {dims}")
     t = arr.reshape(dims + dims)

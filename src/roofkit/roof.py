@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channels import Channel, output_entropy
+from .channels import Channel, output_entropy, partial_trace_channel
 from .core import DensityMatrix, PureState, SubsystemShape, hermitian_eig, rng_for
 from .entropy import relative_entropy
 from .errors import DimensionError, ParameterError, ValidityError
@@ -366,8 +366,6 @@ def eof(omega: DensityMatrix, shape: SubsystemShape, options: RoofOptions | None
     if shape.factors != 2:
         raise ParameterError(f"need exactly two factors, got {shape.factor_dims}")
     shape.require_total(omega.dim)
-    from .channels import partial_trace_channel
-
     return ccooe(partial_trace_channel(shape, (0,)), omega, options)
 
 

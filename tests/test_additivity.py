@@ -2,6 +2,7 @@
 
 import math
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -166,7 +167,7 @@ class TestVerdictSemantics:
         report = superadditivity_margin(
             noiseless(2), noiseless(2), random_density(4, 4, 6), FAST
         )
-        data = report.to_dict()
+        data = asdict(report)
         assert data["kind"] == report.kind
         assert data["margin"] == report.margin
         assert data["verdict"] == "consistent"
@@ -215,7 +216,7 @@ class TestTruncation:
     def test_rows_expose_plot_columns(self):
         omega = random_density(16, 16, 95)
         trace = truncation_experiment(omega, self.SHAPE, ranks=(1, 2))
-        row = trace.rows()[0]
+        row = asdict(trace)["steps"][0]
         assert {"rank", "weight", "output_entropy", "roof_value", "residual_min_eig"} <= set(row)
 
 
@@ -286,14 +287,14 @@ class TestScanRandom:
         fam = {"family": "random", "dim": 2, "env_dim": 2}
         a = scan_random(fam, self.NOISELESS, samples=3, seed=9, options=FAST)
         b = scan_random(fam, self.NOISELESS, samples=3, seed=9, options=FAST)
-        assert [r.to_dict() for r in a.reports] == [r.to_dict() for r in b.reports]
+        assert [asdict(r) for r in a.reports] == [asdict(r) for r in b.reports]
 
     def test_thread_cap_does_not_change_results(self, monkeypatch):
         fam = {"family": "dephasing", "q": 0.3}
         serial = scan_random(fam, self.NOISELESS, samples=3, seed=2, options=FAST)
         monkeypatch.setenv("ROOFKIT_THREADS", "2")
         threaded = scan_random(fam, self.NOISELESS, samples=3, seed=2, options=FAST)
-        assert [r.to_dict() for r in serial.reports] == [r.to_dict() for r in threaded.reports]
+        assert [asdict(r) for r in serial.reports] == [asdict(r) for r in threaded.reports]
 
     def test_flagged_items_serialized_for_replay(self):
         result = scan_random(

@@ -277,13 +277,27 @@ class TestMeasurePrepare:
             )
 
 
+PARTIAL_TRACE_CASES = [
+    (dims, keep)
+    for dims in [(2, 2), (2, 3), (2, 2, 2, 2), (3, 2, 3, 2)]
+    for keep in [(0,), (1,), (0, 2), (1, 3)]
+    if keep[-1] < len(dims)
+]
+
+
 class TestPartialTraceChannel:
-    def test_matches_partial_trace(self):
-        shape = SubsystemShape((2, 3))
-        ch = partial_trace_channel(shape, keep=(0,))
+    @pytest.mark.parametrize(
+        "dims, keep",
+        PARTIAL_TRACE_CASES,
+        ids=["x".join(map(str, d)) + "-keep" + "".join(map(str, k)) for d, k in PARTIAL_TRACE_CASES],
+    )
+    def test_matches_partial_trace(self, dims, keep):
+        shape = SubsystemShape(dims)
+        ch = partial_trace_channel(shape, keep=keep)
+        dim = shape.total
         for seed in range(10):
-            omega = random_density(6, 6, (seed, 30))
-            direct = partial_trace(omega, shape, keep=(0,))
+            omega = random_density(dim, dim, (seed, 30))
+            direct = partial_trace(omega, shape, keep=keep)
             assert np.abs(apply(ch, omega).entries - direct.entries).max() < 1e-12
 
     def test_bell_marginal_is_maximally_mixed(self):

@@ -148,6 +148,65 @@ class TestAdditivity:
         assert payload["result"]["max_agreement_dev"] <= 5e-3
 
 
+REPORT_KEYS = {
+    "kind", "channels", "state", "lhs", "lhs_bound", "rhs", "rhs_bound", "margin",
+    "tolerance", "verdict", "refined", "diagnostics",
+}
+MARGINS_CSV = "item,lhs,lhs_bound_dir,rhs,rhs_bound_dir,margin,verdict"
+
+
+@pytest.mark.parametrize(
+    "argv, csv_name, csv_header, result_keys, entry_key, entry_keys",
+    [
+        (
+            ("margin", "--left", "noiseless:2", "--right", "noiseless:2",
+             "--named", "random:4:4:3"),
+            "margins.csv", MARGINS_CSV, REPORT_KEYS, None, None,
+        ),
+        (
+            ("truncate", "--dims", "2x2x2x2", "--ranks", "1", "--named", "random:16:16:5"),
+            "truncation.csv", "n,weight,H_n,roof_n,lambda_min",
+            {"factor_dims", "steps", "full_output_entropy", "residual_ok",
+             "entropy_bound_ok", "weights_monotone", "final_weight", "final_entropy_gap"},
+            "steps",
+            {"rank", "weight", "output_entropy", "roof_value", "residual_min_eig",
+             "entropy_bound", "skipped"},
+        ),
+        (
+            ("scan", "--left", "noiseless:2", "--right", "noiseless:2", "--samples", "1"),
+            "margins.csv", MARGINS_CSV,
+            {"samples", "check", "reports", "min_margin", "mean_margin", "flagged", "replay"},
+            "reports", REPORT_KEYS,
+        ),
+        (
+            ("complement", "--left", "dephasing:0.25", "--right", "noiseless:2",
+             "--samples", "1"),
+            "complement.csv",
+            "item,margin,margin_complement,roof_left,roof_left_complement,agreement_dev",
+            {"rows", "max_agreement_dev", "flagged"},
+            "rows",
+            {"item", "margin", "margin_complement", "roof_left", "roof_left_complement",
+             "agreement_dev"},
+        ),
+    ],
+)
+def test_additivity_report_layouts(
+    capsys, tmp_path, argv, csv_name, csv_header, result_keys, entry_key, entry_keys
+):
+    code, _, _ = run(
+        capsys, "additivity", *argv, "--restarts", "1", "--out", str(tmp_path),
+        "--format", "both",
+    )
+    assert code == 0
+    result = read_json(tmp_path / "report.json")["result"]
+    assert set(result) == result_keys
+    if entry_key is not None:
+        assert result[entry_key]
+        for entry in result[entry_key]:
+            assert set(entry) == entry_keys
+    assert (tmp_path / csv_name).read_text().splitlines()[0] == csv_header
+
+
 class TestPhaseChannel:
     SPEC = '{"a": 1.0, "d": 8, "density": {"family": "gaussian", "std": 1.0}}'
 
@@ -230,6 +289,24 @@ class TestFailureModes:
         code, _, err = run(capsys, "entropy", "--named", "vortex:3")
         assert code == 1
         assert "vortex" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("entropy", "--named", "mixed"),
+            ("eof", "--dims", "2x2", "--named", "pure"),
+            ("ccooe", "--channel", "noiseless", "--named", "mixed:2"),
+            ("additivity", "scan", "--left", "noiseless:2"),
+            ("additivity", "margin", "--right", "noiseless:2", "--named", "mixed:4"),
+            ("additivity", "complement", "--left", "noiseless:2"),
+            ("additivity", "truncate", "--named", "mixed:16"),
+        ],
+    )
+    def test_short_descriptor_or_missing_flag_exits_one(self, capsys, argv):
+        code, payload, err = run(capsys, *argv)
+        assert code == 1
+        assert payload is None
+        assert err.startswith("error:")
 
 
 class TestDeterminism:
