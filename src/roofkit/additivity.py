@@ -508,6 +508,8 @@ def channel_from_family(family: dict, rng: np.random.Generator) -> Channel:
     phase(half_width, grid_size, density).
     """
     kind = family.get("family")
+    if kind in ("noiseless", "depolarizing", "random", "measure_prepare") and "dim" not in family:
+        raise ParameterError(f"channel family {kind!r} needs the key 'dim'")
     if kind == "noiseless":
         return noiseless(int(family["dim"]))
     if kind == "dephasing":

@@ -12,7 +12,9 @@ so each iteration makes one batched gradient call and, per backtracking
 round, one batched retraction and value call over the restarts still
 searching.  Each restart keeps its own step and stop rule, and a batch holds
 at most BATCH_ENTRIES member-output entries.  A restart's trajectory does
-not depend on the batch it runs in, so neither does any result.
+not depend on the batch it runs in, so neither does any result.  Pure
+members are eigensolved on the smaller side of the Stinespring dilation,
+output or environment, which gives the same value and gradient.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ LOG_FLOOR = 1e-12
 ARMIJO = 1e-4
 TIE_TOL = 1e-12
 SIZE_CAP = 64
-# member-output entries (restarts x members x out^2) one lockstep batch holds
+# member-output entries (restarts x members x side^2, side the dimension the
+# kernel eigensolves: min(out, env) for pure members) one lockstep batch holds
 BATCH_ENTRIES = 4096
 
 
@@ -153,7 +156,7 @@ def _spectral(a: np.ndarray, grad: bool = False):
     cheaper `eigvalsh`.
     """
     if grad:
-        lam, u = np.linalg.eigh(a)                     # (B, m, out), (B, m, out, out)
+        lam, u = np.linalg.eigh(a)                     # (B, m, n), (B, m, n, n)
     else:
         lam = np.linalg.eigvalsh(a)
     lam = np.clip(lam, 0.0, None)
@@ -177,7 +180,15 @@ def _objective(kstack: np.ndarray, g: np.ndarray | None = None, group_size: int 
     kernel, and dF/dA is pulled back through the Kraus stack and the lift.
     Both functions take one point or a stack of points, with any leading
     shape, and return one value per point.
+
+    A pure member's output and its complementary output (swap the output and
+    Kraus axes of the (env, out, in) stack) share their nonzero spectrum, so
+    ungrouped members run on whichever side of the dilation is smaller, with
+    the same value and gradient.  The third return value is that side, the
+    dimension of each output the kernel eigensolves.
     """
+    if group_size == 1 and kstack.shape[0] < kstack.shape[1]:
+        kstack = np.ascontiguousarray(kstack.transpose(1, 0, 2))
 
     def outputs(m_mat):
         m_mat = m_mat.reshape(-1, *m_mat.shape[-2:])
@@ -199,7 +210,7 @@ def _objective(kstack: np.ndarray, g: np.ndarray | None = None, group_size: int 
         grad = grad_v if g is None else np.swapaxes(grad_v, -1, -2) @ g.conj()
         return value.reshape(m_mat.shape[:-2])[()], grad.reshape(m_mat.shape)
 
-    return value_fn, grad_fn
+    return value_fn, grad_fn, kstack.shape[1]
 
 
 def _polar(x: np.ndarray) -> np.ndarray:
@@ -339,10 +350,8 @@ def ccooe(channel: Channel, rho: DensityMatrix, options: RoofOptions | None = No
         raise DimensionError(f"state dimension {rho.dim} != channel input {channel.in_dim}")
     g, rank = _support_factor(rho)
     size = _resolve_size(options, rank)
-    value_fn, grad_fn = _objective(channel.kraus_stack(), g)
-    best, best_idx = _multistart(
-        value_fn, grad_fn, size, rank, options, size * channel.out_dim**2
-    )
+    value_fn, grad_fn, side = _objective(channel.kraus_stack(), g)
+    best, best_idx = _multistart(value_fn, grad_fn, size, rank, options, size * side**2)
     ensemble = ensemble_from_mixing(rho, best.m_mat)
     value = average_output_entropy(channel, ensemble)
     return RoofResult(
@@ -398,8 +407,8 @@ def chi_direct(
     # sum_b Tr A_b log channel(rho) = Tr channel(rho) log channel(rho) is
     # constant on the manifold, so the Holevo sum is S(channel(rho)) minus
     # the spectral kernel on the grouped outputs
-    value_fn, grad_fn = _objective(channel.kraus_stack(), g, group_size)
-    best, _ = _multistart(value_fn, grad_fn, size, rank, options, size * channel.out_dim**2)
+    value_fn, grad_fn, side = _objective(channel.kraus_stack(), g, group_size)
+    best, _ = _multistart(value_fn, grad_fn, size, rank, options, size * side**2)
     return _holevo_report(channel, rho, g, best.m_mat, group_size)
 
 
@@ -440,8 +449,8 @@ def min_output_entropy(
     value and the achieving input.
     """
     options = options or RoofOptions()
-    value_fn, grad_fn = _objective(channel.kraus_stack())
-    best, _ = _multistart(value_fn, grad_fn, channel.in_dim, 1, options, channel.out_dim**2)
+    value_fn, grad_fn, side = _objective(channel.kraus_stack())
+    best, _ = _multistart(value_fn, grad_fn, channel.in_dim, 1, options, side**2)
     psi = best.m_mat[:, 0]
     state = PureState(psi / np.linalg.norm(psi))
     return output_entropy(channel, state.density()), state

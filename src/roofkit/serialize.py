@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 
 import numpy as np
 
@@ -173,9 +174,21 @@ def encode_roof_result(result: RoofResult) -> dict:
     }
 
 
+def _finite(obj):
+    """obj with every NaN or infinite float replaced by None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    return obj
+
+
 def dumps(obj) -> str:
-    """Canonical JSON text: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Canonical strict JSON text: sorted keys, two-space indent, trailing
+    newline, and null for the non-finite floats strict JSON cannot hold."""
+    return json.dumps(_finite(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def write_json(path, obj) -> None:

@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from roofkit import dephasing, random_density
@@ -307,6 +308,45 @@ class TestFailureModes:
         assert code == 1
         assert payload is None
         assert err.startswith("error:")
+
+    def test_family_without_dim_names_family_and_key(self, capsys):
+        code, payload, err = run(
+            capsys, "ccooe", "--channel", '{"family": "noiseless"}', "--named", "mixed:2"
+        )
+        assert code == 1
+        assert payload is None
+        assert err.startswith("error:")
+        assert "noiseless" in err and "dim" in err
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+class TestStrictJson:
+    def test_empty_scan_writes_null_margins(self, capsys):
+        code = main(["additivity", "scan", "--left", "noiseless:2", "--right", "noiseless:2",
+                     "--samples", "0"])
+        result = _strict_json(capsys.readouterr().out)["result"]
+        assert code == 0
+        assert result["mean_margin"] is None and result["min_margin"] is None
+
+    def test_skipped_rung_writes_nulls(self, capsys, tmp_path):
+        # on 3x2x2x2 the rank-1 rung keeps |0000>, which this state does not reach
+        probs = np.zeros(24)
+        probs[[4, 8, 16]] = 0.4, 0.3, 0.3
+        out = tmp_path / "report"
+        code = main(["additivity", "truncate", "--dims", "3x2x2x2", "--ranks", "1,2",
+                     "--named", "diag:" + ",".join(map(repr, probs.tolist())),
+                     "--restarts", "2", "--out", str(out)])
+        capsys.readouterr()
+        assert code == 0
+        steps = _strict_json((out / "report.json").read_text())["result"]["steps"]
+        assert steps[0]["skipped"] and steps[0]["roof_value"] is None
+        assert not steps[1]["skipped"] and steps[1]["weight"] == pytest.approx(0.7, abs=1e-12)
 
 
 class TestDeterminism:

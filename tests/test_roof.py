@@ -19,6 +19,7 @@ from roofkit import (
     ccooe,
     chi_direct,
     chi_from_roof,
+    complementary,
     completely_depolarizing,
     dephasing,
     ensemble_from_mixing,
@@ -313,20 +314,31 @@ class TestMinOutputEntropy:
         )
 
 
-@pytest.mark.parametrize("objective", ["roof", "chi-grouped", "sphere"])
+# "-small-env" cases have fewer Kraus operators than outputs, so their pure
+# members run on the complement's side of the dilation
+OBJECTIVES = ["roof", "chi-grouped", "sphere", "roof-small-env", "sphere-small-env"]
+
+
+def _kraus_case(objective, seed):
+    small_env = objective.endswith("-small-env")
+    stack = random_stinespring(3, *((4, 2) if small_env else (2, 3)), seed).kraus_stack()
+    return objective.removesuffix("-small-env"), stack
+
+
+@pytest.mark.parametrize("objective", OBJECTIVES)
 def test_gradient_matches_central_differences(objective):
     # dF = 2 Re<G, dM> for the Euclidean gradient G of every objective
     from roofkit.roof import _objective, _random_start, _support_factor
 
     rng = np.random.default_rng(61)
-    kstack = random_stinespring(3, 2, 3, 62).kraus_stack()
+    objective, kstack = _kraus_case(objective, 62)
     if objective == "sphere":
-        value_fn, grad_fn = _objective(kstack)
+        value_fn, grad_fn, _ = _objective(kstack)
         m_mat = _random_start(rng, 3, 1)
     else:
         g, rank = _support_factor(random_density(3, 2, 63))  # rank-deficient
         assert rank == 2
-        value_fn, grad_fn = _objective(kstack, g, 2 if objective == "chi-grouped" else 1)
+        value_fn, grad_fn, _ = _objective(kstack, g, 2 if objective == "chi-grouped" else 1)
         m_mat = _random_start(rng, rank * rank, rank)
     direction = rng.normal(size=m_mat.shape) + 1j * rng.normal(size=m_mat.shape)
     value, grad = grad_fn(m_mat)
@@ -336,20 +348,20 @@ def test_gradient_matches_central_differences(objective):
     assert central == pytest.approx(2.0 * np.vdot(grad, direction).real, rel=1e-6)
 
 
-@pytest.mark.parametrize("objective", ["roof", "chi-grouped", "sphere"])
+@pytest.mark.parametrize("objective", OBJECTIVES)
 def test_batched_kernel_matches_points(objective):
     # a stack of points gives, row by row, the bits of one point at a time
     from roofkit.roof import _objective, _random_start, _support_factor
 
     rng = np.random.default_rng(71)
-    kstack = random_stinespring(3, 2, 3, 72).kraus_stack()
+    objective, kstack = _kraus_case(objective, 72)
     if objective == "sphere":
-        value_fn, grad_fn = _objective(kstack)
+        value_fn, grad_fn, _ = _objective(kstack)
         size, rank = 3, 1
     else:
         # rank 3 gives 9 members, so grouping by 2 leaves a singleton block
         g, rank = _support_factor(random_density(3, 3 if objective == "chi-grouped" else 2, 73))
-        value_fn, grad_fn = _objective(kstack, g, 2 if objective == "chi-grouped" else 1)
+        value_fn, grad_fn, _ = _objective(kstack, g, 2 if objective == "chi-grouped" else 1)
         size = rank * rank
     stack = np.stack([_random_start(rng, size, rank) for _ in range(5)])
     values = value_fn(stack)
@@ -387,6 +399,8 @@ BUDGET_CASES = {
     "eof-pure": lambda: eof(random_pure(4, 111).density(), SubsystemShape((2, 2)), FAST),
     "eof-rank2": lambda: eof(random_density(4, 2, 112), SubsystemShape((2, 2)), FAST),
     "eof-rank4": lambda: eof(random_density(4, 4, 113), SubsystemShape((2, 2)), FAST),
+    # out 3 > env 2: the kernel runs on the complement's side
+    "eof-3x2": lambda: eof(random_density(6, 3, 119), SubsystemShape((3, 2)), FAST),
     "ccooe-square-mixing": lambda: ccooe(
         random_stinespring(3, 3, 2, 114), random_density(3, 2, 115),
         RoofOptions(restarts=8, ensemble_size=2, seed=1),
@@ -438,3 +452,31 @@ def test_results_do_not_depend_on_batch_budget(case, monkeypatch):
         assert max(together[2]) > 1
     assert _same(together[0], alone[0])
     assert _same(together[1], alone[1])
+
+
+def test_kernel_side_is_the_smaller_one_for_pure_members():
+    from roofkit.roof import _objective, _support_factor
+
+    kstack = random_stinespring(3, 4, 2, 121).kraus_stack()
+    g, _ = _support_factor(random_density(3, 2, 122))
+    assert _objective(kstack)[2] == 2
+    assert _objective(kstack, g)[2] == 2
+    assert _objective(kstack, g, 2)[2] == 4                 # grouped members are mixed
+    assert _objective(kstack.transpose(1, 0, 2), g)[2] == 2
+
+
+@pytest.mark.parametrize(
+    "dims, rank",
+    [((3, 4, 2), 2), ((3, 3, 2), 3), ((2, 4, 1), 2), ((4, 3, 2), 4)],
+    ids=["3-4-2-rank2", "3-3-2-rank3", "2-4-1-rank2", "4-3-2-rank4"],
+)
+def test_roof_matches_complement_when_environment_is_smaller(dims, rank):
+    # (in, out, env) with env < out
+    channel = random_stinespring(*dims, (131, *dims))
+    rho = random_density(dims[0], rank, (132, *dims))
+    ours = ccooe(channel, rho, FAST)
+    theirs = ccooe(complementary(channel), rho, FAST)
+    assert ours.best_restart == theirs.best_restart
+    assert ours.iterations == theirs.iterations
+    assert ours.gradient_norm == theirs.gradient_norm
+    assert ours.value == pytest.approx(theirs.value, abs=1e-12)

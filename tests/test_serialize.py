@@ -167,6 +167,15 @@ class TestDumpsAndFiles:
         assert a == b
         assert a.endswith("\n")
 
+    def test_non_finite_floats_become_null(self):
+        payload = {"nan": math.nan, "inf": [math.inf, -math.inf], "row": (1.5, np.float64("nan"))}
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        back = json.loads(dumps(payload), parse_constant=reject)
+        assert back == {"nan": None, "inf": [None, None], "row": [1.5, None]}
+
     def test_write_and_read(self, tmp_path):
         target = tmp_path / "report.json"
         write_json(target, {"value": 0.1 + 0.2})
