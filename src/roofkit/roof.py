@@ -3,18 +3,20 @@
 A decomposition of rho with r positive eigenvalues is parametrized by an
 m x r matrix with orthonormal columns: row i mixes the scaled eigenvectors
 of rho into the (unnormalized) member v_i, so every parameter point is a
-valid ensemble with barycenter rho.  Multi-restart projected gradient
-descent over that manifold yields certified *upper* bounds on the roof;
-reported optima are never lower bounds.
+valid ensemble with barycenter rho.  Multi-restart descent over that
+manifold, Barzilai-Borwein steps with a nonmonotone line search and polar
+retraction (Wen & Yin, Math. Program. 142 (2013)), yields certified *upper*
+bounds on the roof; reported optima are never lower bounds.
 
 The restarts descend in lockstep: a batch of starts is one (R, m, r) stack,
 so each iteration makes one batched gradient call and, per backtracking
 round, one batched retraction and value call over the restarts still
-searching.  Each restart keeps its own step and stop rule, and a batch holds
-at most BATCH_ENTRIES member-output entries.  A restart's trajectory does
-not depend on the batch it runs in, so neither does any result.  Pure
-members are eigensolved on the smaller side of the Stinespring dilation,
-output or environment, which gives the same value and gradient.
+searching.  Each restart keeps its own step, reference value and stop rule,
+and a batch holds at most BATCH_ENTRIES member-output entries.  A restart's
+trajectory does not depend on the batch it runs in, so neither does any
+result.  Pure members are eigensolved on the smaller side of the
+Stinespring dilation, output or environment, which gives the same value and
+gradient.
 """
 
 from __future__ import annotations
@@ -34,6 +36,9 @@ SUPPORT_CUT = 1e-12
 WEIGHT_DROP = 1e-14
 LOG_FLOOR = 1e-12
 ARMIJO = 1e-4
+# Barzilai-Borwein step clamp and the Zhang-Hager nonmonotone weight eta
+BB_MIN, BB_MAX = 1e-10, 1e10
+NONMONOTONE = 0.85
 TIE_TOL = 1e-12
 SIZE_CAP = 64
 # member-output entries (restarts x members x side^2, side the dimension the
@@ -235,15 +240,25 @@ class _RunStats:
 
 
 def _lockstep(value_fn, grad_fn, m_mat: np.ndarray, options: RoofOptions) -> _RunStats:
-    """Projected gradient descent with backtracking and polar retraction.
+    """Feasible Barzilai-Borwein descent with polar retraction.
 
-    Runs a stack of starts together.  Every restart keeps its own step, its
-    own Armijo test and its own stop: it leaves when its gradient norm drops
-    below `grad_tol`, when its line search fails, or at the iteration cap.
+    The method of Wen & Yin, Math. Program. 142 (2013), run on a stack of
+    starts together.  Every restart keeps its own state: from s = X_k -
+    X_{k-1} and y = xi_k - xi_{k-1} (xi the projected gradient) it takes the
+    BB1 step <s,s>/|<s,y>| on odd iterations and the BB2 step |<s,y>|/<y,y>
+    on even ones (1 on the first, or when <s,y> = 0), clamped to
+    [BB_MIN, BB_MAX], and halves it until the nonmonotone Armijo test of
+    Zhang & Hager, SIAM J. Optim. 14 (2004), holds against its reference
+    value C.  The slope along -xi is 2 ||xi||^2, since dF = 2 Re<G, dX>.  C
+    starts at the start's value and C_k >= f_k, so no restart ends above its
+    start.  A restart leaves when its gradient norm drops below `grad_tol`,
+    when its step falls to 1e-14 without passing the test, or at the
+    iteration cap.
     """
     m_mat = m_mat.copy()
     value, grad = grad_fn(m_mat)
-    step = np.ones(len(m_mat))
+    ref, weight = value.copy(), np.ones(len(m_mat))    # Zhang-Hager C_k and Q_k
+    last_m, last_xi = m_mat.copy(), np.zeros_like(m_mat)
     grad_norm = np.full(len(m_mat), math.inf)
     iterations = np.zeros(len(m_mat), dtype=int)
     live = np.arange(len(m_mat))
@@ -257,14 +272,22 @@ def _lockstep(value_fn, grad_fn, m_mat: np.ndarray, options: RoofOptions) -> _Ru
         live, xi = live[descending], xi[descending]
         if not live.size:
             break
-        squares = np.array([n**2 for n in norms])[descending]
-        t = np.minimum(2.0 * step[live], 1.0)
+        slope = 2.0 * np.array([n**2 for n in norms])[descending]
+        t = np.ones(len(live))
+        if it > 1:
+            # likewise one set of BB inner products per restart
+            for j, (s, y) in enumerate(zip(m_mat[live] - last_m[live], xi - last_xi[live])):
+                sy = abs(np.vdot(s, y).real)
+                if sy > 0.0:
+                    t[j] = np.vdot(s, s).real / sy if it % 2 else sy / np.vdot(y, y).real
+            t = np.clip(t, BB_MIN, BB_MAX)
+        last_m[live], last_xi[live] = m_mat[live], xi
         accepted = np.zeros(len(live), dtype=bool)
         search = np.arange(len(live))
         while (search := search[t[search] > 1e-14]).size:
             rows = live[search]
             cand = _polar(m_mat[rows] - t[search, None, None] * xi[search])
-            ok = value_fn(cand) <= value[rows] - ARMIJO * t[search] * squares[search]
+            ok = value_fn(cand) <= ref[rows] - ARMIJO * t[search] * slope[search]
             m_mat[rows[ok]] = cand[ok]
             accepted[search[ok]] = True
             search = search[~ok]
@@ -272,8 +295,10 @@ def _lockstep(value_fn, grad_fn, m_mat: np.ndarray, options: RoofOptions) -> _Ru
         live = live[accepted]
         if not live.size:
             break
-        step[live] = t[accepted]
         value[live], grad[live] = grad_fn(m_mat[live])
+        q = NONMONOTONE * weight[live]
+        ref[live] = (q * ref[live] + value[live]) / (q + 1.0)
+        weight[live] = q + 1.0
     return _RunStats(m_mat, value, grad_norm, iterations, grad_norm < options.grad_tol)
 
 

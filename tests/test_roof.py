@@ -31,12 +31,13 @@ from roofkit import (
     random_density,
     random_pure,
     random_stinespring,
+    rng_for,
     tensor,
     truncation_experiment,
     von_neumann_entropy,
 )
 
-from oracles import brute_force_qubit_roof, wootters_eof_nats
+from oracles import brute_force_qubit_roof, entropy_nats, wootters_eof_nats
 
 FAST = RoofOptions(restarts=8, seed=0)
 
@@ -252,9 +253,31 @@ class TestEof:
             assert res.value >= exact - 1e-9
             assert res.value <= exact + 2e-3
 
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_default_options_converge_to_wootters(self, rank):
+        # six seeded states per rank at the default RoofOptions: the best
+        # restart meets grad_tol, and the value is Wootters'
+        for i in range(6):
+            omega = random_density(4, rank, (151, rank, i))
+            res = eof(omega, self.SHAPE)
+            gap = res.value - wootters_eof_nats(omega.entries)
+            assert res.converged, f"state {i}: {res.iterations} iterations"
+            assert -1e-12 <= gap <= 1e-7, f"state {i}: gap {gap:.2e}"
+
     def test_requires_two_factors(self):
         with pytest.raises(ParameterError):
             eof(random_density(8, 8, 31), SubsystemShape((2, 2, 2)), FAST)
+
+
+def test_wootters_oracle_is_exact_on_pure_states():
+    # a pure state's EoF is its marginal entropy, computed here without roofkit
+    rng = np.random.default_rng(157)
+    for _ in range(50):
+        psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+        psi /= np.linalg.norm(psi)
+        amp = psi.reshape(2, 2)
+        marginal = entropy_nats(amp @ amp.conj().T)
+        assert wootters_eof_nats(np.outer(psi, psi.conj())) == pytest.approx(marginal, abs=1e-13)
 
 
 class TestChi:
@@ -348,21 +371,41 @@ def test_gradient_matches_central_differences(objective):
     assert central == pytest.approx(2.0 * np.vdot(grad, direction).real, rel=1e-6)
 
 
+def _stack_case(objective, seed):
+    """Value and gradient functions of an objective, with its (size, rank)."""
+    from roofkit.roof import _objective, _support_factor
+
+    objective, kstack = _kraus_case(objective, seed)
+    if objective == "sphere":
+        return (*_objective(kstack)[:2], 3, 1)
+    # rank 3 gives 9 members, so grouping by 2 leaves a singleton block
+    g, rank = _support_factor(random_density(3, 3 if objective == "chi-grouped" else 2, seed + 1))
+    value_fn, grad_fn, _ = _objective(kstack, g, 2 if objective == "chi-grouped" else 1)
+    return value_fn, grad_fn, rank * rank, rank
+
+
+@pytest.mark.parametrize("objective", OBJECTIVES)
+def test_no_restart_ends_above_its_start(objective):
+    # the nonmonotone reference value keeps f_k <= C_k <= f_0, so a restart
+    # stopped at any iteration cap is no higher than where it started
+    from roofkit.roof import _lockstep, _random_start
+
+    value_fn, grad_fn, size, rank = _stack_case(objective, 82)
+    starts = np.stack([_random_start(rng_for(84, i), size, rank) for i in range(8)])
+    start_values = value_fn(starts)
+    for cap in (1, 2, 3, 5, 10, 30, 500):
+        runs = _lockstep(value_fn, grad_fn, starts, RoofOptions(max_iterations=cap))
+        assert np.all(runs.value <= start_values), cap
+        np.testing.assert_allclose(runs.value, value_fn(runs.m_mat), rtol=0.0, atol=1e-12)
+
+
 @pytest.mark.parametrize("objective", OBJECTIVES)
 def test_batched_kernel_matches_points(objective):
     # a stack of points gives, row by row, the bits of one point at a time
-    from roofkit.roof import _objective, _random_start, _support_factor
+    from roofkit.roof import _random_start
 
     rng = np.random.default_rng(71)
-    objective, kstack = _kraus_case(objective, 72)
-    if objective == "sphere":
-        value_fn, grad_fn, _ = _objective(kstack)
-        size, rank = 3, 1
-    else:
-        # rank 3 gives 9 members, so grouping by 2 leaves a singleton block
-        g, rank = _support_factor(random_density(3, 3 if objective == "chi-grouped" else 2, 73))
-        value_fn, grad_fn, _ = _objective(kstack, g, 2 if objective == "chi-grouped" else 1)
-        size = rank * rank
+    value_fn, grad_fn, size, rank = _stack_case(objective, 72)
     stack = np.stack([_random_start(rng, size, rank) for _ in range(5)])
     values = value_fn(stack)
     grad_values, grads = grad_fn(stack)
