@@ -79,15 +79,12 @@ def _violation_possible(lhs_bound: str, rhs_bound: str) -> bool:
     return not (lhs_bound == "lower" and rhs_bound == "upper")
 
 
-def _settle(report: AdditivityReport, recompute, refine: bool) -> AdditivityReport:
+def _settle(report: AdditivityReport, recompute) -> AdditivityReport:
     """Apply the verdict policy, refining once when the margin looks negative."""
     if report.margin >= -report.tolerance:
         report.verdict = CONSISTENT
         return report
     if not _violation_possible(report.lhs_bound, report.rhs_bound):
-        report.verdict = INCONCLUSIVE
-        return report
-    if not refine:
         report.verdict = INCONCLUSIVE
         return report
     refined = recompute()
@@ -157,12 +154,12 @@ def _report(kind, channels, state, lhs, lhs_bound, rhs, rhs_bound, tolerance, di
     )
 
 
-def _checked(build, options: RoofOptions | None, refine: bool) -> AdditivityReport:
+def _checked(build, options: RoofOptions | None) -> AdditivityReport:
     options = options or RoofOptions()
-    return _settle(build(options), lambda: build(options.refined()), refine)
+    return _settle(build(options), lambda: build(options.refined()))
 
 
-def _trio_check(kind, phi, psi, omega, options, tolerance, refine, state_label) -> AdditivityReport:
+def _trio_check(kind, phi, psi, omega, options, tolerance, state_label) -> AdditivityReport:
     def build(opts: RoofOptions) -> AdditivityReport:
         roofs, entropy = _roof_trio(phi, psi, omega, opts)
         roof = {k: r.value for k, r in roofs.items()}
@@ -175,7 +172,7 @@ def _trio_check(kind, phi, psi, omega, options, tolerance, refine, state_label) 
             tolerance, {**diag, **extra},
         )
 
-    return _checked(build, options, refine)
+    return _checked(build, options)
 
 
 def superadditivity_margin(
@@ -184,7 +181,6 @@ def superadditivity_margin(
     omega: DensityMatrix,
     options: RoofOptions | None = None,
     tolerance: float = DEFAULT_TOLERANCE,
-    refine: bool = True,
     state_label: str = "omega",
 ) -> AdditivityReport:
     """Check roof(joint) >= roof(left marginal) + roof(right marginal).
@@ -193,7 +189,7 @@ def superadditivity_margin(
     of a convergence gap before it is evidence of anything else.
     """
     return _trio_check(
-        "superadditivity", phi, psi, omega, options, tolerance, refine, state_label
+        "superadditivity", phi, psi, omega, options, tolerance, state_label
     )
 
 
@@ -203,7 +199,6 @@ def chi_subadditivity_margin(
     omega: DensityMatrix,
     options: RoofOptions | None = None,
     tolerance: float = DEFAULT_TOLERANCE,
-    refine: bool = True,
     state_label: str = "omega",
 ) -> AdditivityReport:
     """Check chi(left) + chi(right) >= chi(joint) at the given input.
@@ -214,7 +209,7 @@ def chi_subadditivity_margin(
     diagnostics.
     """
     return _trio_check(
-        "chi-subadditivity", phi, psi, omega, options, tolerance, refine, state_label
+        "chi-subadditivity", phi, psi, omega, options, tolerance, state_label
     )
 
 
@@ -224,12 +219,11 @@ def corollary_bound_check(
     omega: DensityMatrix,
     options: RoofOptions | None = None,
     tolerance: float = DEFAULT_TOLERANCE,
-    refine: bool = True,
     state_label: str = "omega",
 ) -> AdditivityReport:
     """Check roof(joint) >= max of the two marginal roofs."""
     return _trio_check(
-        "corollary-max", phi, psi, omega, options, tolerance, refine, state_label
+        "corollary-max", phi, psi, omega, options, tolerance, state_label
     )
 
 
@@ -238,7 +232,6 @@ def min_output_margin(
     psi: Channel,
     options: RoofOptions | None = None,
     tolerance: float = DEFAULT_TOLERANCE,
-    refine: bool = True,
 ) -> AdditivityReport:
     """Check min-output-entropy(joint) >= max of the marginal minima."""
 
@@ -252,7 +245,7 @@ def min_output_margin(
             {"min_left": left_val, "min_right": right_val},
         )
 
-    return _checked(build, options, refine)
+    return _checked(build, options)
 
 
 # --- truncation experiment --------------------------------------------------
@@ -500,15 +493,35 @@ def complementary_transfer_probe(
 # --- random scans -------------------------------------------------------------
 
 
+# family -> the keys its descriptor may carry besides "family"
+_FAMILY_KEYS = {
+    "noiseless": {"dim"},
+    "dephasing": {"q"},
+    "depolarizing": {"dim"},
+    "random": {"dim", "out", "env"},
+    "measure_prepare": {"dim", "outcomes"},
+    "phase": {"a", "d", "density"},
+}
+
+
 def channel_from_family(family: dict, rng: np.random.Generator) -> Channel:
     """Construct a channel from a small descriptor, drawing randomness from rng.
 
-    Families: noiseless(dim), dephasing(q), depolarizing(dim),
-    random(dim[, out][, env]), measure_prepare(dim, outcomes),
-    phase(half_width, grid_size, density).
+    Families and their keys: noiseless(dim), dephasing([q]),
+    depolarizing(dim), random(dim[, out][, env]), measure_prepare(dim[,
+    outcomes]), phase(a, d[, density]).  Any other key raises
+    ParameterError.
     """
     kind = family.get("family")
-    if kind in ("noiseless", "depolarizing", "random", "measure_prepare") and "dim" not in family:
+    if not isinstance(kind, str) or kind not in _FAMILY_KEYS:
+        raise ParameterError(f"unknown channel family {kind!r}")
+    unknown = sorted(set(family) - _FAMILY_KEYS[kind] - {"family"})
+    if unknown:
+        raise ParameterError(
+            f"channel family {kind!r} takes no key {unknown[0]!r}; "
+            f"its keys are {sorted(_FAMILY_KEYS[kind])}"
+        )
+    if "dim" in _FAMILY_KEYS[kind] and "dim" not in family:
         raise ParameterError(f"channel family {kind!r} needs the key 'dim'")
     if kind == "noiseless":
         return noiseless(int(family["dim"]))
@@ -538,9 +551,7 @@ def channel_from_family(family: dict, rng: np.random.Generator) -> Channel:
             mat = gmat @ gmat.conj().T
             outputs.append(DensityMatrix(mat / mat.trace().real))
         return measure_prepare(povm, outputs)
-    if kind == "phase":
-        return random_phase_channel(decode_phase_spec(family))
-    raise ParameterError(f"unknown channel family {kind!r}")
+    return random_phase_channel(decode_phase_spec(family))     # kind == "phase"
 
 
 @dataclass

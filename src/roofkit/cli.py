@@ -175,8 +175,10 @@ def _emit(args, command: str, payload: dict, started: float, csv_files=None) -> 
     }
     out = getattr(args, "out", None)
     if out:
-        os.makedirs(out, exist_ok=True)
         fmt = getattr(args, "format", "json")
+        if fmt == "csv" and not csv_files:
+            raise ParameterError(f"--format csv writes nothing: {command} has no tables")
+        os.makedirs(out, exist_ok=True)
         if fmt in ("json", "both"):
             write_json(os.path.join(out, "report.json"), report)
         if fmt in ("csv", "both") and csv_files:
@@ -311,6 +313,8 @@ def cmd_additivity(args) -> int:
 
 def cmd_phase_channel(args) -> int:
     started = time.perf_counter()
+    if args.samples < 1:
+        raise ParameterError(f"--samples must be at least 1, got {args.samples}")
     text = args.spec.strip()
     data = json.loads(text) if text.startswith("{") else read_json(text)
     spec = decode_phase_spec(data)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channels import Channel, output_entropy, partial_trace_channel
+from .channels import Channel, apply, output_entropy, partial_trace_channel
 from .core import DensityMatrix, PureState, SubsystemShape, hermitian_eig, rng_for
 from .entropy import relative_entropy
 from .errors import DimensionError, ParameterError, ValidityError
@@ -176,31 +176,27 @@ def _spectral(a: np.ndarray, grad: bool = False):
     return value, np.einsum("bmop,bmp,bmqp->bmoq", u, gvals, u.conj())
 
 
-def _objective(kstack: np.ndarray, g: np.ndarray | None = None, group_size: int = 1):
+def _objective(kstack: np.ndarray, g: np.ndarray | None = None):
     """Value and gradient functions of the spectral kernel on channel outputs.
 
     A manifold point M lifts to the unnormalized members, the columns of
-    g @ M.T (of M itself when g is None, the unit sphere St(d, 1)).
-    Consecutive members are summed in blocks of `group_size` before the
-    kernel, and dF/dA is pulled back through the Kraus stack and the lift.
-    Both functions take one point or a stack of points, with any leading
-    shape, and return one value per point.
+    g @ M.T (of M itself when g is None, the unit sphere St(d, 1)), and
+    dF/dA is pulled back through the Kraus stack and the lift.  Both
+    functions take one point or a stack of points, with any leading shape,
+    and return one value per point.
 
     A pure member's output and its complementary output (swap the output and
     Kraus axes of the (env, out, in) stack) share their nonzero spectrum, so
-    ungrouped members run on whichever side of the dilation is smaller, with
-    the same value and gradient.  The third return value is that side, the
-    dimension of each output the kernel eigensolves.
+    members run on whichever side of the dilation is smaller, with the same
+    value and gradient.  The third return value is that side, the dimension
+    of each output the kernel eigensolves.
     """
-    if group_size == 1 and kstack.shape[0] < kstack.shape[1]:
+    if kstack.shape[0] < kstack.shape[1]:
         kstack = np.ascontiguousarray(kstack.transpose(1, 0, 2))
 
     def outputs(m_mat):
         m_mat = m_mat.reshape(-1, *m_mat.shape[-2:])
-        a, w = _member_outputs(kstack, m_mat if g is None else g @ np.swapaxes(m_mat, -1, -2))
-        if group_size > 1:
-            a = np.add.reduceat(a, np.arange(0, a.shape[1], group_size), axis=1)
-        return a, w
+        return _member_outputs(kstack, m_mat if g is None else g @ np.swapaxes(m_mat, -1, -2))
 
     def value_fn(m_mat):
         return _spectral(outputs(m_mat)[0]).reshape(m_mat.shape[:-2])[()]
@@ -208,8 +204,6 @@ def _objective(kstack: np.ndarray, g: np.ndarray | None = None, group_size: int 
     def grad_fn(m_mat):
         a, w = outputs(m_mat)
         value, d = _spectral(a, grad=True)
-        if group_size > 1:
-            d = np.repeat(d, group_size, axis=1)[:, : w.shape[-1]]
         dw = np.einsum("bmoq,bkqm->bkom", d, w)
         grad_v = np.einsum("koa,bkom->bam", kstack.conj(), dw)
         grad = grad_v if g is None else np.swapaxes(grad_v, -1, -2) @ g.conj()
@@ -408,60 +402,31 @@ def chi_from_roof(channel: Channel, rho: DensityMatrix, options: RoofOptions | N
     return output_entropy(channel, rho) - ccooe(channel, rho, options).value
 
 
-def chi_direct(
-    channel: Channel,
-    rho: DensityMatrix,
-    options: RoofOptions | None = None,
-    group_size: int = 1,
-) -> float:
+def chi_direct(channel: Channel, rho: DensityMatrix, options: RoofOptions | None = None) -> float:
     """Lower bound on the constrained Holevo quantity from its definition.
 
-    Maximizes the mean relative entropy of member outputs to channel(rho)
-    over ensembles with barycenter rho.  Consecutive parametrized members are
-    merged into mixed members in blocks of `group_size`; the default keeps
-    all members pure.  Members whose relative entropy is infinite (possible
-    only when channel(rho) is rank deficient) are discarded with a warning.
+    The mean relative entropy of member outputs to channel(rho) over the
+    roof's witness ensemble at rho.  Pure members lose nothing: S o channel
+    is concave, so splitting a mixed member into pure parts never lowers the
+    sum.  Members whose relative entropy is infinite (possible only when
+    channel(rho) is rank deficient) are discarded with a warning.
     """
-    options = options or RoofOptions()
-    if group_size < 1:
-        raise ParameterError(f"group size must be positive, got {group_size}")
-    if rho.dim != channel.in_dim:
-        raise DimensionError(f"state dimension {rho.dim} != channel input {channel.in_dim}")
-    g, rank = _support_factor(rho)
-    size = _resolve_size(options, rank)
-    # sum_b Tr A_b log channel(rho) = Tr channel(rho) log channel(rho) is
-    # constant on the manifold, so the Holevo sum is S(channel(rho)) minus
-    # the spectral kernel on the grouped outputs
-    value_fn, grad_fn, side = _objective(channel.kraus_stack(), g, group_size)
-    best, _ = _multistart(value_fn, grad_fn, size, rank, options, size * side**2)
-    return _holevo_report(channel, rho, g, best.m_mat, group_size)
-
-
-def _holevo_report(channel, rho, g, m_mat, group_size) -> float:
-    """Final value through the public relative-entropy path."""
-    v = g @ m_mat.T
-    reference = DensityMatrix(channel.apply_raw(rho.entries))
+    ensemble = ccooe(channel, rho, options).ensemble
+    reference = apply(channel, rho)
     total, dropped = 0.0, 0
-    for b in range(0, v.shape[1], group_size):
-        block = v[:, b : b + group_size]
-        t_b = block @ block.conj().T
-        weight = float(t_b.trace().real)
-        if weight <= WEIGHT_DROP:
-            continue
-        term = relative_entropy(
-            DensityMatrix(channel.apply_raw(t_b / weight)), reference
-        )
+    for w, s in zip(ensemble.weights, ensemble.states):
+        term = relative_entropy(apply(channel, s.density()), reference)
         if math.isinf(term):
             dropped += 1
             continue
-        total += weight * term
+        total += w * term
     if dropped:
         warnings.warn(
             f"discarded {dropped} ensemble member(s) with infinite relative entropy",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=2,
         )
-    return total
+    return float(total)
 
 
 def min_output_entropy(

@@ -13,6 +13,7 @@ from roofkit import (
     ParameterError,
     RoofOptions,
     SubsystemShape,
+    channel_from_family,
     chi_subadditivity_margin,
     completely_depolarizing,
     complementary_transfer_probe,
@@ -24,6 +25,7 @@ from roofkit import (
     noiseless,
     random_density,
     random_stinespring,
+    rng_for,
     scan_random,
     superadditivity_margin,
     tensor,
@@ -151,18 +153,6 @@ class TestVerdictSemantics:
         assert report.refined
         assert "before_refinement" in report.diagnostics
 
-    def test_refine_disabled_is_inconclusive(self):
-        report = superadditivity_margin(
-            noiseless(2),
-            noiseless(2),
-            random_density(4, 4, 5),
-            FAST,
-            tolerance=-1.0,
-            refine=False,
-        )
-        assert report.verdict == "inconclusive"
-        assert not report.refined
-
     def test_report_round_trips_to_dict(self):
         report = superadditivity_margin(
             noiseless(2), noiseless(2), random_density(4, 4, 6), FAST
@@ -284,7 +274,7 @@ class TestScanRandom:
         assert result.replay == []
 
     def test_deterministic_given_seed(self):
-        fam = {"family": "random", "dim": 2, "env_dim": 2}
+        fam = {"family": "random", "dim": 2, "env": 2}
         a = scan_random(fam, self.NOISELESS, samples=3, seed=9, options=FAST)
         b = scan_random(fam, self.NOISELESS, samples=3, seed=9, options=FAST)
         assert [asdict(r) for r in a.reports] == [asdict(r) for r in b.reports]
@@ -315,6 +305,14 @@ class TestScanRandom:
     def test_unknown_family_and_check(self):
         with pytest.raises(ParameterError):
             scan_random({"family": "mystery"}, self.NOISELESS, samples=1)
+        # a misspelt key would otherwise fall back to its default silently
+        with pytest.raises(ParameterError, match="'random'.*'env_dim'"):
+            scan_random({"family": "random", "dim": 2, "env_dim": 3}, self.NOISELESS, samples=1)
+        with pytest.raises(ParameterError, match="'phase'.*'std'"):
+            channel_from_family({"family": "phase", "a": 1.0, "d": 4, "std": 1.0}, rng_for(0))
+        phase = {"family": "phase", "a": 1.0, "d": 4,
+                 "density": {"family": "uniform", "half_width": 1.0}}
+        assert channel_from_family(phase, rng_for(0)).in_dim == 4
         with pytest.raises(ParameterError):
             scan_random(self.NOISELESS, self.NOISELESS, samples=1, check="mystery")
 
@@ -328,7 +326,7 @@ def test_checks_share_one_trio():
     phi, psi = dephasing(0.3), random_stinespring(2, 2, 2, 93)
     omega = random_density(4, 4, 94)
     reports = [
-        check(phi, psi, omega, FAST, refine=False)
+        check(phi, psi, omega, FAST)
         for check in (superadditivity_margin, chi_subadditivity_margin, corollary_bound_check)
     ]
     keys = ("roof_joint", "roof_left", "roof_right")

@@ -301,13 +301,24 @@ class TestFailureModes:
             ("additivity", "margin", "--right", "noiseless:2", "--named", "mixed:4"),
             ("additivity", "complement", "--left", "noiseless:2"),
             ("additivity", "truncate", "--named", "mixed:16"),
+            ("additivity", "scan", "--left", '{"family": "random", "dim": 2, "env_dim": 3}',
+             "--right", "noiseless:2", "--samples", "1", "--restarts", "1"),
+            ("phase-channel", "--spec", '{"a": 1.0, "d": 4}', "--samples", "0"),
+            ("entropy", "--named", "mixed:2", "--out", "{out}", "--format", "csv"),
         ],
     )
-    def test_short_descriptor_or_missing_flag_exits_one(self, capsys, argv):
-        code, payload, err = run(capsys, *argv)
+    def test_short_descriptor_or_missing_flag_exits_one(self, capsys, tmp_path, argv):
+        out = tmp_path / "report"
+        code, payload, err = run(capsys, *(a.replace("{out}", str(out)) for a in argv))
         assert code == 1
         assert payload is None
         assert err.startswith("error:")
+        assert not out.exists()
+
+    def test_zero_samples_names_the_flag(self, capsys):
+        code, _, err = run(capsys, "phase-channel", "--spec", '{"a": 1.0, "d": 4}', "--samples", "0")
+        assert code == 1
+        assert "--samples" in err
 
     def test_family_without_dim_names_family_and_key(self, capsys):
         code, payload, err = run(
