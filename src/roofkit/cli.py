@@ -102,9 +102,18 @@ def _named_state(text: str) -> DensityMatrix:
     raise ParameterError(f"unknown named state {text!r}")
 
 
+def _json_object(text: str, what: str) -> dict:
+    """The JSON object given inline ({...}) or in the file at path `text`."""
+    text = text.strip()
+    data = json.loads(text) if text.startswith("{") else read_json(text)
+    if not isinstance(data, dict):
+        raise ParameterError(f"{what} must be a JSON object, got {type(data).__name__}")
+    return data
+
+
 def _load_state(args) -> DensityMatrix:
     if getattr(args, "state", None):
-        return decode_state(read_json(args.state))
+        return decode_state(_json_object(args.state, "state"))
     if getattr(args, "named", None):
         return _named_state(args.named)
     raise ParameterError("provide --state FILE or --named NAME")
@@ -112,10 +121,8 @@ def _load_state(args) -> DensityMatrix:
 
 def _family_dict(text: str) -> dict:
     text = text.strip()
-    if text.startswith("{"):
-        return json.loads(text)
-    if os.path.isfile(text):
-        return read_json(text)
+    if text.startswith("{") or os.path.isfile(text):
+        return _json_object(text, "channel descriptor")
     parts = text.split(":")
     kind = parts[0]
     if kind in ("noiseless", "depolarizing", "random", "measure_prepare") and len(parts) < 2:
@@ -142,12 +149,10 @@ def _family_dict(text: str) -> dict:
 
 
 def _load_channel(text: str, seed: int, stream: int) -> Channel:
-    if os.path.isfile(text):
-        data = read_json(text)
-        if "kraus" in data:
-            return decode_channel(data)
-        return channel_from_family(data, rng_for(seed, stream))
-    return channel_from_family(_family_dict(text), rng_for(seed, stream))
+    data = _family_dict(text)
+    if "kraus" in data:
+        return decode_channel(data)
+    return channel_from_family(data, rng_for(seed, stream))
 
 
 def _dims(text: str) -> SubsystemShape:
@@ -315,9 +320,7 @@ def cmd_phase_channel(args) -> int:
     started = time.perf_counter()
     if args.samples < 1:
         raise ParameterError(f"--samples must be at least 1, got {args.samples}")
-    text = args.spec.strip()
-    data = json.loads(text) if text.startswith("{") else read_json(text)
-    spec = decode_phase_spec(data)
+    spec = decode_phase_spec(_json_object(args.spec, "phase spec"))
     channel = random_phase_channel(spec)
     b = schur_matrix(spec)
     bvals = np.linalg.eigvalsh(b)
@@ -376,7 +379,7 @@ def cmd_phase_channel(args) -> int:
 
 def cmd_gibbs(args) -> int:
     started = time.perf_counter()
-    ham = decode_matrix(read_json(args.hamiltonian))
+    ham = decode_matrix(_json_object(args.hamiltonian, "Hamiltonian"))
     state, beta, entropy = gibbs_state(EnergyConstraint(ham, args.level))
     payload = {
         "beta": beta,
@@ -472,11 +475,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except RoofkitError as exc:
+    except (RoofkitError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except KeyError as exc:
+        print(f"error: missing key {exc}", file=sys.stderr)
         return 1
 
 

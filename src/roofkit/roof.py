@@ -8,15 +8,14 @@ manifold, Barzilai-Borwein steps with a nonmonotone line search and polar
 retraction (Wen & Yin, Math. Program. 142 (2013)), yields certified *upper*
 bounds on the roof; reported optima are never lower bounds.
 
-The restarts descend in lockstep: a batch of starts is one (R, m, r) stack,
-so each iteration makes one batched gradient call and, per backtracking
-round, one batched retraction and value call over the restarts still
-searching.  Each restart keeps its own step, reference value and stop rule,
-and a batch holds at most BATCH_ENTRIES member-output entries.  A restart's
-trajectory does not depend on the batch it runs in, so neither does any
-result.  Pure members are eigensolved on the smaller side of the
-Stinespring dilation, output or environment, which gives the same value and
-gradient.
+The restarts descend in lockstep: all starts of a roof are one (R, m, r)
+stack, so each iteration makes one batched gradient call and, per
+backtracking round, one batched retraction and value call over the restarts
+still searching.  Each restart keeps its own step, reference value and stop
+rule, so its trajectory does not depend on which restarts share the stack,
+and neither does any result.  Pure members are eigensolved on the smaller
+side of the Stinespring dilation, output or environment, which gives the
+same value and gradient.
 """
 
 from __future__ import annotations
@@ -41,9 +40,6 @@ BB_MIN, BB_MAX = 1e-10, 1e10
 NONMONOTONE = 0.85
 TIE_TOL = 1e-12
 SIZE_CAP = 64
-# member-output entries (restarts x members x side^2, side the dimension the
-# kernel eigensolves: min(out, env) for pure members) one lockstep batch holds
-BATCH_ENTRIES = 4096
 
 
 @dataclass(frozen=True)
@@ -188,8 +184,7 @@ def _objective(kstack: np.ndarray, g: np.ndarray | None = None):
     A pure member's output and its complementary output (swap the output and
     Kraus axes of the (env, out, in) stack) share their nonzero spectrum, so
     members run on whichever side of the dilation is smaller, with the same
-    value and gradient.  The third return value is that side, the dimension
-    of each output the kernel eigensolves.
+    value and gradient.
     """
     if kstack.shape[0] < kstack.shape[1]:
         kstack = np.ascontiguousarray(kstack.transpose(1, 0, 2))
@@ -209,7 +204,7 @@ def _objective(kstack: np.ndarray, g: np.ndarray | None = None):
         grad = grad_v if g is None else np.swapaxes(grad_v, -1, -2) @ g.conj()
         return value.reshape(m_mat.shape[:-2])[()], grad.reshape(m_mat.shape)
 
-    return value_fn, grad_fn, kstack.shape[1]
+    return value_fn, grad_fn
 
 
 def _polar(x: np.ndarray) -> np.ndarray:
@@ -312,36 +307,30 @@ def _random_start(rng: np.random.Generator, size: int, rank: int) -> np.ndarray:
 
 
 def _multistart(
-    value_fn, grad_fn, size: int, rank: int, options: RoofOptions, entries: int
+    value_fn, grad_fn, size: int, rank: int, options: RoofOptions
 ) -> tuple[_RunStats, int]:
     """Best of `options.restarts` descents from the seeded starts.
 
-    Restart idx starts from the stream rng_for(seed, idx).  The restarts run
-    through `_lockstep` in batches of consecutive indices, as many per batch
-    as fit BATCH_ENTRIES member-output entries at `entries` per restart
-    (never fewer than one); each restart stops on its own rule inside its
-    batch.  Scanning in index order, a restart replaces the best only when
-    its value is lower by more than TIE_TOL.  A restart's trajectory is the
-    same whichever batch it runs in, so the result does not depend on the
-    budget.
+    Restart idx starts from the stream rng_for(seed, idx), and all restarts
+    run as one `_lockstep` stack, each stopping on its own rule.  Scanning
+    in index order, a restart replaces the best only when its value is lower
+    by more than TIE_TOL.
     """
-    per_batch = max(1, BATCH_ENTRIES // entries)
-    best = None                                        # (batch runs, row, restart index)
-    for lo in range(0, options.restarts, per_batch):
-        idx = range(lo, min(lo + per_batch, options.restarts))
-        starts = np.stack([_random_start(rng_for(options.seed, i), size, rank) for i in idx])
-        runs = _lockstep(value_fn, grad_fn, starts, options)
-        for j, i in enumerate(idx):
-            if best is None or runs.value[j] < best[0].value[best[1]] - TIE_TOL:
-                best = runs, j, i
-    runs, j, best_idx = best
+    starts = np.stack(
+        [_random_start(rng_for(options.seed, i), size, rank) for i in range(options.restarts)]
+    )
+    runs = _lockstep(value_fn, grad_fn, starts, options)
+    best = 0
+    for i in range(1, options.restarts):
+        if runs.value[i] < runs.value[best] - TIE_TOL:
+            best = i
     return _RunStats(
-        runs.m_mat[j],
-        float(runs.value[j]),
-        float(runs.grad_norm[j]),
-        int(runs.iterations[j]),
-        bool(runs.converged[j]),
-    ), best_idx
+        runs.m_mat[best],
+        float(runs.value[best]),
+        float(runs.grad_norm[best]),
+        int(runs.iterations[best]),
+        bool(runs.converged[best]),
+    ), best
 
 
 @dataclass
@@ -369,8 +358,8 @@ def ccooe(channel: Channel, rho: DensityMatrix, options: RoofOptions | None = No
         raise DimensionError(f"state dimension {rho.dim} != channel input {channel.in_dim}")
     g, rank = _support_factor(rho)
     size = _resolve_size(options, rank)
-    value_fn, grad_fn, side = _objective(channel.kraus_stack(), g)
-    best, best_idx = _multistart(value_fn, grad_fn, size, rank, options, size * side**2)
+    value_fn, grad_fn = _objective(channel.kraus_stack(), g)
+    best, best_idx = _multistart(value_fn, grad_fn, size, rank, options)
     ensemble = ensemble_from_mixing(rho, best.m_mat)
     value = average_output_entropy(channel, ensemble)
     return RoofResult(
@@ -439,8 +428,8 @@ def min_output_entropy(
     value and the achieving input.
     """
     options = options or RoofOptions()
-    value_fn, grad_fn, side = _objective(channel.kraus_stack())
-    best, _ = _multistart(value_fn, grad_fn, channel.in_dim, 1, options, side**2)
+    value_fn, grad_fn = _objective(channel.kraus_stack())
+    best, _ = _multistart(value_fn, grad_fn, channel.in_dim, 1, options)
     psi = best.m_mat[:, 0]
     state = PureState(psi / np.linalg.norm(psi))
     return output_entropy(channel, state.density()), state

@@ -115,6 +115,8 @@ def encode_density_profile(density) -> dict:
 
 
 def decode_density_profile(data: dict):
+    if not isinstance(data, dict):
+        raise ParameterError(f"density profile must be a JSON object, got {data!r}")
     family = data.get("family")
     if family == "gaussian":
         return GaussianDensity(float(data["std"]))
@@ -138,6 +140,9 @@ def encode_phase_spec(spec: RandomPhaseSpec) -> dict:
 
 
 def decode_phase_spec(data: dict) -> RandomPhaseSpec:
+    for key in ("a", "d"):
+        if key not in data:
+            raise ParameterError(f"channel family 'phase' needs the key {key!r}")
     return RandomPhaseSpec(
         half_width=float(data["a"]),
         grid_size=int(data["d"]),

@@ -1,7 +1,6 @@
 """Margin reports, truncation traces, probes, and batch scans."""
 
 import math
-import os
 from dataclasses import asdict
 
 import numpy as np
@@ -279,13 +278,6 @@ class TestScanRandom:
         b = scan_random(fam, self.NOISELESS, samples=3, seed=9, options=FAST)
         assert [asdict(r) for r in a.reports] == [asdict(r) for r in b.reports]
 
-    def test_thread_cap_does_not_change_results(self, monkeypatch):
-        fam = {"family": "dephasing", "q": 0.3}
-        serial = scan_random(fam, self.NOISELESS, samples=3, seed=2, options=FAST)
-        monkeypatch.setenv("ROOFKIT_THREADS", "2")
-        threaded = scan_random(fam, self.NOISELESS, samples=3, seed=2, options=FAST)
-        assert [asdict(r) for r in serial.reports] == [asdict(r) for r in threaded.reports]
-
     def test_flagged_items_serialized_for_replay(self):
         result = scan_random(
             self.NOISELESS, self.NOISELESS, samples=2, options=FAST, tolerance=-1.0
@@ -315,11 +307,6 @@ class TestScanRandom:
         assert channel_from_family(phase, rng_for(0)).in_dim == 4
         with pytest.raises(ParameterError):
             scan_random(self.NOISELESS, self.NOISELESS, samples=1, check="mystery")
-
-
-def test_env_thread_cap_is_not_sticky():
-    # the env var is read per call, never cached at import time
-    assert "ROOFKIT_THREADS" not in os.environ
 
 
 def test_checks_share_one_trio():

@@ -305,11 +305,23 @@ class TestFailureModes:
              "--right", "noiseless:2", "--samples", "1", "--restarts", "1"),
             ("phase-channel", "--spec", '{"a": 1.0, "d": 4}', "--samples", "0"),
             ("entropy", "--named", "mixed:2", "--out", "{out}", "--format", "csv"),
+            # JSON inputs whose top level is not an object
+            ("ccooe", "--channel", "{list}", "--named", "mixed:2"),
+            ("entropy", "--state", "{list}"),
+            ("gibbs", "--hamiltonian", "{list}", "--level", "0.25"),
+            ("phase-channel", "--spec", "{list}"),
+            ("additivity", "scan", "--left", "{list}", "--right", "noiseless:2"),
+            ("ccooe", "--channel", '{"family": "phase", "a": 1.0, "d": 4, "density": 3}',
+             "--named", "mixed:4"),
+            ("phase-channel", "--spec", '{"a": 1.0, "d": 4, "density": 3}'),
         ],
     )
     def test_short_descriptor_or_missing_flag_exits_one(self, capsys, tmp_path, argv):
-        out = tmp_path / "report"
-        code, payload, err = run(capsys, *(a.replace("{out}", str(out)) for a in argv))
+        out, listing = tmp_path / "report", tmp_path / "list.json"
+        listing.write_text("[1, 2]")
+        code, payload, err = run(
+            capsys, *(a.replace("{out}", str(out)).replace("{list}", str(listing)) for a in argv)
+        )
         assert code == 1
         assert payload is None
         assert err.startswith("error:")
@@ -328,6 +340,24 @@ class TestFailureModes:
         assert payload is None
         assert err.startswith("error:")
         assert "noiseless" in err and "dim" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("ccooe", "--channel", '{"family": "phase", "d": 4}', "--named", "mixed:4"),
+             "channel family 'phase' needs the key 'a'"),
+            (("phase-channel", "--spec", '{"a": 1.0}'), "channel family 'phase' needs the key 'd'"),
+            (("gibbs", "--hamiltonian", '{"dim": 2, "re": [[0, 0], [0, 1]]}', "--level", "0.25"),
+             "missing key 'im'"),
+            (("phase-channel", "--spec", '{"a": 1.0, "d": 4, "density": {"family": "gaussian"}}'),
+             "missing key 'std'"),
+        ],
+    )
+    def test_missing_key_is_named(self, capsys, argv, message):
+        code, payload, err = run(capsys, *argv)
+        assert code == 1
+        assert payload is None
+        assert err == f"error: {message}\n"
 
 
 def _strict_json(text):
@@ -371,18 +401,6 @@ class TestDeterminism:
         first.pop("walltime_s")
         second.pop("walltime_s")
         assert dumps(first) == dumps(second)
-
-    def test_thread_env_does_not_change_scan(self, capsys, monkeypatch):
-        argv = (
-            "additivity", "scan", "--left", "dephasing:0.3", "--right", "noiseless:2",
-            "--samples", "2", "--restarts", "4", "--seed", "3",
-        )
-        _, serial, _ = run(capsys, *argv)
-        monkeypatch.setenv("ROOFKIT_THREADS", "2")
-        _, threaded, _ = run(capsys, *argv)
-        serial.pop("walltime_s")
-        threaded.pop("walltime_s")
-        assert dumps(serial) == dumps(threaded)
 
     def test_out_directory_report_matches_stdout_run(self, capsys, tmp_path):
         argv = ("entropy", "--named", "diag:0.5,0.25,0.25")

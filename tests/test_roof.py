@@ -1,5 +1,6 @@
 """Convex-roof optimizer, ensembles, and the two chi routes."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -354,12 +355,12 @@ def test_gradient_matches_central_differences(objective):
     rng = np.random.default_rng(61)
     objective, kstack = _kraus_case(objective, 62)
     if objective == "sphere":
-        value_fn, grad_fn, _ = _objective(kstack)
+        value_fn, grad_fn = _objective(kstack)
         m_mat = _random_start(rng, 3, 1)
     else:
         g, rank = _support_factor(random_density(3, 2, 63))  # rank-deficient
         assert rank == 2
-        value_fn, grad_fn, _ = _objective(kstack, g)
+        value_fn, grad_fn = _objective(kstack, g)
         m_mat = _random_start(rng, rank * rank, rank)
     direction = rng.normal(size=m_mat.shape) + 1j * rng.normal(size=m_mat.shape)
     value, grad = grad_fn(m_mat)
@@ -375,9 +376,9 @@ def _stack_case(objective, seed):
 
     objective, kstack = _kraus_case(objective, seed)
     if objective == "sphere":
-        return (*_objective(kstack)[:2], 3, 1)
+        return (*_objective(kstack), 3, 1)
     g, rank = _support_factor(random_density(3, 2, seed + 1))
-    value_fn, grad_fn, _ = _objective(kstack, g)
+    value_fn, grad_fn = _objective(kstack, g)
     return value_fn, grad_fn, rank * rank, rank
 
 
@@ -435,7 +436,7 @@ def _same(a, b):
     return a == b
 
 
-BUDGET_CASES = {
+STACK_CASES = {
     "eof-pure": lambda: eof(random_pure(4, 111).density(), SubsystemShape((2, 2)), FAST),
     "eof-rank2": lambda: eof(random_density(4, 2, 112), SubsystemShape((2, 2)), FAST),
     "eof-rank4": lambda: eof(random_density(4, 4, 113), SubsystemShape((2, 2)), FAST),
@@ -457,14 +458,22 @@ BUDGET_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(BUDGET_CASES))
-def test_results_do_not_depend_on_batch_budget(case, monkeypatch):
+@pytest.mark.parametrize("case", sorted(STACK_CASES))
+def test_results_do_not_depend_on_stack_companions(case, monkeypatch):
+    # each restart descended alone gives the bits of the shared stack
     from roofkit import roof
 
     multistart, lockstep = roof._multistart, roof._lockstep
 
-    def run():
-        best_runs, batches = [], []
+    def alone(value_fn, grad_fn, starts, options):
+        runs = [lockstep(value_fn, grad_fn, start[None], options) for start in starts]
+        return roof._RunStats(*(
+            np.concatenate([getattr(r, f.name) for r in runs])
+            for f in dataclasses.fields(roof._RunStats)
+        ))
+
+    def run(descend):
+        best_runs, stacks = [], []
 
         def record_multistart(*args):
             best, idx = multistart(*args)
@@ -473,31 +482,75 @@ def test_results_do_not_depend_on_batch_budget(case, monkeypatch):
             return best, idx
 
         def record_lockstep(value_fn, grad_fn, starts, options):
-            batches.append(len(starts))
-            return lockstep(value_fn, grad_fn, starts, options)
+            stacks.append(len(starts))
+            return descend(value_fn, grad_fn, starts, options)
 
         monkeypatch.setattr(roof, "_multistart", record_multistart)
         monkeypatch.setattr(roof, "_lockstep", record_lockstep)
-        return _summary(BUDGET_CASES[case]()), best_runs, batches
+        return _summary(STACK_CASES[case]()), best_runs, stacks
 
-    together = run()
-    monkeypatch.setattr(roof, "BATCH_ENTRIES", 1)
-    alone = run()
-    assert set(alone[2]) == {1}
+    together = run(lockstep)
+    apart = run(alone)
+    # one _lockstep stack per _multistart call
+    assert together[2] == apart[2] and len(together[2]) == len(together[1])
     if case != "ccooe-one-restart":
         assert max(together[2]) > 1
-    assert _same(together[0], alone[0])
-    assert _same(together[1], alone[1])
+    assert _same(together[0], apart[0])
+    assert _same(together[1], apart[1])
 
 
-def test_kernel_side_is_the_smaller_one_for_pure_members():
-    from roofkit.roof import _objective, _support_factor
+REFINE_CASES = {
+    f"eof-rank{rank}-seed{seed}": (
+        lambda opts, rank=rank, seed=seed: eof(
+            random_density(4, rank, (141, seed)), SubsystemShape((2, 2)), opts
+        )
+    )
+    for rank in (2, 3, 4) for seed in range(2)
+} | {
+    f"ccooe-seed{seed}": (
+        lambda opts, seed=seed: ccooe(
+            random_stinespring(3, 3, 2, (142, seed)), random_density(3, 3, (143, seed)), opts
+        )
+    )
+    for seed in range(3)
+}
 
+
+@pytest.mark.parametrize("case", sorted(REFINE_CASES))
+def test_refinement_never_raises_a_roof(case):
+    # restarts 0..R-1 repeat exactly at refined(), so the doubled run can
+    # only keep the old best or replace it with a lower one
+    opts = RoofOptions(restarts=3, max_iterations=60, seed=5)
+    base = REFINE_CASES[case](opts)
+    refined = REFINE_CASES[case](opts.refined())
+    assert refined.restarts_used == 2 * base.restarts_used
+    assert refined.value <= base.value
+    if refined.best_restart < opts.restarts:
+        assert _same(_summary(refined), _summary(base))
+
+
+def test_kernel_side_is_the_smaller_one_for_pure_members(monkeypatch):
+    from roofkit import roof
+
+    sides, spectral = [], roof._spectral
+
+    def record_spectral(a, grad=False):
+        sides.append(a.shape[-1])
+        return spectral(a, grad)
+
+    monkeypatch.setattr(roof, "_spectral", record_spectral)
     kstack = random_stinespring(3, 4, 2, 121).kraus_stack()
-    g, _ = _support_factor(random_density(3, 2, 122))
-    assert _objective(kstack)[2] == 2
-    assert _objective(kstack, g)[2] == 2
-    assert _objective(kstack.transpose(1, 0, 2), g)[2] == 2
+    g, rank = roof._support_factor(random_density(3, 2, 122))
+    unit = roof._random_start(rng_for(123), 3, 1)
+    mixing = roof._random_start(rng_for(124), rank * rank, rank)
+    for value_fn, grad_fn, m_mat in [
+        (*roof._objective(kstack), unit),
+        (*roof._objective(kstack, g), mixing),
+        (*roof._objective(kstack.transpose(1, 0, 2), g), mixing),
+    ]:
+        value_fn(m_mat)
+        grad_fn(m_mat)
+    assert sides == [2] * 6
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ import pytest
 from roofkit import (
     DimensionError,
     GaussianDensity,
+    ParameterError,
     RandomPhaseSpec,
     RoofOptions,
     TabulatedDensity,
@@ -129,6 +130,17 @@ class TestPhaseSpec:
     def test_unknown_family_rejected(self):
         with pytest.raises(Exception):
             decode_phase_spec({"a": 1.0, "d": 4, "density": {"family": "cauchy"}})
+
+    @pytest.mark.parametrize("key", ["a", "d"])
+    def test_missing_key_names_family_and_key(self, key):
+        data = {"a": 1.0, "d": 4}
+        del data[key]
+        with pytest.raises(ParameterError, match=f"'phase'.*'{key}'"):
+            decode_phase_spec(data)
+
+    def test_density_that_is_not_an_object_rejected(self):
+        with pytest.raises(ParameterError, match="density profile"):
+            decode_phase_spec({"a": 1.0, "d": 4, "density": 3})
 
 
 class TestEnsembleAndRoofResult:
