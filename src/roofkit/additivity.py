@@ -32,6 +32,7 @@ from .channels import (
 from .core import (
     DensityMatrix,
     SubsystemShape,
+    marginals,
     mixed_with,
     partial_trace,
     random_density,
@@ -307,15 +308,14 @@ def truncation_experiment(
     joint = tensor_channel(phi, psi)
     full_out = trace_out(omega.entries, dims, (0, 2))
     full_entropy = spectrum_entropy(np.linalg.eigvalsh(full_out))
-    margs = [partial_trace(omega, shape, (i,)) for i in range(4)]
+    margs = marginals(omega, shape)
     opts = roof_options or RoofOptions(restarts=4, max_iterations=250)
 
     steps: list[TruncationStep] = []
     residual_ok = True
     bound_ok = True
     for n in ranks:
-        bases = [top_eigenbasis(margs[i], min(n, dims[i])) for i in range(4)]
-        projector = TruncationProjector(bases)
+        projector = TruncationProjector([top_eigenbasis(m, min(n, d)) for m, d in zip(margs, dims)])
         try:
             omega_n, weight = truncate_state(omega, projector)
         except DegenerateTruncationError:
@@ -325,10 +325,7 @@ def truncation_experiment(
             continue
         out_n = trace_out(omega_n.entries, dims, (0, 2))
         s_n = spectrum_entropy(np.linalg.eigvalsh(out_n))
-        pq = tensor(
-            bases[0] @ bases[0].conj().T,
-            bases[2] @ bases[2].conj().T,
-        )
+        pq = tensor(projector.factor_projector(0), projector.factor_projector(2))
         residual = pq @ full_out @ pq / weight - out_n
         res_min = float(np.linalg.eigvalsh((residual + residual.conj().T) / 2.0)[0])
         bound = full_entropy / weight
@@ -493,36 +490,41 @@ def complementary_transfer_probe(
 # --- random scans -------------------------------------------------------------
 
 
-# family -> the keys its descriptor may carry besides "family"
+# family -> the keys its descriptor may carry besides "family", with their
+# value types, in the order a CLI short form `family:v1:v2...` fills them
 _FAMILY_KEYS = {
-    "noiseless": {"dim"},
-    "dephasing": {"q"},
-    "depolarizing": {"dim"},
-    "random": {"dim", "out", "env"},
-    "measure_prepare": {"dim", "outcomes"},
-    "phase": {"a", "d", "density"},
+    "noiseless": {"dim": int},
+    "dephasing": {"q": float},
+    "depolarizing": {"dim": int},
+    "random": {"dim": int, "out": int, "env": int},
+    "measure_prepare": {"dim": int, "outcomes": int},
+    "phase": {"a": float, "d": int, "density": dict},
 }
 
 
-def channel_from_family(family: dict, rng: np.random.Generator) -> Channel:
-    """Construct a channel from a small descriptor, drawing randomness from rng.
-
-    Families and their keys: noiseless(dim), dephasing([q]),
-    depolarizing(dim), random(dim[, out][, env]), measure_prepare(dim[,
-    outcomes]), phase(a, d[, density]).  Any other key raises
-    ParameterError.
-    """
+def _family_kind(family: dict) -> str:
+    """The descriptor's family, checked against its keys in _FAMILY_KEYS."""
     kind = family.get("family")
     if not isinstance(kind, str) or kind not in _FAMILY_KEYS:
         raise ParameterError(f"unknown channel family {kind!r}")
-    unknown = sorted(set(family) - _FAMILY_KEYS[kind] - {"family"})
+    keys = _FAMILY_KEYS[kind]
+    unknown = sorted(set(family) - set(keys) - {"family"})
     if unknown:
         raise ParameterError(
-            f"channel family {kind!r} takes no key {unknown[0]!r}; "
-            f"its keys are {sorted(_FAMILY_KEYS[kind])}"
+            f"channel family {kind!r} takes no key {unknown[0]!r}; its keys are {list(keys)}"
         )
-    if "dim" in _FAMILY_KEYS[kind] and "dim" not in family:
+    if "dim" in keys and "dim" not in family:
         raise ParameterError(f"channel family {kind!r} needs the key 'dim'")
+    return kind
+
+
+def channel_from_family(family: dict, rng: np.random.Generator) -> Channel:
+    """Construct a channel from a descriptor, drawing randomness from rng.
+
+    The keys each family takes are in _FAMILY_KEYS.  Omitted keys default to
+    q = 0.25 and out = env = outcomes = dim; phase needs a and d.
+    """
+    kind = _family_kind(family)
     if kind == "noiseless":
         return noiseless(int(family["dim"]))
     if kind == "dephasing":
@@ -587,6 +589,8 @@ def scan_random(
     """
     if samples < 0:
         raise ParameterError(f"sample count must be non-negative, got {samples}")
+    for family in (phi_family, psi_family):
+        _family_kind(family)
     if samples == 0:
         return ScanResult([], math.nan, math.nan, 0, [])
     if check not in _CHECKS:

@@ -22,6 +22,7 @@ from .core import (
     SubsystemShape,
     hermitian_eig,
     partial_transpose,
+    require_hermitian,
     require_keep,
     rng_for,
     trace_out,
@@ -234,10 +235,7 @@ def measure_prepare(povm: Sequence[np.ndarray], outputs: Sequence[DensityMatrix]
         raise ValidityError("POVM elements do not sum to the identity within 1e-9")
     ops = []
     for m, sigma in zip(effects, outputs):
-        dev = float(np.max(np.abs(m - m.conj().T)))
-        if dev > 1e-9:
-            raise ValidityError(f"POVM element not Hermitian (deviation {dev:.3e})")
-        mvals, mvecs = hermitian_eig(m)
+        mvals, mvecs = hermitian_eig(require_hermitian(m, 1e-9, "POVM element"))
         if float(mvals[-1]) < -1e-9:
             raise ValidityError(f"POVM element has eigenvalue {mvals[-1]:.3e}")
         svals, svecs = hermitian_eig(sigma.entries)
@@ -339,9 +337,7 @@ class UniformDensity:
         w = self.half_width
         return np.sinc(w * np.asarray(u, dtype=float) / math.pi)
 
-    def profile(self, u: np.ndarray) -> np.ndarray:
-        w = self.half_width
-        return np.sinc(w * np.asarray(u, dtype=float) / math.pi)
+    profile = characteristic
 
     def profile_reach(self) -> float:
         # slow sinc decay; tail mass past the reach is about 1e-2

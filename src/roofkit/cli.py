@@ -23,6 +23,7 @@ import numpy as np
 
 from .additivity import (
     _CHECKS,
+    _FAMILY_KEYS,
     FLAGGED,
     TransferRow,
     channel_from_family,
@@ -123,29 +124,14 @@ def _family_dict(text: str) -> dict:
     text = text.strip()
     if text.startswith("{") or os.path.isfile(text):
         return _json_object(text, "channel descriptor")
-    parts = text.split(":")
-    kind = parts[0]
-    if kind in ("noiseless", "depolarizing", "random", "measure_prepare") and len(parts) < 2:
-        raise ParameterError(f"channel family {text!r} needs a dimension after ':'")
-    if kind == "noiseless":
-        return {"family": "noiseless", "dim": int(parts[1])}
-    if kind == "dephasing":
-        return {"family": "dephasing", "q": float(parts[1]) if len(parts) > 1 else 0.25}
-    if kind == "depolarizing":
-        return {"family": "depolarizing", "dim": int(parts[1])}
-    if kind == "random":
-        spec = {"family": "random", "dim": int(parts[1])}
-        if len(parts) > 2:
-            spec["out"] = int(parts[2])
-        if len(parts) > 3:
-            spec["env"] = int(parts[3])
-        return spec
-    if kind == "measure_prepare":
-        spec = {"family": "measure_prepare", "dim": int(parts[1])}
-        if len(parts) > 2:
-            spec["outcomes"] = int(parts[2])
-        return spec
-    raise ParameterError(f"unknown channel family {text!r}")
+    # short form family:v1:v2...; the values fill the family's keys in order
+    kind, *values = text.split(":")
+    keys = _FAMILY_KEYS.get(kind)
+    if keys is None or dict in keys.values():
+        raise ParameterError(f"no channel short form {text!r}; give a JSON descriptor")
+    if len(values) > len(keys):
+        raise ParameterError(f"channel family {kind!r} takes the values {list(keys)}, not {text!r}")
+    return {"family": kind, **{k: t(v) for (k, t), v in zip(keys.items(), values)}}
 
 
 def _load_channel(text: str, seed: int, stream: int) -> Channel:
@@ -287,9 +273,14 @@ def cmd_additivity(args) -> int:
         return 0
 
     if args.mode == "scan":
+        families = (_family_dict(args.left), _family_dict(args.right))
+        for flag, family in zip(("--left", "--right"), families):
+            if "kraus" in family:
+                raise ParameterError(
+                    f"{flag} holds Kraus operators; scans draw channels from a family descriptor"
+                )
         result = scan_random(
-            _family_dict(args.left),
-            _family_dict(args.right),
+            *families,
             args.samples,
             seed=args.seed,
             options=_options(args),

@@ -42,13 +42,6 @@ def rng_for(seed, *stream: int) -> np.random.Generator:
     return np.random.default_rng(base + tuple(int(s) for s in stream))
 
 
-def _square(a) -> np.ndarray:
-    arr = np.asarray(a, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {arr.shape}")
-    return arr
-
-
 class DensityMatrix:
     """Hermitian, positive semidefinite, unit-trace operator.
 
@@ -60,11 +53,7 @@ class DensityMatrix:
     __slots__ = ("dim", "entries")
 
     def __init__(self, entries):
-        arr = _square(entries)
-        dev = float(np.max(np.abs(arr - arr.conj().T)))
-        if dev > HERM_TOL:
-            raise ValidityError(f"not Hermitian: max deviation {dev:.3e}")
-        arr = (arr + arr.conj().T) / 2.0
+        arr = require_hermitian(entries, HERM_TOL, "density matrix")
         tr = float(arr.trace().real)
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValidityError(f"trace {tr!r} is not 1 within {TRACE_TOL:g}")
@@ -180,11 +169,7 @@ def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
     The input must be Hermitian within 1e-8 and is symmetrized before the
     solve, so the returned pair reconstructs the symmetrized operator.
     """
-    arr = _square(a)
-    dev = float(np.max(np.abs(arr - arr.conj().T)))
-    if dev > 1e-8:
-        raise ValidityError(f"input is not Hermitian within 1e-8 (deviation {dev:.3e})")
-    arr = (arr + arr.conj().T) / 2.0
+    arr = require_hermitian(a, 1e-8, "eigensolver input")
     try:
         vals, vecs = np.linalg.eigh(arr)
     except np.linalg.LinAlgError as exc:
@@ -195,6 +180,17 @@ def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
 def tensor(a, b) -> np.ndarray:
     """Kronecker product with the first operand slowest."""
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+
+
+def require_hermitian(a, tol: float, what: str) -> np.ndarray:
+    """(a + a*)/2 for a square matrix `a` that is Hermitian within `tol`."""
+    arr = np.asarray(a, dtype=complex)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise DimensionError(f"{what} must be a square matrix, got shape {arr.shape}")
+    dev = float(np.max(np.abs(arr - arr.conj().T)))
+    if dev > tol:
+        raise ValidityError(f"{what} is not Hermitian within {tol:g} (deviation {dev:.3e})")
+    return (arr + arr.conj().T) / 2.0
 
 
 def require_keep(keep: Sequence[int], n: int) -> tuple[int, ...]:
@@ -313,11 +309,7 @@ def random_density(dim: int, rank: int, seed) -> DensityMatrix:
 
 def is_psd(a, tol: float = PSD_TOL) -> tuple[bool, float]:
     """(verdict, witness): smallest eigenvalue against -tol."""
-    arr = _square(a)
-    dev = float(np.max(np.abs(arr - arr.conj().T)))
-    if dev > 1e-8:
-        raise ValidityError(f"input is not Hermitian within 1e-8 (deviation {dev:.3e})")
-    lam_min = float(np.linalg.eigvalsh((arr + arr.conj().T) / 2.0)[0])
+    lam_min = float(np.linalg.eigvalsh(require_hermitian(a, 1e-8, "PSD test input"))[0])
     return lam_min >= -tol, lam_min
 
 

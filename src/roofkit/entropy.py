@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityMatrix, hermitian_eig
+from .core import DensityMatrix, hermitian_eig, require_hermitian
 from .errors import DimensionError, InfeasibleError, ParameterError, ValidityError
 
 # eigenvalues in [-EIG_CLIP, 0) count as roundoff zeros; anything lower is rejected
@@ -42,13 +42,7 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
 
 def extended_entropy(a) -> float:
     """H(A) = -Tr A log A + Tr A log Tr A for positive semidefinite A."""
-    arr = np.asarray(a, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {arr.shape}")
-    dev = float(np.max(np.abs(arr - arr.conj().T)))
-    if dev > 1e-8:
-        raise ValidityError(f"input is not Hermitian within 1e-8 (deviation {dev:.3e})")
-    w = np.linalg.eigvalsh((arr + arr.conj().T) / 2.0)
+    w = np.linalg.eigvalsh(require_hermitian(a, 1e-8, "entropy input"))
     if float(w.min()) < -EIG_CLIP:
         raise ValidityError(f"negative eigenvalue {w.min():.3e} below -{EIG_CLIP:g}")
     w = np.clip(w, 0.0, None)
@@ -106,13 +100,7 @@ class EnergyConstraint:
     level: float
 
     def __post_init__(self):
-        arr = np.asarray(self.hamiltonian, dtype=complex)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise DimensionError(f"hamiltonian must be square, got shape {arr.shape}")
-        dev = float(np.max(np.abs(arr - arr.conj().T)))
-        if dev > 1e-10:
-            raise ValidityError(f"hamiltonian not Hermitian within 1e-10 (deviation {dev:.3e})")
-        arr = (arr + arr.conj().T) / 2.0
+        arr = require_hermitian(self.hamiltonian, 1e-10, "hamiltonian")
         arr.setflags(write=False)
         object.__setattr__(self, "hamiltonian", arr)
         object.__setattr__(self, "level", float(self.level))
@@ -179,12 +167,9 @@ def min_orbit_energy(hamiltonian, rho: DensityMatrix) -> float:
     of rho; antiunitary conjugations reach the same value, so only the
     unitary orbit is considered.
     """
-    arr = np.asarray(hamiltonian, dtype=complex)
+    arr = require_hermitian(hamiltonian, 1e-10, "hamiltonian")
     if arr.shape != (rho.dim, rho.dim):
         raise DimensionError("hamiltonian and state dimensions differ")
-    dev = float(np.max(np.abs(arr - arr.conj().T)))
-    if dev > 1e-10:
-        raise ValidityError(f"hamiltonian not Hermitian within 1e-10 (deviation {dev:.3e})")
-    h_asc = np.linalg.eigvalsh((arr + arr.conj().T) / 2.0)
+    h_asc = np.linalg.eigvalsh(arr)
     r_desc = np.linalg.eigvalsh(rho.entries)[::-1]
     return float(h_asc @ r_desc)

@@ -295,7 +295,6 @@ def _resolve_size(options: RoofOptions, rank: int) -> int:
     size = options.ensemble_size
     if size is None:
         size = min(rank * rank, SIZE_CAP)
-    size = max(size, 1)
     if size < rank:
         raise ParameterError(f"ensemble size {size} is below the state rank {rank}")
     return size

@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from roofkit import dephasing, random_density
-from roofkit.cli import main
+from roofkit import channel_from_family, dephasing, random_density, rng_for
+from roofkit.cli import _family_dict, main
 from roofkit.serialize import dumps, encode_channel, encode_state, read_json
 
 
@@ -16,6 +16,25 @@ def run(capsys, *argv):
     out = capsys.readouterr()
     payload = json.loads(out.out) if out.out.strip().startswith("{") else None
     return code, payload, out.err
+
+
+# exit-1 inputs whose message must name the flag or the family at fault
+NAMED_ERRORS = {
+    # scans draw their channels from families, never from a fixed Kraus file
+    ("additivity", "scan", "--left", "{kraus}", "--right", "noiseless:2"):
+        "--left holds Kraus operators; scans draw channels from a family descriptor",
+    ("additivity", "scan", "--left", "noiseless:2", "--right", "{kraus}"):
+        "--right holds Kraus operators",
+    # short forms with more values than their family has keys, or none at all
+    ("ccooe", "--channel", "noiseless:2:7", "--named", "mixed:2"):
+        "channel family 'noiseless' takes the values ['dim']",
+    ("ccooe", "--channel", "random:2:2:2:9", "--named", "mixed:2"):
+        "channel family 'random' takes the values ['dim', 'out', 'env']",
+    ("ccooe", "--channel", "phase:1:4", "--named", "mixed:4"): "'phase:1:4'",
+    # an empty scan still checks its descriptors
+    ("additivity", "scan", "--left", "noiseless", "--right", "noiseless:2", "--samples", "0"):
+        "channel family 'noiseless' needs the key 'dim'",
+}
 
 
 class TestEntropy:
@@ -314,17 +333,19 @@ class TestFailureModes:
             ("ccooe", "--channel", '{"family": "phase", "a": 1.0, "d": 4, "density": 3}',
              "--named", "mixed:4"),
             ("phase-channel", "--spec", '{"a": 1.0, "d": 4, "density": 3}'),
+            *NAMED_ERRORS,
         ],
     )
     def test_short_descriptor_or_missing_flag_exits_one(self, capsys, tmp_path, argv):
-        out, listing = tmp_path / "report", tmp_path / "list.json"
+        out, listing, kraus = tmp_path / "report", tmp_path / "list.json", tmp_path / "kraus.json"
         listing.write_text("[1, 2]")
-        code, payload, err = run(
-            capsys, *(a.replace("{out}", str(out)).replace("{list}", str(listing)) for a in argv)
-        )
+        kraus.write_text(dumps(encode_channel(dephasing(0.3))))
+        paths = {"{out}": out, "{list}": listing, "{kraus}": kraus}
+        code, payload, err = run(capsys, *(str(paths.get(a, a)) for a in argv))
         assert code == 1
         assert payload is None
         assert err.startswith("error:")
+        assert NAMED_ERRORS.get(argv, "error:") in err
         assert not out.exists()
 
     def test_zero_samples_names_the_flag(self, capsys):
@@ -358,6 +379,30 @@ class TestFailureModes:
         assert code == 1
         assert payload is None
         assert err == f"error: {message}\n"
+
+
+# each short form beside the JSON descriptor it stands for, defaults spelled out
+SHORT_FORMS = [
+    ("noiseless:3", {"family": "noiseless", "dim": 3}),
+    ("dephasing", {"family": "dephasing", "q": 0.25}),
+    ("dephasing:0.3", {"family": "dephasing", "q": 0.3}),
+    ("depolarizing:2", {"family": "depolarizing", "dim": 2}),
+    ("random:2", {"family": "random", "dim": 2, "out": 2, "env": 2}),
+    ("random:2:3", {"family": "random", "dim": 2, "out": 3, "env": 2}),
+    ("random:2:3:2", {"family": "random", "dim": 2, "out": 3, "env": 2}),
+    ("measure_prepare:2", {"family": "measure_prepare", "dim": 2, "outcomes": 2}),
+    ("measure_prepare:2:3", {"family": "measure_prepare", "dim": 2, "outcomes": 3}),
+]
+
+
+@pytest.mark.parametrize("short, descriptor", SHORT_FORMS, ids=[s for s, _ in SHORT_FORMS])
+def test_short_form_and_descriptor_build_the_same_channel(short, descriptor):
+    # the CLI parses short forms from the library's family table, so both
+    # routes must draw the same Kraus operators from the same stream
+    from_short = channel_from_family(_family_dict(short), rng_for(5, 0)).kraus_stack()
+    from_json = channel_from_family(descriptor, rng_for(5, 0)).kraus_stack()
+    assert from_short.shape == from_json.shape
+    assert from_short.tobytes() == from_json.tobytes()
 
 
 def _strict_json(text):

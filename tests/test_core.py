@@ -1,5 +1,7 @@
 """State containers, tensor helpers, and truncation primitives."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -7,13 +9,17 @@ from roofkit import (
     DegenerateTruncationError,
     DensityMatrix,
     DimensionError,
+    EnergyConstraint,
     ParameterError,
     PureState,
     SubsystemShape,
     TruncationProjector,
     ValidityError,
     basis_state,
+    extended_entropy,
     is_psd,
+    measure_prepare,
+    min_orbit_energy,
     marginals,
     mixed_with,
     partial_trace,
@@ -29,7 +35,7 @@ from roofkit import (
     trace_out,
     truncate_state,
 )
-from roofkit.core import hermitian_eig
+from roofkit.core import hermitian_eig, require_hermitian
 
 
 class TestDensityMatrix:
@@ -259,3 +265,60 @@ class TestTruncation:
             weights.append(weight)
         assert weights[0] <= weights[1] + 1e-12 <= weights[2] + 2e-12
         assert weights[2] == pytest.approx(1.0, abs=1e-12)
+
+
+def _off_hermitian(base, delta):
+    """`base` with `delta` added to one off-diagonal entry only."""
+    arr = np.array(base, dtype=complex)
+    arr[0, 1] += delta
+    return arr
+
+
+def _povm_channel(delta):
+    # the two elements carry opposite perturbations, so they still sum to I
+    # exactly and only the first element's hermiticity is at stake
+    e0 = _off_hermitian(np.diag([1.0, 0.0]), delta)
+    e1 = _off_hermitian(np.diag([0.0, 1.0]), -delta)
+    return measure_prepare([e0, e1], [DensityMatrix(np.eye(2) / 2)] * 2)
+
+
+# every call site of require_hermitian, with the tolerance it applies
+HERMITIAN_SITES = {
+    "DensityMatrix": (1e-10, lambda d: DensityMatrix(_off_hermitian(np.eye(2) / 2, d))),
+    "hermitian_eig": (1e-8, lambda d: hermitian_eig(_off_hermitian(np.diag([1.0, 2.0]), d))),
+    "is_psd": (1e-8, lambda d: is_psd(_off_hermitian(np.eye(2), d))),
+    "extended_entropy": (1e-8, lambda d: extended_entropy(_off_hermitian(np.eye(2), d))),
+    "EnergyConstraint": (
+        1e-10, lambda d: EnergyConstraint(_off_hermitian(np.diag([0.0, 1.0]), d), 0.5)
+    ),
+    "min_orbit_energy": (
+        1e-10,
+        lambda d: min_orbit_energy(
+            _off_hermitian(np.diag([0.0, 1.0]), d), DensityMatrix(np.eye(2) / 2)
+        ),
+    ),
+    "measure_prepare": (1e-9, _povm_channel),
+}
+
+
+class TestRequireHermitian:
+    @pytest.mark.parametrize("site", sorted(HERMITIAN_SITES))
+    def test_each_site_keeps_its_tolerance(self, site):
+        tol, call = HERMITIAN_SITES[site]
+        call(0.5 * tol)
+        with pytest.raises(ValidityError, match=re.escape(f"not Hermitian within {tol:g}")):
+            call(2.0 * tol)
+
+    def test_returns_the_hermitian_part(self):
+        a = _off_hermitian(np.diag([1.0, 2.0]), 1e-9)
+        out = require_hermitian(a, 1e-8, "matrix")
+        assert np.array_equal(out, out.conj().T)
+        assert out[0, 1] == pytest.approx(0.5e-9, abs=1e-24)
+
+    def test_exactly_hermitian_input_keeps_its_bits(self):
+        a = random_density(4, 3, 11).entries
+        assert require_hermitian(a, 1e-10, "matrix").tobytes() == a.tobytes()
+
+    def test_non_square_raises_dimension_error(self):
+        with pytest.raises(DimensionError, match="matrix must be a square matrix"):
+            require_hermitian(np.ones((2, 3)), 1e-8, "matrix")
