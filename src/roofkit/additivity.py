@@ -11,6 +11,7 @@ still below -tolerance afterwards is reported as flagged.
 from __future__ import annotations
 
 import math
+import numbers
 import statistics
 from dataclasses import asdict, dataclass, field
 
@@ -503,7 +504,7 @@ _FAMILY_KEYS = {
 
 
 def _family_kind(family: dict) -> str:
-    """The descriptor's family, checked against its keys in _FAMILY_KEYS."""
+    """The descriptor's family, checked against its keys and their types in _FAMILY_KEYS."""
     kind = family.get("family")
     if not isinstance(kind, str) or kind not in _FAMILY_KEYS:
         raise ParameterError(f"unknown channel family {kind!r}")
@@ -515,7 +516,21 @@ def _family_kind(family: dict) -> str:
         )
     if "dim" in keys and "dim" not in family:
         raise ParameterError(f"channel family {kind!r} needs the key 'dim'")
+    for key, want in keys.items():
+        if key in family and not _has_type(family[key], want):
+            raise ParameterError(
+                f"channel family {kind!r} key {key!r} must be of type {want.__name__}, "
+                f"got {family[key]!r}"
+            )
     return kind
+
+
+def _has_type(value, want: type) -> bool:
+    """Whether a descriptor value fits its key: int keys take integral numbers, not bools."""
+    if want is dict:
+        return isinstance(value, dict)
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return real and (want is float or float(value).is_integer())
 
 
 def channel_from_family(family: dict, rng: np.random.Generator) -> Channel:

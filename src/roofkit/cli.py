@@ -75,20 +75,33 @@ from .serialize import (
 LN2 = math.log(2.0)
 
 
+# each named state's short form; values in brackets are optional
+_NAMED_FORMS = {
+    "mixed": "mixed:D",
+    "pure": "pure:D[:SEED]",
+    "random": "random:D[:RANK[:SEED]]",
+    "bell": "bell",
+    "plus": "plus",
+    "diag": "diag:P1,P2,...",
+}
+
+
 def _named_state(text: str) -> DensityMatrix:
-    parts = text.split(":")
-    kind = parts[0]
-    if kind in ("mixed", "pure", "random", "diag") and len(parts) < 2:
-        raise ParameterError(f"named state {text!r} needs a parameter after ':'")
+    kind, *values = text.split(":")
+    form = _NAMED_FORMS.get(kind)
+    if form is None:
+        raise ParameterError(f"unknown named state {text!r}")
+    if not form.split("[")[0].count(":") <= len(values) <= form.count(":"):
+        raise ParameterError(f"named state {text!r} does not match the form {form}")
     if kind == "mixed":
-        d = int(parts[1])
+        d = int(values[0])
         return DensityMatrix(np.eye(d) / d)
     if kind == "pure":
-        return random_pure(int(parts[1]), int(parts[2]) if len(parts) > 2 else 0).density()
+        return random_pure(int(values[0]), int(values[1]) if len(values) > 1 else 0).density()
     if kind == "random":
-        d = int(parts[1])
-        rank = int(parts[2]) if len(parts) > 2 else d
-        seed = int(parts[3]) if len(parts) > 3 else 0
+        d = int(values[0])
+        rank = int(values[1]) if len(values) > 1 else d
+        seed = int(values[2]) if len(values) > 2 else 0
         return random_density(d, rank, seed)
     if kind == "bell":
         v = (np.kron(basis_state(2, 0).amplitudes, basis_state(2, 0).amplitudes)
@@ -97,10 +110,8 @@ def _named_state(text: str) -> DensityMatrix:
     if kind == "plus":
         v = np.array([1.0, 1.0]) / math.sqrt(2)
         return DensityMatrix(np.outer(v, v))
-    if kind == "diag":
-        probs = np.array([float(p) for p in parts[1].split(",")])
-        return DensityMatrix(np.diag(probs))
-    raise ParameterError(f"unknown named state {text!r}")
+    probs = np.array([float(p) for p in values[0].split(",")])   # kind == "diag"
+    return DensityMatrix(np.diag(probs))
 
 
 def _json_object(text: str, what: str) -> dict:

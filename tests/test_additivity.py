@@ -308,6 +308,24 @@ class TestScanRandom:
         with pytest.raises(ParameterError):
             scan_random(self.NOISELESS, self.NOISELESS, samples=1, check="mystery")
 
+    @pytest.mark.parametrize(
+        "family, key, kind",
+        [
+            ({"family": "noiseless", "dim": True}, "dim", "int"),
+            ({"family": "noiseless", "dim": "2"}, "dim", "int"),
+            ({"family": "measure_prepare", "dim": 2, "outcomes": 2.5}, "outcomes", "int"),
+            ({"family": "phase", "a": 1.0, "d": 4, "density": 3}, "density", "dict"),
+        ],
+    )
+    def test_descriptor_values_keep_their_types(self, family, key, kind):
+        # int() would silently turn True into 1, "2" into 2 and 2.5 into 2
+        with pytest.raises(ParameterError, match=f"'{family['family']}' key '{key}'.*{kind}"):
+            channel_from_family(family, rng_for(0))
+
+    def test_integral_and_int_values_still_build(self):
+        assert channel_from_family({"family": "noiseless", "dim": 2.0}, rng_for(0)).in_dim == 2
+        assert channel_from_family({"family": "dephasing", "q": 1}, rng_for(0)).in_dim == 2
+
 
 def test_checks_share_one_trio():
     phi, psi = dephasing(0.3), random_stinespring(2, 2, 2, 93)

@@ -34,6 +34,18 @@ NAMED_ERRORS = {
     # an empty scan still checks its descriptors
     ("additivity", "scan", "--left", "noiseless", "--right", "noiseless:2", "--samples", "0"):
         "channel family 'noiseless' needs the key 'dim'",
+    # state short forms with more values than they take
+    ("entropy", "--named", "mixed:2:9"): "does not match the form mixed:D",
+    ("entropy", "--named", "bell:3"): "does not match the form bell",
+    ("entropy", "--named", "diag:0.5,0.5:7"): "does not match the form diag:P1,P2,...",
+    ("entropy", "--named", "random:2:2:1:5"): "does not match the form random:D[:RANK[:SEED]]",
+    # descriptor values of the wrong JSON type
+    ("ccooe", "--channel", '{"family": "noiseless", "dim": 2.7}', "--named", "mixed:2"):
+        "channel family 'noiseless' key 'dim' must be of type int, got 2.7",
+    ("ccooe", "--channel", '{"family": "dephasing", "q": true}', "--named", "mixed:2"):
+        "channel family 'dephasing' key 'q' must be of type float, got True",
+    ("ccooe", "--channel", '{"family": "random", "dim": 2, "env": false}', "--named", "mixed:2"):
+        "channel family 'random' key 'env' must be of type int, got False",
 }
 
 

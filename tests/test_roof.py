@@ -416,6 +416,76 @@ def test_batched_kernel_matches_points(objective):
         assert np.array_equal(grads[i], grad)
 
 
+def _svd_polar(x):
+    u, _, vh = np.linalg.svd(x, full_matrices=False)
+    return u @ vh
+
+
+def _gaussian(rng, size, rank):
+    return rng.normal(size=(size, rank)) + 1j * rng.normal(size=(size, rank))
+
+
+@pytest.mark.parametrize("size, rank", [(3, 1), (4, 2), (9, 3), (36, 6), (64, 36)])
+def test_gram_polar_matches_svd_polar_on_tangent_steps(size, rank):
+    # X - t xi has Gram I + t^2 xi^H xi: well conditioned for any step
+    from roofkit.roof import _polar, _tangent
+
+    rng = np.random.default_rng((92, size, rank))
+    for _ in range(3):
+        x = _svd_polar(_gaussian(rng, size, rank))
+        xi = _tangent(x, _gaussian(rng, size, rank))
+        xi /= np.linalg.norm(xi)
+        for step in np.logspace(-3, 3, 13):
+            cand = x - step * xi
+            assert np.abs(_polar(cand) - _svd_polar(cand)).max() <= 1e-13, step
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4, 6, 36])
+def test_gram_polar_matches_svd_polar_on_seeded_starts(rank):
+    from roofkit.roof import SIZE_CAP, _random_start
+
+    size = min(rank * rank, SIZE_CAP)
+    for i in range(8):
+        expected = _svd_polar(_gaussian(rng_for(93, i), size, rank))
+        assert np.abs(_random_start(rng_for(93, i), size, rank) - expected).max() <= 1e-13
+
+
+def test_square_starts_stay_orthonormal_within_1e9():
+    # ensemble_size == rank gives square Gaussian starts, the Gram route's
+    # one ill-conditioned input
+    from roofkit.roof import _random_start
+
+    for i in range(200):
+        x = _random_start(rng_for(94, i), 36, 36)
+        assert np.abs(x.conj().T @ x - np.eye(36)).max() <= 1e-9, i
+
+
+@pytest.mark.parametrize("objective", OBJECTIVES)
+def test_lockstep_end_points_are_orthonormal(objective):
+    from roofkit.roof import _lockstep, _random_start
+
+    value_fn, grad_fn, size, rank = _stack_case(objective, 95)
+    starts = np.stack([_random_start(rng_for(96, i), size, rank) for i in range(8)])
+    for cap in (1, 10, 500):
+        runs = _lockstep(value_fn, grad_fn, starts, RoofOptions(max_iterations=cap))
+        gram = np.swapaxes(runs.m_mat.conj(), -1, -2) @ runs.m_mat
+        assert np.abs(gram - np.eye(rank)).max() <= 1e-12, cap
+
+
+def test_roof_paths_call_no_einsum_or_svd(monkeypatch):
+    # the kernel runs on stacked matmuls and the retraction on a Gram eigh
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the roof optimizer called np.einsum or np.linalg.svd")
+
+    monkeypatch.setattr(np, "einsum", forbidden)
+    monkeypatch.setattr(np.linalg, "svd", forbidden)
+    rho = random_density(4, 3, 97)
+    assert ccooe(random_stinespring(4, 3, 2, 98), rho, FAST).value > 0.0
+    assert eof(rho, SubsystemShape((2, 2)), FAST).value > 0.0
+    assert chi_direct(dephasing(0.3), random_density(2, 2, 99), FAST) > 0.0
+    assert min_output_entropy(random_stinespring(3, 2, 3, 100), FAST)[0] > 0.0
+
+
 def _summary(out):
     """Every bit of a public result that a restart's trajectory decides."""
     if hasattr(out, "ensemble"):
@@ -454,6 +524,10 @@ STACK_CASES = {
     # the rank-1 rung compresses the state to one dimension: a one-member roof
     "truncation-rank-one-rung": lambda: truncation_experiment(
         random_density(16, 16, 118), SubsystemShape((2, 2, 2, 2)), (1, 2)
+    ),
+    # the largest benchmark roof: rank 36, 64 members, 4 restarts
+    "truncation-rank-36-rung": lambda: truncation_experiment(
+        random_density(36, 36, 120), SubsystemShape((3, 2, 3, 2)), (3,)
     ),
 }
 
