@@ -47,7 +47,7 @@ from .core import (
 )
 from .entropy import spectrum_entropy
 from .errors import DegenerateTruncationError, ParameterError
-from .roof import RoofOptions, ccooe, min_output_entropy
+from .roof import RoofOptions, average_output_entropy, ccooe, min_output_entropy
 from .serialize import decode_phase_spec
 
 CONSISTENT = "consistent"
@@ -161,7 +161,8 @@ def _checked(build, options: RoofOptions | None) -> AdditivityReport:
     return _settle(build(options), lambda: build(options.refined()))
 
 
-def _trio_check(kind, phi, psi, omega, options, tolerance, state_label) -> AdditivityReport:
+def _trio_check(kind, phi, psi, omega, options, tolerance, state_label, observe=lambda r: {}):
+    """One check on one trio; `observe` maps its RoofResults to extra diagnostics."""
     def build(opts: RoofOptions) -> AdditivityReport:
         roofs, entropy = _roof_trio(phi, psi, omega, opts)
         roof = {k: r.value for k, r in roofs.items()}
@@ -171,7 +172,7 @@ def _trio_check(kind, phi, psi, omega, options, tolerance, state_label) -> Addit
         diag["restarts"] = roofs["joint"].restarts_used
         return _report(
             kind, (phi.label, psi.label), state_label, lhs, lhs_bound, rhs, rhs_bound,
-            tolerance, {**diag, **extra},
+            tolerance, {**diag, **extra, **observe(roofs)},
         )
 
     return _checked(build, options)
@@ -297,8 +298,8 @@ def truncation_experiment(
         raise ParameterError(f"need a four-factor shape, got {shape.factor_dims}")
     shape.require_total(omega.dim)
     ranks = tuple(int(n) for n in ranks)
-    if not ranks or any(n < 1 for n in ranks) or list(ranks) != sorted(ranks):
-        raise ParameterError(f"ranks must be a non-empty ascending list, got {ranks}")
+    if not ranks or ranks[0] < 1 or any(a >= b for a, b in zip(ranks, ranks[1:])):
+        raise ParameterError(f"ranks must be a non-empty strictly ascending list, got {ranks}")
     if ranks[-1] > max(shape.factor_dims):
         raise ParameterError(
             f"rank {ranks[-1]} exceeds every factor dimension {shape.factor_dims}"
@@ -448,37 +449,38 @@ def complementary_transfer_probe(
     options: RoofOptions | None = None,
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> TransferProbe:
-    """Superadditivity margins for a channel pair and for its complements.
+    """Superadditivity margins for a channel pair, read also through its complements.
 
-    Roofs are invariant under passing to the complement, so the left-marginal
-    roof column must agree between the two runs (the probe records the
-    largest deviation).
+    A pure input's output and its complementary output share their nonzero
+    spectrum, so each sample runs one trio and reads its witness ensembles
+    under the complements too.  `agreement_dev` compares the two readings of
+    the left-marginal roof; `flagged` counts flagged samples.
     """
     if samples < 1:
         raise ParameterError(f"need at least one sample, got {samples}")
     phi_hat, psi_hat = complementary(phi), complementary(psi)
-    rows = []
-    flagged = 0
+    hats = {"joint": tensor_channel(phi_hat, psi_hat), "left": phi_hat, "right": psi_hat}
+
+    def observe(roofs):
+        return {f"hat_{k}": average_output_entropy(hats[k], r.ensemble) for k, r in roofs.items()}
+
+    rows, flagged = [], 0
     for i in range(samples):
         dim = phi.in_dim * psi.in_dim
         omega = random_density(dim, dim, (seed, i))
-        direct = superadditivity_margin(
-            phi, psi, omega, options, tolerance, state_label=f"sample-{i}"
+        report = _trio_check(
+            "superadditivity", phi, psi, omega, options, tolerance, f"sample-{i}", observe
         )
-        mirrored = superadditivity_margin(
-            phi_hat, psi_hat, omega, options, tolerance, state_label=f"sample-{i}"
-        )
-        flagged += int(direct.verdict == FLAGGED) + int(mirrored.verdict == FLAGGED)
-        roof_left = direct.diagnostics["roof_left"]
-        roof_left_complement = mirrored.diagnostics["roof_left"]
+        flagged += report.verdict == FLAGGED
+        diag = report.diagnostics
         rows.append(
             TransferRow(
                 item=i,
-                margin=direct.margin,
-                margin_complement=mirrored.margin,
-                roof_left=roof_left,
-                roof_left_complement=roof_left_complement,
-                agreement_dev=abs(roof_left - roof_left_complement),
+                margin=report.margin,
+                margin_complement=diag["hat_joint"] - (diag["hat_left"] + diag["hat_right"]),
+                roof_left=diag["roof_left"],
+                roof_left_complement=diag["hat_left"],
+                agreement_dev=abs(diag["roof_left"] - diag["hat_left"]),
             )
         )
     return TransferProbe(

@@ -47,7 +47,6 @@ from .channels import (
 from .core import (
     DensityMatrix,
     SubsystemShape,
-    basis_state,
     random_density,
     random_pure,
     rng_for,
@@ -91,27 +90,26 @@ def _named_state(text: str) -> DensityMatrix:
     form = _NAMED_FORMS.get(kind)
     if form is None:
         raise ParameterError(f"unknown named state {text!r}")
+    mismatch = f"named state {text!r} does not match the form {form}"
     if not form.split("[")[0].count(":") <= len(values) <= form.count(":"):
-        raise ParameterError(f"named state {text!r} does not match the form {form}")
+        raise ParameterError(mismatch)
+    try:    # diag takes probabilities, every other form integers
+        nums = [float(p) for p in values[0].split(",")] if kind == "diag" else [int(v) for v in values]
+    except ValueError:
+        raise ParameterError(mismatch) from None
+    if kind == "mixed" and nums[0] < 1:
+        raise ParameterError(mismatch)
     if kind == "mixed":
-        d = int(values[0])
-        return DensityMatrix(np.eye(d) / d)
+        return DensityMatrix(np.eye(nums[0]) / nums[0])
     if kind == "pure":
-        return random_pure(int(values[0]), int(values[1]) if len(values) > 1 else 0).density()
+        return random_pure(nums[0], nums[1] if len(nums) > 1 else 0).density()
     if kind == "random":
-        d = int(values[0])
-        rank = int(values[1]) if len(values) > 1 else d
-        seed = int(values[2]) if len(values) > 2 else 0
-        return random_density(d, rank, seed)
-    if kind == "bell":
-        v = (np.kron(basis_state(2, 0).amplitudes, basis_state(2, 0).amplitudes)
-             + np.kron(basis_state(2, 1).amplitudes, basis_state(2, 1).amplitudes)) / math.sqrt(2)
-        return DensityMatrix(np.outer(v, v.conj()))
-    if kind == "plus":
-        v = np.array([1.0, 1.0]) / math.sqrt(2)
+        rank = nums[1] if len(nums) > 1 else nums[0]
+        return random_density(nums[0], rank, nums[2] if len(nums) > 2 else 0)
+    if kind in ("bell", "plus"):
+        v = np.array([1.0, 0.0, 0.0, 1.0] if kind == "bell" else [1.0, 1.0]) / math.sqrt(2)
         return DensityMatrix(np.outer(v, v))
-    probs = np.array([float(p) for p in values[0].split(",")])   # kind == "diag"
-    return DensityMatrix(np.diag(probs))
+    return DensityMatrix(np.diag(nums))     # kind == "diag"
 
 
 def _json_object(text: str, what: str) -> dict:
@@ -447,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--left", default=None, help="channel file or family")
     p.add_argument("--right", default=None, help="channel file or family")
     p.add_argument("--dims", default=None, help="four factors for truncate, e.g. 2x2x2x2")
-    p.add_argument("--ranks", default="1,2", help="ascending ranks for truncate")
+    p.add_argument("--ranks", default="1,2", help="strictly ascending ranks for truncate")
     p.add_argument("--samples", type=int, default=20)
     p.add_argument("--check", choices=tuple(_CHECKS), default="superadditivity")
     _add_state(p)

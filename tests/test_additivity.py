@@ -15,6 +15,7 @@ from roofkit import (
     channel_from_family,
     chi_subadditivity_margin,
     completely_depolarizing,
+    complementary,
     complementary_transfer_probe,
     continuity_probe,
     corollary_bound_check,
@@ -201,6 +202,8 @@ class TestTruncation:
             truncation_experiment(omega, self.SHAPE, ranks=(2, 1))
         with pytest.raises(ParameterError):
             truncation_experiment(omega, self.SHAPE, ranks=(3,))
+        with pytest.raises(ParameterError, match="strictly ascending"):
+            truncation_experiment(omega, self.SHAPE, ranks=(1, 1, 2))
 
     def test_rows_expose_plot_columns(self):
         omega = random_density(16, 16, 95)
@@ -235,6 +238,50 @@ class TestContinuityProbe:
 
 
 class TestComplementaryTransfer:
+    # env = out in both channels, and env < out in both
+    PAIRS = {
+        "dephasing-random222": (dephasing(0.25), random_stinespring(2, 2, 2, 111)),
+        "noiseless-random232": (noiseless(2), random_stinespring(2, 3, 2, 5)),
+    }
+
+    def test_one_trio_per_sample(self, monkeypatch):
+        from roofkit import additivity
+
+        calls, ccooe = [], additivity.ccooe
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return ccooe(*args, **kwargs)
+
+        monkeypatch.setattr(additivity, "ccooe", counted)
+        phi, psi = self.PAIRS["dephasing-random222"]
+        complementary_transfer_probe(phi, psi, samples=3, options=RoofOptions(restarts=2))
+        assert len(calls) == 3 * 3
+
+    @pytest.mark.parametrize("pair", PAIRS)
+    def test_columns_match_direct_and_mirrored_margins(self, pair):
+        phi, psi = self.PAIRS[pair]
+        probe = complementary_transfer_probe(phi, psi, samples=2, seed=7, options=FAST)
+        phi_hat, psi_hat = complementary(phi), complementary(psi)
+        for i, row in enumerate(probe.rows):
+            omega = random_density(4, 4, (7, i))
+            direct = superadditivity_margin(phi, psi, omega, FAST)
+            mirrored = superadditivity_margin(phi_hat, psi_hat, omega, FAST)
+            assert row.margin == direct.margin
+            assert row.roof_left == direct.diagnostics["roof_left"]
+            assert row.margin_complement == pytest.approx(mirrored.margin, abs=1e-12)
+            assert row.roof_left_complement == pytest.approx(
+                mirrored.diagnostics["roof_left"], abs=1e-12
+            )
+            assert row.agreement_dev <= 1e-12
+
+    def test_flagged_counts_samples(self):
+        phi, psi = self.PAIRS["noiseless-random232"]
+        probe = complementary_transfer_probe(
+            phi, psi, samples=2, options=RoofOptions(restarts=1), tolerance=-1.0
+        )
+        assert probe.flagged == 2
+
     def test_noiseless_pair_trivial(self):
         probe = complementary_transfer_probe(noiseless(2), noiseless(2), samples=3, options=FAST)
         assert probe.max_agreement_dev <= 5e-3

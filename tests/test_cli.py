@@ -46,6 +46,12 @@ NAMED_ERRORS = {
         "channel family 'dephasing' key 'q' must be of type float, got True",
     ("ccooe", "--channel", '{"family": "random", "dim": 2, "env": false}', "--named", "mixed:2"):
         "channel family 'random' key 'env' must be of type int, got False",
+    # state short forms whose values are not numbers of their form
+    ("entropy", "--named", "mixed:0"): "does not match the form mixed:D",
+    ("entropy", "--named", "mixed:-1"): "does not match the form mixed:D",
+    ("entropy", "--named", "pure:x"): "does not match the form pure:D[:SEED]",
+    ("entropy", "--named", "random:2:x"): "does not match the form random:D[:RANK[:SEED]]",
+    ("entropy", "--named", "diag:0.5,x"): "does not match the form diag:P1,P2,...",
 }
 
 

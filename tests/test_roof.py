@@ -629,16 +629,30 @@ def test_kernel_side_is_the_smaller_one_for_pure_members(monkeypatch):
 
 @pytest.mark.parametrize(
     "dims, rank",
-    [((3, 4, 2), 2), ((3, 3, 2), 3), ((2, 4, 1), 2), ((4, 3, 2), 4)],
-    ids=["3-4-2-rank2", "3-3-2-rank3", "2-4-1-rank2", "4-3-2-rank4"],
+    [
+        ((3, 4, 2), 2), ((3, 3, 2), 3), ((2, 4, 1), 2), ((4, 3, 2), 4),
+        (None, 2), ((2, 2, 2), 2), ((3, 3, 3), 3),
+    ],
+    ids=[
+        "3-4-2-rank2", "3-3-2-rank3", "2-4-1-rank2", "4-3-2-rank4",
+        "dephasing-rank2", "2-2-2-rank2", "3-3-3-rank3",
+    ],
 )
-def test_roof_matches_complement_when_environment_is_smaller(dims, rank):
-    # (in, out, env) with env < out
-    channel = random_stinespring(*dims, (131, *dims))
+def test_roof_matches_complement_on_every_side(dims, rank):
+    # (in, out, env), or None for dephasing(0.25), where in = out = env = 2
+    if dims is None:
+        channel, dims = dephasing(0.25), (2, 2, 2)
+    else:
+        channel = random_stinespring(*dims, (131, *dims))
     rho = random_density(dims[0], rank, (132, *dims))
     ours = ccooe(channel, rho, FAST)
     theirs = ccooe(complementary(channel), rho, FAST)
     assert ours.best_restart == theirs.best_restart
     assert ours.iterations == theirs.iterations
-    assert ours.gradient_norm == theirs.gradient_norm
+    if dims[2] < dims[1]:
+        # env < out: both channels run on one Kraus stack.  With env = out each
+        # eigensolves the other's arrangement of it, so the descents differ by
+        # rounding: the gradient norms differ, and on other seeds a 3-3-3
+        # channel at full rank can even end on another best restart
+        assert ours.gradient_norm == theirs.gradient_norm
     assert ours.value == pytest.approx(theirs.value, abs=1e-12)
