@@ -9,9 +9,10 @@ retraction (Wen & Yin, Math. Program. 142 (2013)), yields certified *upper*
 bounds on the roof; reported optima are never lower bounds.
 
 The restarts descend in lockstep: all starts of a roof are one (R, m, r)
-stack, so each iteration makes one batched gradient call and, per
-backtracking round, one batched retraction and value call over the restarts
-still searching.  Each restart keeps its own step, reference value and stop
+stack, so each backtracking round makes one batched retraction and one
+batched kernel call over the restarts still searching.  The first round's
+call also returns the gradients, which the next iteration takes for every
+row that passed at its first trial step.  Each restart keeps its own step, reference value and stop
 rule, so its trajectory does not depend on which restarts share the stack,
 and neither does any result.  Pure members are eigensolved on the smaller
 side of the Stinespring dilation, output or environment, which gives the
@@ -176,7 +177,7 @@ def _spectral(a: np.ndarray, grad: bool = False):
 
 
 def _objective(kstack: np.ndarray, g: np.ndarray | None = None):
-    """Value and gradient functions of the spectral kernel on channel outputs.
+    """The spectral kernel on channel outputs, as one function f(M, grad=False).
 
     Row i of a manifold point M mixes the support columns g into the
     unnormalized member g @ M[i]; on the unit sphere St(d, 1) the point's
@@ -184,8 +185,9 @@ def _objective(kstack: np.ndarray, g: np.ndarray | None = None):
     factor is folded into the Kraus stack once per roof, lift = kstack @ g,
     so every contraction is a stacked BLAS matmul: member amplitudes
     W = M @ lift^T, outputs A = W W^H, dF/dA from `_spectral`, and the
-    gradient (dF/dA W) @ conj(lift).  Both functions take one point or a
-    stack of points, with any leading shape, and return one value per point.
+    gradient (dF/dA W) @ conj(lift).  f takes one point or a stack of points,
+    with any leading shape, and returns one value per point, and with `grad`
+    also the gradient of each.
 
     A pure member's output and its complementary output (swap the output and
     Kraus axes of the (env, out, in) stack) share their nonzero spectrum, so
@@ -198,22 +200,17 @@ def _objective(kstack: np.ndarray, g: np.ndarray | None = None):
     lift = (kstack if g is None else kstack @ g).reshape(side * other, -1)
     lift_t, lift_c = lift.T, lift.conj()
 
-    def amplitudes(m_mat):
+    def kernel(m_mat, grad=False):
         rows = (1, m_mat.shape[-2]) if g is None else m_mat.shape[-2:]
         w = m_mat.reshape(-1, *rows) @ lift_t          # (B, m, side * other)
-        return w.reshape(*w.shape[:2], side, other)
-
-    def value_fn(m_mat):
-        w = amplitudes(m_mat)
-        return _spectral(w @ _h(w)).reshape(m_mat.shape[:-2])[()]
-
-    def grad_fn(m_mat):
-        w = amplitudes(m_mat)
+        w = w.reshape(*w.shape[:2], side, other)
+        if not grad:
+            return _spectral(w @ _h(w)).reshape(m_mat.shape[:-2])[()]
         value, d = _spectral(w @ _h(w), grad=True)
         grad = (d @ w).reshape(*w.shape[:2], -1) @ lift_c
         return value.reshape(m_mat.shape[:-2])[()], grad.reshape(m_mat.shape)
 
-    return value_fn, grad_fn
+    return kernel
 
 
 def _polar(x: np.ndarray) -> np.ndarray:
@@ -251,7 +248,7 @@ class _RunStats:
     converged: bool
 
 
-def _lockstep(value_fn, grad_fn, m_mat: np.ndarray, options: RoofOptions) -> _RunStats:
+def _lockstep(f, m_mat: np.ndarray, options: RoofOptions) -> _RunStats:
     """Feasible Barzilai-Borwein descent with polar retraction.
 
     The method of Wen & Yin, Math. Program. 142 (2013), run on a stack of
@@ -267,8 +264,14 @@ def _lockstep(value_fn, grad_fn, m_mat: np.ndarray, options: RoofOptions) -> _Ru
     when its step falls to 1e-14 without passing the test, or at the
     iteration cap.  Norms and inner products are row-wise reductions over
     each point, so no restart's arithmetic depends on the others.
+
+    The first trial step is nearly always accepted, so the first round of
+    each line search evaluates the kernel f with gradients and keeps the
+    value and gradient of every row it accepts.  Later rounds are
+    value-only, and only the rows accepted after a backtrack take a fresh
+    gradient call, so most accepted points are eigensolved once.
     """
-    value, grad = grad_fn(m_mat)
+    value, grad = f(m_mat, grad=True)
     ref, weight = value.copy(), np.ones(len(m_mat))    # Zhang-Hager C_k and Q_k
     end, grad_norm = m_mat.copy(), np.full(len(m_mat), math.inf)
     iterations = np.zeros(len(m_mat), dtype=int)
@@ -289,21 +292,34 @@ def _lockstep(value_fn, grad_fn, m_mat: np.ndarray, options: RoofOptions) -> _Ru
         grad_norm[live] = np.sqrt(squares)
         t[grad_norm[live] < options.grad_tol] = 0.0    # converged: no search
         accepted, following = np.zeros(len(live), dtype=bool), np.empty_like(x)
-        search = np.arange(len(live))
+        # fused marks the rows accepted in the first round, whose value and
+        # next gradient that round already computed
+        search, fused, next_grad = np.arange(len(live)), None, np.empty_like(x)
         while (search := search[t[search] > 1e-14]).size:
             cand = _polar(x[search] - t[search, None, None] * xi[search])
-            ok = value_fn(cand) <= ref[live[search]] - ARMIJO * t[search] * slope[search]
+            if fused is None:
+                cand_value, cand_grad = f(cand, grad=True)
+            else:
+                cand_value = f(cand)
+            ok = cand_value <= ref[live[search]] - ARMIJO * t[search] * slope[search]
             following[search[ok]] = cand[ok]
             accepted[search[ok]] = True
+            if fused is None:
+                fused = accepted.copy()
+                value[live[search[ok]]], next_grad[search[ok]] = cand_value[ok], cand_grad[ok]
             search = search[~ok]
             t[search] /= 2.0
         if not accepted.all():
-            live, x, xi, following = (a[accepted] for a in (live, x, xi, following))
-            if not live.size:
+            if not accepted.any():
                 break
-        last_x, last_xi, x = x, xi, following
+            live, x, xi, following, fused, next_grad = (
+                a[accepted] for a in (live, x, xi, following, fused, next_grad)
+            )
+        last_x, last_xi, x, grad = x, xi, following, next_grad
         end[live] = x
-        value[live], grad = grad_fn(x)
+        if not fused.all():
+            late = np.flatnonzero(~fused)
+            value[live[late]], grad[late] = f(x[late], grad=True)
         q = NONMONOTONE * weight[live]
         ref[live] = (q * ref[live] + value[live]) / (q + 1.0)
         weight[live] = q + 1.0
@@ -324,9 +340,7 @@ def _random_start(rng: np.random.Generator, size: int, rank: int) -> np.ndarray:
     return _polar(g)
 
 
-def _multistart(
-    value_fn, grad_fn, size: int, rank: int, options: RoofOptions
-) -> tuple[_RunStats, int]:
+def _multistart(f, size: int, rank: int, options: RoofOptions) -> tuple[_RunStats, int]:
     """Best of `options.restarts` descents from the seeded starts.
 
     Restart idx starts from the stream rng_for(seed, idx), and all restarts
@@ -337,7 +351,7 @@ def _multistart(
     starts = np.stack(
         [_random_start(rng_for(options.seed, i), size, rank) for i in range(options.restarts)]
     )
-    runs = _lockstep(value_fn, grad_fn, starts, options)
+    runs = _lockstep(f, starts, options)
     best = 0
     for i in range(1, options.restarts):
         if runs.value[i] < runs.value[best] - TIE_TOL:
@@ -376,8 +390,7 @@ def ccooe(channel: Channel, rho: DensityMatrix, options: RoofOptions | None = No
         raise DimensionError(f"state dimension {rho.dim} != channel input {channel.in_dim}")
     g, rank = _support_factor(rho)
     size = _resolve_size(options, rank)
-    value_fn, grad_fn = _objective(channel.kraus_stack(), g)
-    best, best_idx = _multistart(value_fn, grad_fn, size, rank, options)
+    best, best_idx = _multistart(_objective(channel.kraus_stack(), g), size, rank, options)
     ensemble = ensemble_from_mixing(rho, best.m_mat)
     value = average_output_entropy(channel, ensemble)
     return RoofResult(
@@ -446,8 +459,7 @@ def min_output_entropy(
     value and the achieving input.
     """
     options = options or RoofOptions()
-    value_fn, grad_fn = _objective(channel.kraus_stack())
-    best, _ = _multistart(value_fn, grad_fn, channel.in_dim, 1, options)
+    best, _ = _multistart(_objective(channel.kraus_stack()), channel.in_dim, 1, options)
     psi = best.m_mat[:, 0]
     state = PureState(psi / np.linalg.norm(psi))
     return output_entropy(channel, state.density()), state

@@ -336,50 +336,58 @@ class TestMinOutputEntropy:
         )
 
 
-# "-small-env" cases have fewer Kraus operators than outputs, so their pure
-# members run on the complement's side of the dilation
-OBJECTIVES = ["roof", "sphere", "roof-small-env", "sphere-small-env"]
+# (out, env) of each case's random_stinespring(3, out, env).  "-small-env"
+# cases have fewer Kraus operators than outputs, so their pure members run on
+# the complement's side of the dilation; "-side3" cases eigensolve 3 x 3
+# member outputs, where the others eigensolve 2 x 2 ones
+KRAUS_DIMS = {"": (2, 3), "small-env": (4, 2), "side3": (3, 3)}
+OBJECTIVES = [
+    "roof", "sphere", "roof-small-env", "sphere-small-env", "roof-side3", "sphere-side3",
+]
 
 
 def _kraus_case(objective, seed):
-    small_env = objective.endswith("-small-env")
-    stack = random_stinespring(3, *((4, 2) if small_env else (2, 3)), seed).kraus_stack()
-    return objective.removesuffix("-small-env"), stack
+    objective, _, dims = objective.partition("-")
+    return objective, random_stinespring(3, *KRAUS_DIMS[dims], seed).kraus_stack()
 
 
-@pytest.mark.parametrize("objective", OBJECTIVES)
-def test_gradient_matches_central_differences(objective):
+@pytest.mark.parametrize("case", OBJECTIVES)
+def test_gradient_matches_central_differences(case):
     # dF = 2 Re<G, dM> for the Euclidean gradient G of every objective
     from roofkit.roof import _objective, _random_start, _support_factor
 
     rng = np.random.default_rng(61)
-    objective, kstack = _kraus_case(objective, 62)
+    objective, kstack = _kraus_case(case, 62)
     if objective == "sphere":
-        value_fn, grad_fn = _objective(kstack)
+        f = _objective(kstack)
         m_mat = _random_start(rng, 3, 1)
     else:
         g, rank = _support_factor(random_density(3, 2, 63))  # rank-deficient
         assert rank == 2
-        value_fn, grad_fn = _objective(kstack, g)
+        f = _objective(kstack, g)
         m_mat = _random_start(rng, rank * rank, rank)
     direction = rng.normal(size=m_mat.shape) + 1j * rng.normal(size=m_mat.shape)
-    value, grad = grad_fn(m_mat)
-    assert value == value_fn(m_mat)
+    value, grad = f(m_mat, grad=True)
+    if case.endswith("-side3"):
+        # value-only calls take eigvalsh, and its eigenvalues of 3 x 3 and
+        # larger outputs can differ from eigh's in the last bits
+        assert value == pytest.approx(f(m_mat), rel=0.0, abs=1e-14)
+    else:
+        assert value == f(m_mat)
     h = 1e-5
-    central = (value_fn(m_mat + h * direction) - value_fn(m_mat - h * direction)) / (2 * h)
+    central = (f(m_mat + h * direction) - f(m_mat - h * direction)) / (2 * h)
     assert central == pytest.approx(2.0 * np.vdot(grad, direction).real, rel=1e-6)
 
 
 def _stack_case(objective, seed):
-    """Value and gradient functions of an objective, with its (size, rank)."""
+    """The kernel of an objective, with its (size, rank)."""
     from roofkit.roof import _objective, _support_factor
 
     objective, kstack = _kraus_case(objective, seed)
     if objective == "sphere":
-        return (*_objective(kstack), 3, 1)
+        return _objective(kstack), 3, 1
     g, rank = _support_factor(random_density(3, 2, seed + 1))
-    value_fn, grad_fn = _objective(kstack, g)
-    return value_fn, grad_fn, rank * rank, rank
+    return _objective(kstack, g), rank * rank, rank
 
 
 @pytest.mark.parametrize("objective", OBJECTIVES)
@@ -388,13 +396,13 @@ def test_no_restart_ends_above_its_start(objective):
     # stopped at any iteration cap is no higher than where it started
     from roofkit.roof import _lockstep, _random_start
 
-    value_fn, grad_fn, size, rank = _stack_case(objective, 82)
+    f, size, rank = _stack_case(objective, 82)
     starts = np.stack([_random_start(rng_for(84, i), size, rank) for i in range(8)])
-    start_values = value_fn(starts)
+    start_values = f(starts)
     for cap in (1, 2, 3, 5, 10, 30, 500):
-        runs = _lockstep(value_fn, grad_fn, starts, RoofOptions(max_iterations=cap))
+        runs = _lockstep(f, starts, RoofOptions(max_iterations=cap))
         assert np.all(runs.value <= start_values), cap
-        np.testing.assert_allclose(runs.value, value_fn(runs.m_mat), rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(runs.value, f(runs.m_mat), rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("objective", OBJECTIVES)
@@ -403,17 +411,122 @@ def test_batched_kernel_matches_points(objective):
     from roofkit.roof import _random_start
 
     rng = np.random.default_rng(71)
-    value_fn, grad_fn, size, rank = _stack_case(objective, 72)
+    f, size, rank = _stack_case(objective, 72)
     stack = np.stack([_random_start(rng, size, rank) for _ in range(5)])
-    values = value_fn(stack)
-    grad_values, grads = grad_fn(stack)
+    values = f(stack)
+    grad_values, grads = f(stack, grad=True)
     assert values.shape == grad_values.shape == (5,)
     assert grads.shape == stack.shape
     for i, point in enumerate(stack):
-        value, grad = grad_fn(point)
-        assert values[i] == value_fn(point)
+        value, grad = f(point, grad=True)
+        assert values[i] == f(point)
         assert grad_values[i] == value
         assert np.array_equal(grads[i], grad)
+
+
+def _two_call_lockstep(value_fn, grad_fn, m_mat, options):
+    """The descent as it ran before its first trials were fused.
+
+    Every trial point is evaluated by `value_fn` and every accepted point
+    again by `grad_fn`, so this is the reference `_lockstep` must match bit
+    for bit where `eigh` and `eigvalsh` return the same eigenvalues.
+    """
+    from roofkit.roof import (
+        ARMIJO, BB_MAX, BB_MIN, NONMONOTONE, _inner, _polar, _RunStats, _tangent,
+    )
+
+    value, grad = grad_fn(m_mat)
+    ref, weight = value.copy(), np.ones(len(m_mat))
+    end, grad_norm = m_mat.copy(), np.full(len(m_mat), math.inf)
+    iterations = np.zeros(len(m_mat), dtype=int)
+    live, x = np.arange(len(m_mat)), m_mat
+    for it in range(1, options.max_iterations + 1):
+        iterations[live] = it
+        xi = _tangent(x, grad)
+        squares = _inner(xi, xi)
+        slope = 2.0 * squares
+        t = np.ones(len(live))
+        if it > 1:
+            s, y = x - last_x, xi - last_xi
+            sy = np.abs(_inner(s, y))
+            num, den = (_inner(s, s), sy) if it % 2 else (sy, _inner(y, y))
+            t = np.clip(np.divide(num, den, out=t, where=sy > 0.0), BB_MIN, BB_MAX)
+        grad_norm[live] = np.sqrt(squares)
+        t[grad_norm[live] < options.grad_tol] = 0.0
+        accepted, following = np.zeros(len(live), dtype=bool), np.empty_like(x)
+        search = np.arange(len(live))
+        while (search := search[t[search] > 1e-14]).size:
+            cand = _polar(x[search] - t[search, None, None] * xi[search])
+            ok = value_fn(cand) <= ref[live[search]] - ARMIJO * t[search] * slope[search]
+            following[search[ok]] = cand[ok]
+            accepted[search[ok]] = True
+            search = search[~ok]
+            t[search] /= 2.0
+        if not accepted.all():
+            live, x, xi, following = (a[accepted] for a in (live, x, xi, following))
+            if not live.size:
+                break
+        last_x, last_xi, x = x, xi, following
+        end[live] = x
+        value[live], grad = grad_fn(x)
+        q = NONMONOTONE * weight[live]
+        ref[live] = (q * ref[live] + value[live]) / (q + 1.0)
+        weight[live] = q + 1.0
+    return _RunStats(end, value, grad_norm, iterations, grad_norm < options.grad_tol)
+
+
+@pytest.mark.parametrize("objective", OBJECTIVES)
+def test_fused_trials_match_the_two_call_descent(objective):
+    from roofkit.roof import _lockstep, _random_start
+
+    f, size, rank = _stack_case(objective, 101)
+    starts = np.stack([_random_start(rng_for(103, i), size, rank) for i in range(8)])
+    backtracked = []
+
+    def value_only(m_mat):
+        backtracked.append(len(m_mat))
+        return f(m_mat)
+
+    for cap in (1, 3, 10, 500):
+        options = RoofOptions(max_iterations=cap)
+        fused = _lockstep(f, starts, options)
+        reference = _two_call_lockstep(value_only, lambda m: f(m, grad=True), starts, options)
+        for field in dataclasses.fields(fused):
+            assert _same(getattr(fused, field.name), getattr(reference, field.name)), field.name
+    # the rows accepted after a backtrack, which take a second gradient call
+    assert backtracked
+
+
+@pytest.mark.parametrize("objective", OBJECTIVES)
+def test_one_gradient_call_per_iteration_without_backtracks(objective, monkeypatch):
+    # each backtracking round is one _polar (P) and one kernel call, with the
+    # gradient on the first round (G) and value-only after it (V); an
+    # iteration whose rows all pass at their first trial is "PG", and one that
+    # backtracked ends with one gradient call for its late acceptances
+    import re
+
+    from roofkit import roof
+
+    f, size, rank = _stack_case(objective, 101)
+    starts = np.stack([roof._random_start(rng_for(103, i), size, rank) for i in range(8)])
+    events, polar = [], roof._polar
+
+    def record_polar(x):
+        events.append("P")
+        return polar(x)
+
+    def record_f(m_mat, grad=False):
+        events.append("G" if grad else "V")
+        return f(m_mat, grad)
+
+    monkeypatch.setattr(roof, "_polar", record_polar)
+    runs = roof._lockstep(record_f, starts, RoofOptions(max_iterations=500))
+    trace = "".join(events)
+    assert re.fullmatch(r"G(?:PG(?:(?:PV)+G?)?)*", trace), trace
+    # one first round per iteration until every restart has stopped
+    searched = runs.iterations.max() - runs.converged[runs.iterations == runs.iterations.max()].all()
+    assert trace.count("PG") == searched
+    assert "PGPG" in trace
 
 
 def _svd_polar(x):
@@ -464,10 +577,10 @@ def test_square_starts_stay_orthonormal_within_1e9():
 def test_lockstep_end_points_are_orthonormal(objective):
     from roofkit.roof import _lockstep, _random_start
 
-    value_fn, grad_fn, size, rank = _stack_case(objective, 95)
+    f, size, rank = _stack_case(objective, 95)
     starts = np.stack([_random_start(rng_for(96, i), size, rank) for i in range(8)])
     for cap in (1, 10, 500):
-        runs = _lockstep(value_fn, grad_fn, starts, RoofOptions(max_iterations=cap))
+        runs = _lockstep(f, starts, RoofOptions(max_iterations=cap))
         gram = np.swapaxes(runs.m_mat.conj(), -1, -2) @ runs.m_mat
         assert np.abs(gram - np.eye(rank)).max() <= 1e-12, cap
 
@@ -539,8 +652,8 @@ def test_results_do_not_depend_on_stack_companions(case, monkeypatch):
 
     multistart, lockstep = roof._multistart, roof._lockstep
 
-    def alone(value_fn, grad_fn, starts, options):
-        runs = [lockstep(value_fn, grad_fn, start[None], options) for start in starts]
+    def alone(f, starts, options):
+        runs = [lockstep(f, start[None], options) for start in starts]
         return roof._RunStats(*(
             np.concatenate([getattr(r, f.name) for r in runs])
             for f in dataclasses.fields(roof._RunStats)
@@ -555,9 +668,9 @@ def test_results_do_not_depend_on_stack_companions(case, monkeypatch):
                               idx, best.m_mat))
             return best, idx
 
-        def record_lockstep(value_fn, grad_fn, starts, options):
+        def record_lockstep(f, starts, options):
             stacks.append(len(starts))
-            return descend(value_fn, grad_fn, starts, options)
+            return descend(f, starts, options)
 
         monkeypatch.setattr(roof, "_multistart", record_multistart)
         monkeypatch.setattr(roof, "_lockstep", record_lockstep)
@@ -617,13 +730,13 @@ def test_kernel_side_is_the_smaller_one_for_pure_members(monkeypatch):
     g, rank = roof._support_factor(random_density(3, 2, 122))
     unit = roof._random_start(rng_for(123), 3, 1)
     mixing = roof._random_start(rng_for(124), rank * rank, rank)
-    for value_fn, grad_fn, m_mat in [
-        (*roof._objective(kstack), unit),
-        (*roof._objective(kstack, g), mixing),
-        (*roof._objective(kstack.transpose(1, 0, 2), g), mixing),
+    for f, m_mat in [
+        (roof._objective(kstack), unit),
+        (roof._objective(kstack, g), mixing),
+        (roof._objective(kstack.transpose(1, 0, 2), g), mixing),
     ]:
-        value_fn(m_mat)
-        grad_fn(m_mat)
+        f(m_mat)
+        f(m_mat, grad=True)
     assert sides == [2] * 6
 
 
