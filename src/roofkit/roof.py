@@ -12,15 +12,17 @@ The restarts descend in lockstep: all starts of a roof are one (R, m, r)
 stack, so each backtracking round makes one batched retraction and one
 batched kernel call over the restarts still searching.  The first round's
 call also returns the gradients, which the next iteration takes for every
-row that passed at its first trial step.  Each restart keeps its own step, reference value and stop
-rule, so its trajectory does not depend on which restarts share the stack,
-and neither does any result.  Pure members are eigensolved on the smaller
-side of the Stinespring dilation, output or environment, which gives the
-same value and gradient.
+row that passed at its first trial step.  Each restart keeps its own step,
+reference value and stop rule, so its trajectory does not depend on which
+restarts share the stack, and neither does any result.  Pure members are
+eigensolved on the smaller side of the Stinespring dilation, output or
+environment, which gives the same value and gradient.
 
 The kernel folds the support factor into the Kraus stack once per roof and
-runs every contraction as a stacked matmul, and the polar retraction comes
-from an eigensolve of the r x r Gram matrix, not an SVD of the m x r point.
+runs every contraction as a stacked matmul.  Members eigensolved on a 2 x 2
+side, as in two-qubit EoF and every qubit-output roof, take the spectrum and
+dF/dA in closed form, without LAPACK.  The polar retraction comes from an
+eigensolve of the r x r Gram matrix, not an SVD of the m x r point.
 """
 
 from __future__ import annotations
@@ -156,11 +158,22 @@ def _spectral(a: np.ndarray, grad: bool = False):
     """Sum over each PSD stack a[b] of t log t - Tr A log A, with t = Tr A.
 
     This is the trace-weighted entropy of the normalized members, one value
-    per batch index b.  With `grad` it also returns dF/dA = U diag(gvals) U^H
-    per matrix from one `eigh`; value-only calls, which the line search
-    makes, take the cheaper `eigvalsh`.
+    per batch index b, and with `grad` also dF/dA = U diag(gvals) U^H per
+    matrix.  2 x 2 matrices take a closed form: lambda_max = t/2 + disc, with
+    disc = sqrt(((a00 - a11)/2)^2 + |a10|^2), lambda_min = det / lambda_max,
+    which stays accurate on near-pure outputs, and dF/dA = alpha I +
+    beta (A - (t/2) I), with alpha the mean of the two gvals and beta their
+    difference over 2 disc (0 where disc = 0).  Larger matrices take `eigh`
+    for gradient calls and the cheaper `eigvalsh` for value-only ones.
     """
-    if grad:
+    qubit = a.shape[-1] == 2
+    if qubit:
+        a00, a11, a10 = a[..., 0, 0].real, a[..., 1, 1].real, a[..., 1, 0]
+        half, off = (a00 - a11) / 2.0, a10.real ** 2 + a10.imag ** 2
+        disc = np.sqrt(half * half + off)
+        top = (a00 + a11) / 2.0 + disc
+        lam = np.stack(((a00 * a11 - off) / np.where(top > 0.0, top, 1.0), top), axis=-1)
+    elif grad:
         lam, u = np.linalg.eigh(a)                     # (B, m, n), (B, m, n, n)
     else:
         lam = np.linalg.eigvalsh(a)
@@ -173,7 +186,17 @@ def _spectral(a: np.ndarray, grad: bool = False):
     # dF/dA in the eigenbasis is -log(lambda) + log(trace); the floor
     # keeps the off-support limit finite without changing the descent sign
     gvals = -np.log(np.maximum(lam, LOG_FLOOR)) + np.log(np.maximum(t, LOG_FLOOR))[..., None]
-    return value, (u * gvals[..., None, :]) @ _h(u)
+    if not qubit:
+        return value, (u * gvals[..., None, :]) @ _h(u)
+    alpha = (gvals[..., 0] + gvals[..., 1]) / 2.0
+    beta = np.divide(gvals[..., 1] - gvals[..., 0], 2.0 * disc,
+                     out=np.zeros_like(disc), where=disc > 0.0)
+    d = np.empty_like(a)
+    d[..., 0, 0] = alpha + beta * half
+    d[..., 1, 1] = alpha - beta * half
+    d[..., 1, 0] = beta * a10
+    d[..., 0, 1] = d[..., 1, 0].conj()
+    return value, d
 
 
 def _objective(kstack: np.ndarray, g: np.ndarray | None = None):

@@ -529,6 +529,67 @@ def test_one_gradient_call_per_iteration_without_backtracks(objective, monkeypat
     assert "PGPG" in trace
 
 
+def _eigh_spectral(a):
+    """_spectral's value and dF/dA through eigh, as larger outputs take them."""
+    from roofkit.roof import LOG_FLOOR
+
+    lam, u = np.linalg.eigh(a)
+    lam = np.clip(lam, 0.0, None)
+    t = lam.sum(axis=-1)
+    ent = -(lam * np.log(np.where(lam > 0.0, lam, 1.0))).sum(axis=-1)
+    value = ent.sum(axis=-1) + (t * np.log(np.where(t > 0.0, t, 1.0))).sum(axis=-1)
+    gvals = -np.log(np.maximum(lam, LOG_FLOOR)) + np.log(np.maximum(t, LOG_FLOOR))[..., None]
+    return value, (u * gvals[..., None, :]) @ np.swapaxes(u.conj(), -1, -2)
+
+
+def _member_outputs(rng, shape, scales=1.0):
+    """(5, 16, 2, 2) outputs W W^H whose traces sum to one per batch index."""
+    w = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * scales
+    w /= np.sqrt((np.abs(w) ** 2).sum(axis=(1, 2, 3), keepdims=True))
+    return w @ np.swapaxes(w.conj(), -1, -2)
+
+
+def _diagonal_outputs(rng):
+    p = rng.random((5, 16, 2)) / 16
+    p[:, ::2, 1] = p[:, ::2, 0]                        # disc = 0 on every other member
+    return p[..., None] * np.eye(2)
+
+
+QUBIT_OUTPUTS = {
+    "random": lambda rng: _member_outputs(rng, (5, 16, 2, 3)),
+    # member weights from 1e-16 to 1, as members fade from a decomposition
+    "random-scales": lambda rng: _member_outputs(
+        rng, (5, 16, 2, 3), np.logspace(-8, 0, 16)[None, :, None, None]
+    ),
+    "pure": lambda rng: _member_outputs(rng, (5, 16, 2, 1)),
+    "near-pure": lambda rng: _member_outputs(rng, (5, 16, 2, 1))
+    + 1e-17 * _member_outputs(rng, (5, 16, 2, 2)),
+    "diagonal": _diagonal_outputs,
+    "zero": lambda rng: np.zeros((5, 16, 2, 2), dtype=complex),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(QUBIT_OUTPUTS))
+def test_qubit_closed_form_matches_eigh(kind, monkeypatch):
+    from roofkit.roof import _spectral
+
+    a = QUBIT_OUTPUTS[kind](np.random.default_rng(151))
+    if kind == "near-pure":
+        assert np.linalg.eigvalsh(a)[..., 0].max() <= 1e-15
+    expected_value, expected_d = _eigh_spectral(a)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("2 x 2 outputs took a LAPACK eigensolve")
+
+    monkeypatch.setattr(np.linalg, "eigh", forbidden)
+    monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+    value, d = _spectral(a, grad=True)
+    assert np.array_equal(_spectral(a), value)
+    assert np.abs(value - expected_value).max() <= 2e-13
+    assert np.abs(d - expected_d).max() <= 1e-12
+    assert np.array_equal(d, np.swapaxes(d.conj(), -1, -2))
+
+
 def _svd_polar(x):
     u, _, vh = np.linalg.svd(x, full_matrices=False)
     return u @ vh
