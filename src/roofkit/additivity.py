@@ -156,7 +156,11 @@ def _report(kind, channels, state, lhs, lhs_bound, rhs, rhs_bound, tolerance, di
     )
 
 
-def _checked(build, options: RoofOptions | None) -> AdditivityReport:
+def _checked(build, options: RoofOptions | None, tolerance: float) -> AdditivityReport:
+    # NaN fails every margin comparison, so it would flag every check, and
+    # reports write non-finite numbers as null
+    if not math.isfinite(tolerance):
+        raise ParameterError(f"tolerance must be finite, got {tolerance!r}")
     options = options or RoofOptions()
     return _settle(build(options), lambda: build(options.refined()))
 
@@ -175,7 +179,7 @@ def _trio_check(kind, phi, psi, omega, options, tolerance, state_label, observe=
             tolerance, {**diag, **extra, **observe(roofs)},
         )
 
-    return _checked(build, options)
+    return _checked(build, options, tolerance)
 
 
 def superadditivity_margin(
@@ -248,7 +252,7 @@ def min_output_margin(
             {"min_left": left_val, "min_right": right_val},
         )
 
-    return _checked(build, options)
+    return _checked(build, options, tolerance)
 
 
 # --- truncation experiment --------------------------------------------------
@@ -506,7 +510,10 @@ _FAMILY_KEYS = {
 
 
 def _family_kind(family: dict) -> str:
-    """The descriptor's family, checked against its keys and their types in _FAMILY_KEYS."""
+    """The descriptor's family, checked against its keys and their types in _FAMILY_KEYS.
+
+    Every int key (a dimension, an outcome count or a grid size) must be at least 1.
+    """
     kind = family.get("family")
     if not isinstance(kind, str) or kind not in _FAMILY_KEYS:
         raise ParameterError(f"unknown channel family {kind!r}")
@@ -523,6 +530,10 @@ def _family_kind(family: dict) -> str:
             raise ParameterError(
                 f"channel family {kind!r} key {key!r} must be of type {want.__name__}, "
                 f"got {family[key]!r}"
+            )
+        if want is int and key in family and family[key] < 1:
+            raise ParameterError(
+                f"channel family {kind!r} key {key!r} must be at least 1, got {family[key]!r}"
             )
     return kind
 

@@ -22,6 +22,7 @@ from .core import (
     SubsystemShape,
     hermitian_eig,
     partial_transpose,
+    require_finite,
     require_hermitian,
     require_keep,
     rng_for,
@@ -46,7 +47,7 @@ class Channel:
     __slots__ = ("label", "in_dim", "out_dim", "kraus")
 
     def __init__(self, kraus: Sequence[np.ndarray], label: str = ""):
-        ops = [np.asarray(k, dtype=complex) for k in kraus]
+        ops = [require_finite(k, "Kraus operator") for k in kraus]
         if not ops:
             raise ParameterError("a channel needs at least one Kraus operator")
         shape = ops[0].shape
@@ -223,7 +224,7 @@ def measure_prepare(povm: Sequence[np.ndarray], outputs: Sequence[DensityMatrix]
     """
     if len(povm) != len(outputs) or not povm:
         raise ParameterError("need equally many POVM elements and output states")
-    effects = [np.asarray(m, dtype=complex) for m in povm]
+    effects = [require_finite(m, "POVM element") for m in povm]
     d_in = effects[0].shape[0]
     d_out = outputs[0].dim
     if any(m.shape != (d_in, d_in) for m in effects):

@@ -78,7 +78,7 @@ class PureState:
     __slots__ = ("dim", "amplitudes")
 
     def __init__(self, amplitudes):
-        vec = np.asarray(amplitudes, dtype=complex).reshape(-1)
+        vec = require_finite(amplitudes, "pure state").reshape(-1)
         nrm = float(np.linalg.norm(vec))
         if abs(nrm - 1.0) > NORM_TOL:
             raise ValidityError(f"norm {nrm!r} is not 1 within {NORM_TOL:g}")
@@ -182,9 +182,17 @@ def tensor(a, b) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-def require_hermitian(a, tol: float, what: str) -> np.ndarray:
-    """(a + a*)/2 for a square matrix `a` that is Hermitian within `tol`."""
+def require_finite(a, what: str) -> np.ndarray:
+    """`a` as a complex array, checked to hold no NaN or infinite entry."""
     arr = np.asarray(a, dtype=complex)
+    if not np.isfinite(arr).all():
+        raise ValidityError(f"{what} has non-finite entries")
+    return arr
+
+
+def require_hermitian(a, tol: float, what: str) -> np.ndarray:
+    """(a + a*)/2 for a finite square matrix `a` that is Hermitian within `tol`."""
+    arr = require_finite(a, what)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionError(f"{what} must be a square matrix, got shape {arr.shape}")
     dev = float(np.max(np.abs(arr - arr.conj().T)))

@@ -62,8 +62,9 @@ class RoofOptions:
     def __post_init__(self):
         if self.restarts < 1 or self.max_iterations < 1:
             raise ParameterError("restarts and max_iterations must be positive")
-        if not self.grad_tol > 0.0:
-            raise ParameterError("gradient tolerance must be positive")
+        # an infinite tolerance would report every unmoved start as converged
+        if not 0.0 < self.grad_tol < math.inf:
+            raise ParameterError("gradient tolerance must be positive and finite")
         if self.ensemble_size is not None and self.ensemble_size < 1:
             raise ParameterError("ensemble size must be positive")
 
@@ -81,7 +82,7 @@ class Ensemble:
         w = np.asarray(weights, dtype=float)
         if w.ndim != 1 or w.shape[0] == 0 or w.shape[0] != len(states):
             raise ParameterError("need one positive weight per state")
-        if float(w.min()) <= 0.0:
+        if not float(w.min()) > 0.0:                # NaN fails this too
             raise ValidityError("ensemble weights must be strictly positive")
         if abs(float(w.sum()) - 1.0) > 1e-10:
             raise ValidityError(f"weights sum to {w.sum()!r}, not 1 within 1e-10")

@@ -59,6 +59,11 @@ class TestChannelValidation:
         with pytest.raises(ValidityError):
             Channel([np.eye(2) * 0.9])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_kraus_entries(self, bad):
+        with pytest.raises(ValidityError, match="Kraus operator has non-finite entries"):
+            Channel([[[bad, 0.0], [0.0, 1.0]]])
+
     def test_rejects_mismatched_kraus_shapes(self):
         with pytest.raises(DimensionError):
             Channel([np.eye(2), np.eye(3)])

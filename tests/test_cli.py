@@ -52,6 +52,20 @@ NAMED_ERRORS = {
     ("entropy", "--named", "pure:x"): "does not match the form pure:D[:SEED]",
     ("entropy", "--named", "random:2:x"): "does not match the form random:D[:RANK[:SEED]]",
     ("entropy", "--named", "diag:0.5,x"): "does not match the form diag:P1,P2,...",
+    # non-finite values, which every tolerance comparison used to let through
+    ("entropy", "--named", "diag:nan,1"): "density matrix has non-finite entries",
+    ("entropy", "--named", "diag:inf,1"): "density matrix has non-finite entries",
+    ("ccooe", "--channel", "noiseless:2", "--named", "diag:nan,1"):
+        "density matrix has non-finite entries",
+    ("additivity", "margin", "--left", "dephasing:0.25", "--right", "noiseless:2",
+     "--named", "mixed:4", "--tolerance", "nan"): "tolerance must be finite, got nan",
+    # integer family keys below 1
+    ("ccooe", "--channel", "measure_prepare:2:0", "--named", "mixed:2"):
+        "channel family 'measure_prepare' key 'outcomes' must be at least 1, got 0",
+    ("ccooe", "--channel", "measure_prepare:0", "--named", "mixed:2"):
+        "channel family 'measure_prepare' key 'dim' must be at least 1, got 0",
+    ("ccooe", "--channel", '{"family": "random", "dim": 2, "env": 0}', "--named", "mixed:2"):
+        "channel family 'random' key 'env' must be at least 1, got 0",
 }
 
 

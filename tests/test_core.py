@@ -72,6 +72,11 @@ class TestPureState:
         with pytest.raises(ValidityError):
             PureState(np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_rejects_non_finite_amplitudes(self, bad):
+        with pytest.raises(ValidityError, match="pure state has non-finite entries"):
+            PureState([bad, 1.0])
+
     def test_density_matches_projector(self):
         psi = random_pure(4, 3)
         assert np.allclose(psi.density().entries, psi.projector())
@@ -314,6 +319,13 @@ class TestRequireHermitian:
         out = require_hermitian(a, 1e-8, "matrix")
         assert np.array_equal(out, out.conj().T)
         assert out[0, 1] == pytest.approx(0.5e-9, abs=1e-24)
+
+    @pytest.mark.parametrize("site", sorted(HERMITIAN_SITES))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_each_site_rejects_non_finite_entries(self, site, bad):
+        # a NaN deviation compares false against every tolerance
+        with pytest.raises(ValidityError, match="has non-finite entries"):
+            HERMITIAN_SITES[site][1](bad)
 
     def test_exactly_hermitian_input_keeps_its_bits(self):
         a = random_density(4, 3, 11).entries

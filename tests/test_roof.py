@@ -95,6 +95,8 @@ class TestEnsemble:
             Ensemble(np.array([1.0, 0.0]), states)
         with pytest.raises(ParameterError):
             Ensemble(np.array([1.0]), states)
+        with pytest.raises(ValidityError, match="strictly positive"):
+            Ensemble(np.array([math.nan, 1.0]), states)
 
     def test_dimension_validation(self):
         with pytest.raises(DimensionError):
@@ -209,6 +211,9 @@ class TestCcooe:
             RoofOptions(max_iterations=0)
         with pytest.raises(ParameterError):
             RoofOptions(grad_tol=0.0)
+        for tol in (math.nan, math.inf):
+            with pytest.raises(ParameterError, match="positive and finite"):
+                RoofOptions(grad_tol=tol)
 
     def test_refined_doubles_restarts(self):
         opts = RoofOptions(restarts=6, seed=5)
@@ -523,10 +528,11 @@ def test_one_gradient_call_per_iteration_without_backtracks(objective, monkeypat
     runs = roof._lockstep(record_f, starts, RoofOptions(max_iterations=500))
     trace = "".join(events)
     assert re.fullmatch(r"G(?:PG(?:(?:PV)+G?)?)*", trace), trace
-    # one first round per iteration until every restart has stopped
-    searched = runs.iterations.max() - runs.converged[runs.iterations == runs.iterations.max()].all()
-    assert trace.count("PG") == searched
-    assert "PGPG" in trace
+    assert "PGPG" in trace                            # an iteration without backtracks
+    # one first round per iteration; the last iteration searches unless every
+    # restart still live had converged
+    last = runs.iterations == runs.iterations.max()
+    assert trace.count("PG") == runs.iterations.max() - runs.converged[last].all()
 
 
 def _eigh_spectral(a):
