@@ -430,11 +430,13 @@ def test_batched_kernel_matches_points(objective):
 
 
 def _two_call_lockstep(value_fn, grad_fn, m_mat, options):
-    """The descent as it ran before its first trials were fused.
+    """`_lockstep` with separate value and gradient calls, as a reference.
 
     Every trial point is evaluated by `value_fn` and every accepted point
-    again by `grad_fn`, so this is the reference `_lockstep` must match bit
-    for bit where `eigh` and `eigvalsh` return the same eigenvalues.
+    again by `grad_fn`.  `_lockstep` takes a first-round trial's value from
+    its gradient call instead, so the two descents match bit for bit unless
+    an acceptance test is decided within the rounding between `eigh` and
+    `eigvalsh`.
     """
     from roofkit.roof import (
         ARMIJO, BB_MAX, BB_MIN, NONMONOTONE, _inner, _polar, _RunStats, _tangent,
@@ -498,7 +500,8 @@ def test_fused_trials_match_the_two_call_descent(objective):
         reference = _two_call_lockstep(value_only, lambda m: f(m, grad=True), starts, options)
         for field in dataclasses.fields(fused):
             assert _same(getattr(fused, field.name), getattr(reference, field.name)), field.name
-    # the rows accepted after a backtrack, which take a second gradient call
+    # some rows backtracked, so late acceptances, which take a second
+    # gradient call in _lockstep, were compared too
     assert backtracked
 
 
