@@ -10,13 +10,13 @@ bounds on the roof; reported optima are never lower bounds.
 
 The restarts descend in lockstep: all starts of a roof are one (R, m, r)
 stack, so each backtracking round makes one batched retraction and one
-batched kernel call over the restarts still searching.  The first round's
-call also returns the gradients, which the next iteration takes for every
-row that passed at its first trial step.  Each restart keeps its own step,
-reference value and stop rule, so its trajectory does not depend on which
-restarts share the stack, and neither does any result.  Pure members are
-eigensolved on the smaller side of the Stinespring dilation, output or
-environment, which gives the same value and gradient.
+batched kernel call over the restarts still searching.  That call also
+returns the gradients, which the next iteration takes for every row the
+round accepted.  Each restart keeps its own step, reference value and stop
+rule, so its trajectory does not depend on which restarts share the stack,
+and neither does any result.  Pure members are eigensolved on the smaller
+side of the Stinespring dilation, output or environment, which gives the
+same value and gradient.
 
 The kernel folds the support factor into the Kraus stack once per roof and
 runs every contraction as a stacked matmul.  Members eigensolved on a 2 x 2
@@ -155,17 +155,16 @@ def _h(x: np.ndarray) -> np.ndarray:
     return np.swapaxes(x.conj(), -1, -2)
 
 
-def _spectral(a: np.ndarray, grad: bool = False):
+def _spectral(a: np.ndarray):
     """Sum over each PSD stack a[b] of t log t - Tr A log A, with t = Tr A.
 
     This is the trace-weighted entropy of the normalized members, one value
-    per batch index b, and with `grad` also dF/dA = U diag(gvals) U^H per
-    matrix.  2 x 2 matrices take a closed form: lambda_max = t/2 + disc, with
-    disc = sqrt(((a00 - a11)/2)^2 + |a10|^2), lambda_min = det / lambda_max,
-    which stays accurate on near-pure outputs, and dF/dA = alpha I +
-    beta (A - (t/2) I), with alpha the mean of the two gvals and beta their
-    difference over 2 disc (0 where disc = 0).  Larger matrices take `eigh`
-    for gradient calls and the cheaper `eigvalsh` for value-only ones.
+    per batch index b, and dF/dA = U diag(gvals) U^H per matrix.  2 x 2
+    matrices take a closed form: lambda_max = t/2 + disc, with disc =
+    sqrt(((a00 - a11)/2)^2 + |a10|^2), lambda_min = det / lambda_max, which
+    stays accurate on near-pure outputs, and dF/dA = alpha I + beta (A -
+    (t/2) I), with alpha the mean of the two gvals and beta their difference
+    over 2 disc (0 where disc = 0).  Larger matrices take `eigh`.
     """
     qubit = a.shape[-1] == 2
     if qubit:
@@ -174,16 +173,12 @@ def _spectral(a: np.ndarray, grad: bool = False):
         disc = np.sqrt(half * half + off)
         top = (a00 + a11) / 2.0 + disc
         lam = np.stack(((a00 * a11 - off) / np.where(top > 0.0, top, 1.0), top), axis=-1)
-    elif grad:
-        lam, u = np.linalg.eigh(a)                     # (B, m, n), (B, m, n, n)
     else:
-        lam = np.linalg.eigvalsh(a)
+        lam, u = np.linalg.eigh(a)                     # (B, m, n), (B, m, n, n)
     lam = np.clip(lam, 0.0, None)
     t = lam.sum(axis=-1)
     ent = -(lam * np.log(np.where(lam > 0.0, lam, 1.0))).sum(axis=-1)
     value = ent.sum(axis=-1) + (t * np.log(np.where(t > 0.0, t, 1.0))).sum(axis=-1)
-    if not grad:
-        return value
     # dF/dA in the eigenbasis is -log(lambda) + log(trace); the floor
     # keeps the off-support limit finite without changing the descent sign
     gvals = -np.log(np.maximum(lam, LOG_FLOOR)) + np.log(np.maximum(t, LOG_FLOOR))[..., None]
@@ -211,7 +206,8 @@ def _objective(kstack: np.ndarray, g: np.ndarray | None = None):
     W = M @ lift^T, outputs A = W W^H, dF/dA from `_spectral`, and the
     gradient (dF/dA W) @ conj(lift).  f takes one point or a stack of points,
     with any leading shape, and returns one value per point, and with `grad`
-    also the gradient of each.
+    also the gradient of each; both come from the one eigensolve, so a point
+    has one value however it is asked for.
 
     A pure member's output and its complementary output (swap the output and
     Kraus axes of the (env, out, in) stack) share their nonzero spectrum, so
@@ -228,11 +224,11 @@ def _objective(kstack: np.ndarray, g: np.ndarray | None = None):
         rows = (1, m_mat.shape[-2]) if g is None else m_mat.shape[-2:]
         w = m_mat.reshape(-1, *rows) @ lift_t          # (B, m, side * other)
         w = w.reshape(*w.shape[:2], side, other)
+        value, d = _spectral(w @ _h(w))
+        value = value.reshape(m_mat.shape[:-2])[()]
         if not grad:
-            return _spectral(w @ _h(w)).reshape(m_mat.shape[:-2])[()]
-        value, d = _spectral(w @ _h(w), grad=True)
-        grad = (d @ w).reshape(*w.shape[:2], -1) @ lift_c
-        return value.reshape(m_mat.shape[:-2])[()], grad.reshape(m_mat.shape)
+            return value
+        return value, ((d @ w).reshape(*w.shape[:2], -1) @ lift_c).reshape(m_mat.shape)
 
     return kernel
 
@@ -289,11 +285,10 @@ def _lockstep(f, m_mat: np.ndarray, options: RoofOptions) -> _RunStats:
     iteration cap.  Norms and inner products are row-wise reductions over
     each point, so no restart's arithmetic depends on the others.
 
-    The first trial step is nearly always accepted, so the first round of
-    each line search evaluates the kernel f with gradients and keeps the
-    value and gradient of every row it accepts.  Later rounds are
-    value-only, and only the rows accepted after a backtrack take a fresh
-    gradient call, so most accepted points are eigensolved once.
+    Every backtracking round evaluates the kernel f with gradients, and the
+    iteration keeps the value and gradient of each row that its round
+    accepts, so every trial point has one value and every accepted point is
+    eigensolved once.
     """
     value, grad = f(m_mat, grad=True)
     ref, weight = value.copy(), np.ones(len(m_mat))    # Zhang-Hager C_k and Q_k
@@ -315,35 +310,26 @@ def _lockstep(f, m_mat: np.ndarray, options: RoofOptions) -> _RunStats:
             t = np.clip(np.divide(num, den, out=t, where=sy > 0.0), BB_MIN, BB_MAX)
         grad_norm[live] = np.sqrt(squares)
         t[grad_norm[live] < options.grad_tol] = 0.0    # converged: no search
-        accepted, following = np.zeros(len(live), dtype=bool), np.empty_like(x)
-        # fused marks the rows accepted in the first round, whose value and
-        # next gradient that round already computed
-        search, fused, next_grad = np.arange(len(live)), None, np.empty_like(x)
+        accepted = np.zeros(len(live), dtype=bool)
+        following, next_grad = np.empty_like(x), np.empty_like(x)
+        search = np.arange(len(live))
         while (search := search[t[search] > 1e-14]).size:
             cand = _polar(x[search] - t[search, None, None] * xi[search])
-            if fused is None:
-                cand_value, cand_grad = f(cand, grad=True)
-            else:
-                cand_value = f(cand)
+            cand_value, cand_grad = f(cand, grad=True)
             ok = cand_value <= ref[live[search]] - ARMIJO * t[search] * slope[search]
-            following[search[ok]] = cand[ok]
+            following[search[ok]], next_grad[search[ok]] = cand[ok], cand_grad[ok]
+            value[live[search[ok]]] = cand_value[ok]
             accepted[search[ok]] = True
-            if fused is None:
-                fused = accepted.copy()
-                value[live[search[ok]]], next_grad[search[ok]] = cand_value[ok], cand_grad[ok]
             search = search[~ok]
             t[search] /= 2.0
         if not accepted.all():
             if not accepted.any():
                 break
-            live, x, xi, following, fused, next_grad = (
-                a[accepted] for a in (live, x, xi, following, fused, next_grad)
+            live, x, xi, following, next_grad = (
+                a[accepted] for a in (live, x, xi, following, next_grad)
             )
         last_x, last_xi, x, grad = x, xi, following, next_grad
         end[live] = x
-        if not fused.all():
-            late = np.flatnonzero(~fused)
-            value[live[late]], grad[late] = f(x[late], grad=True)
         q = NONMONOTONE * weight[live]
         ref[live] = (q * ref[live] + value[live]) / (q + 1.0)
         weight[live] = q + 1.0

@@ -373,12 +373,7 @@ def test_gradient_matches_central_differences(case):
         m_mat = _random_start(rng, rank * rank, rank)
     direction = rng.normal(size=m_mat.shape) + 1j * rng.normal(size=m_mat.shape)
     value, grad = f(m_mat, grad=True)
-    if case.endswith("-side3"):
-        # value-only calls take eigvalsh, and its eigenvalues of 3 x 3 and
-        # larger outputs can differ from eigh's in the last bits
-        assert value == pytest.approx(f(m_mat), rel=0.0, abs=1e-14)
-    else:
-        assert value == f(m_mat)
+    assert value == f(m_mat)
     h = 1e-5
     central = (f(m_mat + h * direction) - f(m_mat - h * direction)) / (2 * h)
     assert central == pytest.approx(2.0 * np.vdot(grad, direction).real, rel=1e-6)
@@ -433,10 +428,9 @@ def _two_call_lockstep(value_fn, grad_fn, m_mat, options):
     """`_lockstep` with separate value and gradient calls, as a reference.
 
     Every trial point is evaluated by `value_fn` and every accepted point
-    again by `grad_fn`.  `_lockstep` takes a first-round trial's value from
-    its gradient call instead, so the two descents match bit for bit unless
-    an acceptance test is decided within the rounding between `eigh` and
-    `eigvalsh`.
+    again by `grad_fn`.  `_lockstep` takes a trial's value and an accepted
+    point's gradient from one call instead, so with `value_fn` taking its
+    values from the gradient call the two descents match bit for bit.
     """
     from roofkit.roof import (
         ARMIJO, BB_MAX, BB_MIN, NONMONOTONE, _inner, _polar, _RunStats, _tangent,
@@ -488,36 +482,50 @@ def test_fused_trials_match_the_two_call_descent(objective):
 
     f, size, rank = _stack_case(objective, 101)
     starts = np.stack([_random_start(rng_for(103, i), size, rank) for i in range(8)])
-    backtracked = []
+    calls = []
 
     def value_only(m_mat):
-        backtracked.append(len(m_mat))
-        return f(m_mat)
+        calls.append("V")
+        return f(m_mat, grad=True)[0]
+
+    def value_and_grad(m_mat):
+        calls.append("G")
+        return f(m_mat, grad=True)
 
     for cap in (1, 3, 10, 500):
         options = RoofOptions(max_iterations=cap)
         fused = _lockstep(f, starts, options)
-        reference = _two_call_lockstep(value_only, lambda m: f(m, grad=True), starts, options)
+        reference = _two_call_lockstep(value_only, value_and_grad, starts, options)
         for field in dataclasses.fields(fused):
             assert _same(getattr(fused, field.name), getattr(reference, field.name)), field.name
-    # some rows backtracked, so late acceptances, which take a second
-    # gradient call in _lockstep, were compared too
-    assert backtracked
+    # two trial rounds without a gradient call between them: a line search
+    # backtracked, so points accepted after a backtrack were compared too
+    assert "VV" in "".join(calls)
 
 
 @pytest.mark.parametrize("objective", OBJECTIVES)
 def test_one_gradient_call_per_iteration_without_backtracks(objective, monkeypatch):
-    # each backtracking round is one _polar (P) and one kernel call, with the
-    # gradient on the first round (G) and value-only after it (V); an
-    # iteration whose rows all pass at their first trial is "PG", and one that
-    # backtracked ends with one gradient call for its late acceptances
+    # each iteration projects the gradient once (T), and each of its
+    # backtracking rounds is one _polar (P) and one kernel call with the
+    # gradient (G); a value-only call (V) never happens, so an iteration whose
+    # rows all pass at their first trial is "TPG"
     import re
 
     from roofkit import roof
 
     f, size, rank = _stack_case(objective, 101)
     starts = np.stack([roof._random_start(rng_for(103, i), size, rank) for i in range(8)])
-    events, polar = [], roof._polar
+    options = RoofOptions(max_iterations=500)
+    rounds = []
+    _two_call_lockstep(
+        lambda m_mat: rounds.append(len(m_mat)) or f(m_mat), lambda m: f(m, grad=True),
+        starts, options,
+    )
+    events, polar, tangent = [], roof._polar, roof._tangent
+
+    def record_tangent(x, grad):
+        events.append("T")
+        return tangent(x, grad)
 
     def record_polar(x):
         events.append("P")
@@ -527,15 +535,16 @@ def test_one_gradient_call_per_iteration_without_backtracks(objective, monkeypat
         events.append("G" if grad else "V")
         return f(m_mat, grad)
 
+    monkeypatch.setattr(roof, "_tangent", record_tangent)
     monkeypatch.setattr(roof, "_polar", record_polar)
-    runs = roof._lockstep(record_f, starts, RoofOptions(max_iterations=500))
+    runs = roof._lockstep(record_f, starts, options)
     trace = "".join(events)
-    assert re.fullmatch(r"G(?:PG(?:(?:PV)+G?)?)*", trace), trace
-    assert "PGPG" in trace                            # an iteration without backtracks
-    # one first round per iteration; the last iteration searches unless every
-    # restart still live had converged
-    last = runs.iterations == runs.iterations.max()
-    assert trace.count("PG") == runs.iterations.max() - runs.converged[last].all()
+    assert re.fullmatch(r"G(?:T(?:PG)*)*", trace), trace
+    assert trace.count("T") == runs.iterations.max()
+    assert "TPGT" in trace                              # an iteration without backtracks
+    assert re.search(r"T(?:PG){2}", trace)              # and one that backtracked
+    # one kernel call per line-search round of the two-call descent
+    assert trace.count("PG") == len(rounds)
 
 
 def _eigh_spectral(a):
@@ -592,8 +601,7 @@ def test_qubit_closed_form_matches_eigh(kind, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", forbidden)
     monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
-    value, d = _spectral(a, grad=True)
-    assert np.array_equal(_spectral(a), value)
+    value, d = _spectral(a)
     assert np.abs(value - expected_value).max() <= 2e-13
     assert np.abs(d - expected_d).max() <= 1e-12
     assert np.array_equal(d, np.swapaxes(d.conj(), -1, -2))
@@ -791,9 +799,9 @@ def test_kernel_side_is_the_smaller_one_for_pure_members(monkeypatch):
 
     sides, spectral = [], roof._spectral
 
-    def record_spectral(a, grad=False):
+    def record_spectral(a):
         sides.append(a.shape[-1])
-        return spectral(a, grad)
+        return spectral(a)
 
     monkeypatch.setattr(roof, "_spectral", record_spectral)
     kstack = random_stinespring(3, 4, 2, 121).kraus_stack()
