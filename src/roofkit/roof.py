@@ -18,11 +18,13 @@ and neither does any result.  Pure members are eigensolved on the smaller
 side of the Stinespring dilation, output or environment, which gives the
 same value and gradient.
 
-The kernel folds the support factor into the Kraus stack once per roof and
-runs every contraction as a stacked matmul.  Members eigensolved on a 2 x 2
-side, as in two-qubit EoF and every qubit-output roof, take the spectrum and
-dF/dA in closed form, without LAPACK.  The polar retraction comes from an
-eigensolve of the r x r Gram matrix, not an SVD of the m x r point.
+The kernel folds the support factor into the Kraus stack once per roof, so
+the member amplitudes and the gradient are stacked matmuls.  Members on a
+2 x 2 side, as in two-qubit EoF and every qubit-output roof, never form their
+outputs: the three entries, the spectrum and dF/dA come in closed form from
+the two amplitude rows, without LAPACK or small matmuls.  Larger sides take
+one `eigh` per output.  The polar retraction comes from an eigensolve of the
+r x r Gram matrix, not an SVD of the m x r point.
 """
 
 from __future__ import annotations
@@ -159,22 +161,10 @@ def _spectral(a: np.ndarray):
     """Sum over each PSD stack a[b] of t log t - Tr A log A, with t = Tr A.
 
     This is the trace-weighted entropy of the normalized members, one value
-    per batch index b, and dF/dA = U diag(gvals) U^H per matrix.  2 x 2
-    matrices take a closed form: lambda_max = t/2 + disc, with disc =
-    sqrt(((a00 - a11)/2)^2 + |a10|^2), lambda_min = det / lambda_max, which
-    stays accurate on near-pure outputs, and dF/dA = alpha I + beta (A -
-    (t/2) I), with alpha the mean of the two gvals and beta their difference
-    over 2 disc (0 where disc = 0).  Larger matrices take `eigh`.
+    per batch index b, and dF/dA = U diag(gvals) U^H per matrix, both from
+    one `eigh`.
     """
-    qubit = a.shape[-1] == 2
-    if qubit:
-        a00, a11, a10 = a[..., 0, 0].real, a[..., 1, 1].real, a[..., 1, 0]
-        half, off = (a00 - a11) / 2.0, a10.real ** 2 + a10.imag ** 2
-        disc = np.sqrt(half * half + off)
-        top = (a00 + a11) / 2.0 + disc
-        lam = np.stack(((a00 * a11 - off) / np.where(top > 0.0, top, 1.0), top), axis=-1)
-    else:
-        lam, u = np.linalg.eigh(a)                     # (B, m, n), (B, m, n, n)
+    lam, u = np.linalg.eigh(a)                         # (B, m, n), (B, m, n, n)
     lam = np.clip(lam, 0.0, None)
     t = lam.sum(axis=-1)
     ent = -(lam * np.log(np.where(lam > 0.0, lam, 1.0))).sum(axis=-1)
@@ -182,17 +172,32 @@ def _spectral(a: np.ndarray):
     # dF/dA in the eigenbasis is -log(lambda) + log(trace); the floor
     # keeps the off-support limit finite without changing the descent sign
     gvals = -np.log(np.maximum(lam, LOG_FLOOR)) + np.log(np.maximum(t, LOG_FLOOR))[..., None]
-    if not qubit:
-        return value, (u * gvals[..., None, :]) @ _h(u)
-    alpha = (gvals[..., 0] + gvals[..., 1]) / 2.0
-    beta = np.divide(gvals[..., 1] - gvals[..., 0], 2.0 * disc,
-                     out=np.zeros_like(disc), where=disc > 0.0)
-    d = np.empty_like(a)
-    d[..., 0, 0] = alpha + beta * half
-    d[..., 1, 1] = alpha - beta * half
-    d[..., 1, 0] = beta * a10
-    d[..., 0, 1] = d[..., 1, 0].conj()
-    return value, d
+    return value, (u * gvals[..., None, :]) @ _h(u)
+
+
+def _qubit_spectral(a00: np.ndarray, a11: np.ndarray, a10: np.ndarray):
+    """`_spectral` of 2 x 2 outputs, in closed form from their three entries.
+
+    lambda_max = t/2 + disc, with disc = sqrt(((a00 - a11)/2)^2 + |a10|^2),
+    and lambda_min = det / lambda_max, which stays accurate on near-pure
+    outputs.  dF/dA = alpha I + beta (A - (t/2) I), with alpha the mean of
+    the two gvals and beta their difference over 2 disc (0 where disc = 0);
+    it is returned as its entries (d00, d11, d10).
+    """
+    half, off = (a00 - a11) / 2.0, a10.real ** 2 + a10.imag ** 2
+    disc = np.sqrt(half * half + off)
+    lam = np.empty((3, *disc.shape))                   # lambda_min, lambda_max, t
+    lam[1] = (a00 + a11) / 2.0 + disc
+    lam[0] = np.maximum((a00 * a11 - off) / np.where(lam[1] > 0.0, lam[1], 1.0), 0.0)
+    lam[2] = lam[0] + lam[1]
+    logs = np.log(np.where(lam > 0.0, lam, LOG_FLOOR))
+    terms = lam * logs
+    value = (terms[2] - terms[0] - terms[1]).sum(axis=-1)
+    logs = np.maximum(logs, math.log(LOG_FLOOR))
+    alpha = logs[2] - (logs[0] + logs[1]) / 2.0
+    # the floored logs are finite, so beta = 0 where disc = 0
+    beta = (logs[0] - logs[1]) / np.where(disc > 0.0, 2.0 * disc, np.inf)
+    return value, (alpha + beta * half, alpha - beta * half, beta * a10)
 
 
 def _objective(kstack: np.ndarray, g: np.ndarray | None = None):
@@ -202,12 +207,14 @@ def _objective(kstack: np.ndarray, g: np.ndarray | None = None):
     unnormalized member g @ M[i]; on the unit sphere St(d, 1) the point's
     single column is a one-member mixing matrix with g = I.  The support
     factor is folded into the Kraus stack once per roof, lift = kstack @ g,
-    so every contraction is a stacked BLAS matmul: member amplitudes
-    W = M @ lift^T, outputs A = W W^H, dF/dA from `_spectral`, and the
-    gradient (dF/dA W) @ conj(lift).  f takes one point or a stack of points,
-    with any leading shape, and returns one value per point, and with `grad`
-    also the gradient of each; both come from the one eigensolve, so a point
-    has one value however it is asked for.
+    so the member amplitudes W = M @ lift^T and the gradient
+    (dF/dA W) @ conj(lift) are stacked BLAS matmuls.  On a 2 x 2 side the
+    outputs A = W W^H are read entry by entry from W's two rows, and dF/dA W
+    is formed elementwise from `_qubit_spectral`'s three coefficients; larger
+    sides form A and dF/dA W as stacked matmuls around `_spectral`.  f takes
+    one point or a stack of points, with any leading shape, and returns one
+    value per point, and with `grad` also the gradient of each; both come
+    from one pass, so a point has one value however it is asked for.
 
     A pure member's output and its complementary output (swap the output and
     Kraus axes of the (env, out, in) stack) share their nonzero spectrum, so
@@ -224,11 +231,25 @@ def _objective(kstack: np.ndarray, g: np.ndarray | None = None):
         rows = (1, m_mat.shape[-2]) if g is None else m_mat.shape[-2:]
         w = m_mat.reshape(-1, *rows) @ lift_t          # (B, m, side * other)
         w = w.reshape(*w.shape[:2], side, other)
-        value, d = _spectral(w @ _h(w))
+        if side == 2:
+            # A's diagonal holds the squared norms of W's two rows, and a10
+            # their inner product
+            w0, w1, flat = w[..., 0, :], w[..., 1, :], w.view(float)
+            diag = (flat * flat).sum(axis=-1)
+            value, (d00, d11, d10) = _qubit_spectral(
+                diag[..., 0], diag[..., 1], (w1 * w0.conj()).sum(axis=-1)
+            )
+            d00, d11, d10 = d00[..., None], d11[..., None], d10[..., None]
+            dw = np.empty_like(w)
+            dw[..., 0, :] = d00 * w0 + d10.conj() * w1
+            dw[..., 1, :] = d10 * w0 + d11 * w1
+        else:
+            value, d = _spectral(w @ _h(w))
+            dw = d @ w
         value = value.reshape(m_mat.shape[:-2])[()]
         if not grad:
             return value
-        return value, ((d @ w).reshape(*w.shape[:2], -1) @ lift_c).reshape(m_mat.shape)
+        return value, (dw.reshape(*w.shape[:2], -1) @ lift_c).reshape(m_mat.shape)
 
     return kernel
 
@@ -317,9 +338,9 @@ def _lockstep(f, m_mat: np.ndarray, options: RoofOptions) -> _RunStats:
             cand = _polar(x[search] - t[search, None, None] * xi[search])
             cand_value, cand_grad = f(cand, grad=True)
             ok = cand_value <= ref[live[search]] - ARMIJO * t[search] * slope[search]
-            following[search[ok]], next_grad[search[ok]] = cand[ok], cand_grad[ok]
-            value[live[search[ok]]] = cand_value[ok]
-            accepted[search[ok]] = True
+            hit = search[ok]
+            following[hit], next_grad[hit], value[live[hit]] = cand[ok], cand_grad[ok], cand_value[ok]
+            accepted[hit] = True
             search = search[~ok]
             t[search] /= 2.0
         if not accepted.all():

@@ -589,7 +589,7 @@ QUBIT_OUTPUTS = {
 
 @pytest.mark.parametrize("kind", sorted(QUBIT_OUTPUTS))
 def test_qubit_closed_form_matches_eigh(kind, monkeypatch):
-    from roofkit.roof import _spectral
+    from roofkit.roof import _qubit_spectral
 
     a = QUBIT_OUTPUTS[kind](np.random.default_rng(151))
     if kind == "near-pure":
@@ -601,10 +601,51 @@ def test_qubit_closed_form_matches_eigh(kind, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", forbidden)
     monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
-    value, d = _spectral(a)
+    value, (d00, d11, d10) = _qubit_spectral(a[..., 0, 0].real, a[..., 1, 1].real, a[..., 1, 0])
+    d = np.empty_like(a)
+    d[..., 0, 0], d[..., 1, 1], d[..., 1, 0], d[..., 0, 1] = d00, d11, d10, d10.conj()
     assert np.abs(value - expected_value).max() <= 2e-13
     assert np.abs(d - expected_d).max() <= 1e-12
-    assert np.array_equal(d, np.swapaxes(d.conj(), -1, -2))
+
+
+def _matmul_kernel(kstack, g=None):
+    """The roof kernel with W W^H and (dF/dA) W as stacked matmuls, as a reference.
+
+    It eigensolves every member output with `_eigh_spectral`, on the same
+    side of the dilation as `_objective`, and takes a stack of points.
+    """
+    if kstack.shape[0] >= kstack.shape[1]:
+        kstack = kstack.transpose(1, 0, 2)
+    side, other = kstack.shape[:2]
+    lift = (kstack if g is None else kstack @ g).reshape(side * other, -1)
+
+    def kernel(m_mat):
+        rows = (1, m_mat.shape[-2]) if g is None else m_mat.shape[-2:]
+        w = (m_mat.reshape(-1, *rows) @ lift.T).reshape(len(m_mat), rows[0], side, other)
+        value, d = _eigh_spectral(w @ np.swapaxes(w.conj(), -1, -2))
+        grad = (d @ w).reshape(len(m_mat), rows[0], -1) @ lift.conj()
+        return value, grad.reshape(m_mat.shape)
+
+    return kernel
+
+
+@pytest.mark.parametrize("objective", [o for o in OBJECTIVES if not o.endswith("-side3")])
+def test_qubit_side_kernel_matches_matmul_reference(objective):
+    # seeded starts and the end points of their descents, where the members
+    # are as pure as the channel lets them be
+    from roofkit.roof import _lockstep, _random_start, _support_factor
+
+    f, size, rank = _stack_case(objective, 161)
+    objective, kstack = _kraus_case(objective, 161)
+    g = None if objective == "sphere" else _support_factor(random_density(3, 2, 162))[0]
+    assert min(kstack.shape[:2]) == 2
+    starts = np.stack([_random_start(rng_for(163, i), size, rank) for i in range(8)])
+    ends = _lockstep(f, starts, RoofOptions(max_iterations=500)).m_mat
+    for points in (starts, ends):
+        value, grad = f(points, grad=True)
+        expected_value, expected_grad = _matmul_kernel(kstack, g)(points)
+        assert np.abs(value - expected_value).max() <= 2e-13
+        assert np.abs(grad - expected_grad).max() <= 1e-12
 
 
 def _svd_polar(x):
@@ -795,15 +836,22 @@ def test_refinement_never_raises_a_roof(case):
 
 
 def test_kernel_side_is_the_smaller_one_for_pure_members(monkeypatch):
+    # the kernel branches on the side: 2 x 2 outputs go to the closed form,
+    # larger ones to _spectral
     from roofkit import roof
 
-    sides, spectral = [], roof._spectral
+    sides, spectral, qubit_spectral = [], roof._spectral, roof._qubit_spectral
 
     def record_spectral(a):
-        sides.append(a.shape[-1])
+        sides.append(("eigh", a.shape[-1]))
         return spectral(a)
 
+    def record_qubit_spectral(a00, a11, a10):
+        sides.append(("closed form", 2))
+        return qubit_spectral(a00, a11, a10)
+
     monkeypatch.setattr(roof, "_spectral", record_spectral)
+    monkeypatch.setattr(roof, "_qubit_spectral", record_qubit_spectral)
     kstack = random_stinespring(3, 4, 2, 121).kraus_stack()
     g, rank = roof._support_factor(random_density(3, 2, 122))
     unit = roof._random_start(rng_for(123), 3, 1)
@@ -815,7 +863,7 @@ def test_kernel_side_is_the_smaller_one_for_pure_members(monkeypatch):
     ]:
         f(m_mat)
         f(m_mat, grad=True)
-    assert sides == [2] * 6
+    assert sides == [("closed form", 2)] * 6
 
 
 @pytest.mark.parametrize(
