@@ -150,8 +150,19 @@ def _load_channel(text: str, seed: int, stream: int) -> Channel:
     return channel_from_family(data, rng_for(seed, stream))
 
 
+def _numbers(text: str, sep: str, flag: str, form: str, kind=int, count=None) -> list:
+    """The values of a flag written as `form`: numbers of one kind joined by sep."""
+    try:
+        values = [kind(v) for v in text.split(sep)]
+    except ValueError:
+        values = None
+    if values is None or count not in (None, len(values)):
+        raise ParameterError(f"{flag} {text!r} does not match the form {form}")
+    return values
+
+
 def _dims(text: str) -> SubsystemShape:
-    return SubsystemShape(tuple(int(d) for d in text.lower().split("x")))
+    return SubsystemShape(tuple(_numbers(text.lower(), "x", "--dims", "D1xD2...")))
 
 
 def _options(args) -> RoofOptions:
@@ -274,7 +285,7 @@ def cmd_additivity(args) -> int:
         trace = truncation_experiment(
             rho,
             _dims(args.dims),
-            tuple(int(n) for n in args.ranks.split(",")),
+            tuple(_numbers(args.ranks, ",", "--ranks", "N1,N2,...")),
             _options(args),
         )
         csvs = [("truncation.csv", TRUNCATION_CSV_FIELDS, truncation_csv_rows(trace))]
@@ -340,7 +351,9 @@ def cmd_phase_channel(args) -> int:
     }
     csvs = []
     if args.sweep:
-        lo, hi = (int(x) for x in args.sweep.split(":")[:2])
+        lo, hi = _numbers(args.sweep, ":", "--sweep", "LO:HI", count=2)
+        if lo > hi:
+            raise ParameterError(f"--sweep {args.sweep!r} has LO above HI")
         rows = []
         for d in range(lo, hi + 1):
             sub = RandomPhaseSpec(spec.half_width, d, spec.density)
@@ -359,7 +372,7 @@ def cmd_phase_channel(args) -> int:
     if args.tails:
         cap = payload["empirical_entropy_bound"]
         rows = []
-        for d in (float(x) for x in args.tails.split(",")):
+        for d in _numbers(args.tails, ",", "--tails", "C1,C2,...", float):
             alpha, beta, gamma = tail_quantities(spec.density, d)
             row = {"d": d, "alpha": alpha, "beta": beta, "gamma": gamma}
             if d >= 1.0 and alpha < 1.0:

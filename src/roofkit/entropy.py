@@ -103,7 +103,11 @@ class EnergyConstraint:
         arr = require_hermitian(self.hamiltonian, 1e-10, "hamiltonian")
         arr.setflags(write=False)
         object.__setattr__(self, "hamiltonian", arr)
-        object.__setattr__(self, "level", float(self.level))
+        level = float(self.level)
+        # NaN fails every comparison in gibbs_state and would pass as feasible
+        if not math.isfinite(level):
+            raise ValidityError(f"energy level must be finite, got {level!r}")
+        object.__setattr__(self, "level", level)
 
 
 def _thermal_weights(energies: np.ndarray, beta: float) -> np.ndarray:

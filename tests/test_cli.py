@@ -66,6 +66,24 @@ NAMED_ERRORS = {
         "channel family 'measure_prepare' key 'dim' must be at least 1, got 0",
     ("ccooe", "--channel", '{"family": "random", "dim": 2, "env": 0}', "--named", "mixed:2"):
         "channel family 'random' key 'env' must be at least 1, got 0",
+    # a NaN level failed every comparison in gibbs_state and exited 0
+    ("gibbs", "--hamiltonian", '{"re": [[0, 0], [0, 1]], "im": [[0, 0], [0, 0]]}',
+     "--level", "nan"): "energy level must be finite, got nan",
+    # flag values that are not numbers of the flag's form
+    ("eof", "--dims", "2x", "--named", "bell"): "--dims '2x' does not match the form D1xD2...",
+    ("additivity", "truncate", "--dims", "2x2x2x2", "--ranks", "1,,2", "--named", "mixed:16"):
+        "--ranks '1,,2' does not match the form N1,N2,...",
+    ("phase-channel", "--spec", '{"a": 1.0, "d": 4}', "--sweep", "3"):
+        "--sweep '3' does not match the form LO:HI",
+    ("phase-channel", "--spec", '{"a": 1.0, "d": 4}', "--sweep", "3:x"):
+        "--sweep '3:x' does not match the form LO:HI",
+    ("phase-channel", "--spec", '{"a": 1.0, "d": 4}', "--sweep", "3:5:9"):
+        "--sweep '3:5:9' does not match the form LO:HI",
+    ("phase-channel", "--spec", '{"a": 1.0, "d": 4}', "--tails", "1,x"):
+        "--tails '1,x' does not match the form C1,C2,...",
+    # an empty range printed an empty sweep
+    ("phase-channel", "--spec", '{"a": 1.0, "d": 4}', "--sweep", "5:3"):
+        "--sweep '5:3' has LO above HI",
 }
 
 

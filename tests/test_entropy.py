@@ -219,6 +219,11 @@ class TestGibbs:
         with pytest.raises(InfeasibleError):
             gibbs_state(EnergyConstraint(self.H2, -0.5))
 
+    @pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf])
+    def test_non_finite_level_rejected(self, level):
+        with pytest.raises(ValidityError, match=f"energy level must be finite, got {level!r}"):
+            EnergyConstraint(self.H2, level)
+
     def test_dominates_energy_constrained_states(self):
         # with the level below the maximally mixed energy (beta > 0) the Gibbs
         # state maximizes entropy over every state with Tr(H rho) <= level
