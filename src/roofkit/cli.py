@@ -1,13 +1,13 @@
 """Command-line front end.
 
-Each subcommand resolves its full configuration, runs the computation, and
-emits one JSON report (stdout, or report.json under --out) embedding the
-tool version, the resolved config, the seed and the wall time; tabular
-results additionally land as CSV files when --out is given.  All stored
-values are nats; --bits adds converted display fields only.
+Each subcommand declares the flags it reads, and its handler returns a result
+payload and its CSV tables.  `main` wraps the payload in one JSON report
+(stdout, or report.json under --out) embedding the tool version, the parsed
+config, the seed and the wall time; the tables land as CSV files under --out.
+All stored values are nats; --bits adds converted display fields only.
 
-Exit codes: 0 clean, 1 error, 2 when any verdict is flagged.
-"""
+Exit codes: 0 clean, 1 error (usage errors included), 2 when any verdict is
+flagged."""
 
 from __future__ import annotations
 
@@ -122,9 +122,9 @@ def _json_object(text: str, what: str) -> dict:
 
 
 def _load_state(args) -> DensityMatrix:
-    if getattr(args, "state", None):
+    if args.state:
         return decode_state(_json_object(args.state, "state"))
-    if getattr(args, "named", None):
+    if args.named:
         return _named_state(args.named)
     raise ParameterError("provide --state FILE or --named NAME")
 
@@ -138,9 +138,13 @@ def _family_dict(text: str) -> dict:
     keys = _FAMILY_KEYS.get(kind)
     if keys is None or dict in keys.values():
         raise ParameterError(f"no channel short form {text!r}; give a JSON descriptor")
+    mismatch = f"channel family {kind!r} takes the values {list(keys)}, not {text!r}"
     if len(values) > len(keys):
-        raise ParameterError(f"channel family {kind!r} takes the values {list(keys)}, not {text!r}")
-    return {"family": kind, **{k: t(v) for (k, t), v in zip(keys.items(), values)}}
+        raise ParameterError(mismatch)
+    try:    # each value must be a number of its key's type
+        return {"family": kind, **{k: t(v) for (k, t), v in zip(keys.items(), values)}}
+    except ValueError:
+        raise ParameterError(mismatch) from None
 
 
 def _load_channel(text: str, seed: int, stream: int) -> Channel:
@@ -169,77 +173,30 @@ def _options(args) -> RoofOptions:
     return RoofOptions(restarts=args.restarts, seed=args.seed)
 
 
-def _emit(args, command: str, payload: dict, started: float, csv_files=None) -> None:
-    config = {
-        k: v
-        for k, v in vars(args).items()
-        if k != "func" and not callable(v)
-    }
-    report = {
-        "tool": "roofkit",
-        "version": VERSION,
-        "command": command,
-        "config": config,
-        "seed": getattr(args, "seed", 0),
-        "walltime_s": time.perf_counter() - started,
-        "result": payload,
-    }
-    out = getattr(args, "out", None)
-    if out:
-        fmt = getattr(args, "format", "json")
-        if fmt == "csv" and not csv_files:
-            raise ParameterError(f"--format csv writes nothing: {command} has no tables")
-        os.makedirs(out, exist_ok=True)
-        if fmt in ("json", "both"):
-            write_json(os.path.join(out, "report.json"), report)
-        if fmt in ("csv", "both") and csv_files:
-            for name, fields, rows in csv_files:
-                write_csv(os.path.join(out, name), fields, rows)
-    else:
-        sys.stdout.write(dumps(report))
+# --- subcommand handlers: each returns (payload, [(csv name, columns, rows)]) ---
 
 
-def _with_bits(payload: dict, args, keys: tuple[str, ...]) -> dict:
-    if getattr(args, "bits", False):
-        for key in keys:
-            if key in payload and isinstance(payload[key], float):
-                payload[key.replace("_nats", "") + "_bits"] = payload[key] / LN2
-    return payload
-
-
-# --- subcommand handlers ------------------------------------------------------
-
-
-def cmd_entropy(args) -> int:
-    started = time.perf_counter()
+def cmd_entropy(args) -> tuple[dict, list]:
     rho = _load_state(args)
-    payload = {"dim": rho.dim, "entropy_nats": von_neumann_entropy(rho)}
-    _emit(args, "entropy", _with_bits(payload, args, ("entropy_nats",)), started)
-    return 0
+    return {"dim": rho.dim, "entropy_nats": von_neumann_entropy(rho)}, []
 
 
-def cmd_ccooe(args) -> int:
-    started = time.perf_counter()
+def cmd_ccooe(args) -> tuple[dict, list]:
     channel = _load_channel(args.channel, args.seed, 0)
     rho = _load_state(args)
     result = ccooe(channel, rho, _options(args))
     payload = encode_roof_result(result)
     payload["channel"] = channel.label
-    _emit(args, "ccooe", _with_bits(payload, args, ("value_nats",)), started)
-    return 0
+    return payload, []
 
 
-def cmd_eof(args) -> int:
-    started = time.perf_counter()
+def cmd_eof(args) -> tuple[dict, list]:
     rho = _load_state(args)
     result = eof(rho, _dims(args.dims), _options(args))
-    payload = encode_roof_result(result)
-    _emit(args, "eof", _with_bits(payload, args, ("value_nats",)), started)
-    return 0
+    return encode_roof_result(result), []
 
 
-def cmd_chi(args) -> int:
-    started = time.perf_counter()
+def cmd_chi(args) -> tuple[dict, list]:
     channel = _load_channel(args.channel, args.seed, 0)
     rho = _load_state(args)
     if args.method == "direct":
@@ -252,8 +209,7 @@ def cmd_chi(args) -> int:
         "method": args.method,
         "channel": channel.label,
     }
-    _emit(args, "chi", _with_bits(payload, args, ("chi_nats",)), started)
-    return 0
+    return payload, []
 
 
 _MARGIN_CMDS = {
@@ -263,72 +219,51 @@ _MARGIN_CMDS = {
 }
 
 
-def cmd_additivity(args) -> int:
-    started = time.perf_counter()
-    needed = ("dims",) if args.mode == "truncate" else ("left", "right")
-    missing = [f"--{name}" for name in needed if getattr(args, name) is None]
-    if missing:
-        raise ParameterError(f"additivity {args.mode} needs {' and '.join(missing)}")
-    if args.mode in _MARGIN_CMDS:
-        left = _load_channel(args.left, args.seed, 0)
-        right = _load_channel(args.right, args.seed, 1)
-        rho = _load_state(args)
-        report = _MARGIN_CMDS[args.mode](
-            left, right, rho, _options(args), args.tolerance
-        )
-        csvs = [("margins.csv", ADDITIVITY_CSV_FIELDS, additivity_csv_rows([report]))]
-        _emit(args, f"additivity-{args.mode}", asdict(report), started, csvs)
-        return 2 if report.verdict == FLAGGED else 0
-
-    if args.mode == "truncate":
-        rho = _load_state(args)
-        trace = truncation_experiment(
-            rho,
-            _dims(args.dims),
-            tuple(_numbers(args.ranks, ",", "--ranks", "N1,N2,...")),
-            _options(args),
-        )
-        csvs = [("truncation.csv", TRUNCATION_CSV_FIELDS, truncation_csv_rows(trace))]
-        _emit(args, "additivity-truncate", asdict(trace), started, csvs)
-        return 0
-
-    if args.mode == "scan":
-        families = (_family_dict(args.left), _family_dict(args.right))
-        for flag, family in zip(("--left", "--right"), families):
-            if "kraus" in family:
-                raise ParameterError(
-                    f"{flag} holds Kraus operators; scans draw channels from a family descriptor"
-                )
-        result = scan_random(
-            *families,
-            args.samples,
-            seed=args.seed,
-            options=_options(args),
-            tolerance=args.tolerance,
-            check=args.check,
-        )
-        payload = {"samples": args.samples, "check": args.check, **asdict(result)}
-        csvs = [("margins.csv", ADDITIVITY_CSV_FIELDS, additivity_csv_rows(result.reports))]
-        _emit(args, "additivity-scan", payload, started, csvs)
-        return 2 if result.flagged else 0
-
-    if args.mode == "complement":
-        left = _load_channel(args.left, args.seed, 0)
-        right = _load_channel(args.right, args.seed, 1)
-        probe = complementary_transfer_probe(
-            left, right, args.samples, args.seed, _options(args), args.tolerance
-        )
-        payload = asdict(probe)
-        columns = [f.name for f in fields(TransferRow)]
-        csvs = [("complement.csv", columns, payload["rows"])]
-        _emit(args, "additivity-complement", payload, started, csvs)
-        return 2 if probe.flagged else 0
-
-    raise ParameterError(f"unknown additivity mode {args.mode!r}")
+def cmd_margin(args) -> tuple[dict, list]:
+    left = _load_channel(args.left, args.seed, 0)
+    right = _load_channel(args.right, args.seed, 1)
+    rho = _load_state(args)
+    report = _MARGIN_CMDS[args.mode](left, right, rho, _options(args), args.tolerance)
+    return asdict(report), [("margins.csv", ADDITIVITY_CSV_FIELDS, additivity_csv_rows([report]))]
 
 
-def cmd_phase_channel(args) -> int:
-    started = time.perf_counter()
+def cmd_truncate(args) -> tuple[dict, list]:
+    rho = _load_state(args)
+    ranks = tuple(_numbers(args.ranks, ",", "--ranks", "N1,N2,..."))
+    trace = truncation_experiment(rho, _dims(args.dims), ranks, _options(args))
+    return asdict(trace), [("truncation.csv", TRUNCATION_CSV_FIELDS, truncation_csv_rows(trace))]
+
+
+def cmd_scan(args) -> tuple[dict, list]:
+    families = (_family_dict(args.left), _family_dict(args.right))
+    for flag, family in zip(("--left", "--right"), families):
+        if "kraus" in family:
+            raise ParameterError(
+                f"{flag} holds Kraus operators; scans draw channels from a family descriptor"
+            )
+    result = scan_random(
+        *families,
+        args.samples,
+        seed=args.seed,
+        options=_options(args),
+        tolerance=args.tolerance,
+        check=args.check,
+    )
+    payload = {"samples": args.samples, "check": args.check, **asdict(result)}
+    return payload, [("margins.csv", ADDITIVITY_CSV_FIELDS, additivity_csv_rows(result.reports))]
+
+
+def cmd_complement(args) -> tuple[dict, list]:
+    left = _load_channel(args.left, args.seed, 0)
+    right = _load_channel(args.right, args.seed, 1)
+    probe = complementary_transfer_probe(
+        left, right, args.samples, args.seed, _options(args), args.tolerance
+    )
+    payload = asdict(probe)
+    return payload, [("complement.csv", [f.name for f in fields(TransferRow)], payload["rows"])]
+
+
+def cmd_phase_channel(args) -> tuple[dict, list]:
     if args.samples < 1:
         raise ParameterError(f"--samples must be at least 1, got {args.samples}")
     spec = decode_phase_spec(_json_object(args.spec, "phase spec"))
@@ -349,7 +284,7 @@ def cmd_phase_channel(args) -> int:
         "empirical_entropy_bound": max(entropies),
         "mean_pure_entropy": float(sum(entropies) / len(entropies)),
     }
-    csvs = []
+    tables = []
     if args.sweep:
         lo, hi = _numbers(args.sweep, ":", "--sweep", "LO:HI", count=2)
         if lo > hi:
@@ -368,7 +303,7 @@ def cmd_phase_channel(args) -> int:
                 "mean_entropy": float(sum(vals) / len(vals)),
             })
         payload["sweep"] = rows
-        csvs.append(("phase_sweep.csv", ("d", "max_entropy", "mean_entropy"), rows))
+        tables.append(("phase_sweep.csv", ("d", "max_entropy", "mean_entropy"), rows))
     if args.tails:
         cap = payload["empirical_entropy_bound"]
         rows = []
@@ -381,17 +316,15 @@ def cmd_phase_channel(args) -> int:
                 )
             rows.append(row)
         payload["tails"] = rows
-        csvs.append(("phase_tails.csv", ("d", "alpha", "beta", "gamma", "entropy_bound"), rows))
+        tables.append(("phase_tails.csv", ("d", "alpha", "beta", "gamma", "entropy_bound"), rows))
     if args.cross_check:
         payload["complement_gram_dev"] = phase_complement_gram_deviation(
             spec, t_points=args.t_points
         )
-    _emit(args, "phase-channel", payload, started, csvs)
-    return 0
+    return payload, tables
 
 
-def cmd_gibbs(args) -> int:
-    started = time.perf_counter()
+def cmd_gibbs(args) -> tuple[dict, list]:
     ham = decode_matrix(_json_object(args.hamiltonian, "Hamiltonian"))
     state, beta, entropy = gibbs_state(EnergyConstraint(ham, args.level))
     payload = {
@@ -400,100 +333,136 @@ def cmd_gibbs(args) -> int:
         "energy": float(np.trace(state.entries @ ham).real),
         "entropy_nats": entropy,
     }
-    _emit(args, "gibbs", _with_bits(payload, args, ("entropy_nats",)), started)
-    return 0
+    return payload, []
 
 
 # --- parser -------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=24)
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ParameterError, so they exit 1 like every other bad input."""
+
+    def error(self, message):
+        raise ParameterError(message)
+
+
+# the flags several subcommands share; each subcommand names the ones it reads
+_SHARED = {
+    "--state": {"help": "state JSON file"},
+    "--named": {"help": "named state, e.g. mixed:4 or bell"},
+    "--seed": {"type": int, "default": 0},
+    "--restarts": {"type": int, "default": 24},
+    "--tolerance": {"type": float, "default": 1e-3},
+    "--bits": {"action": "store_true", "help": "add bit-valued display fields"},
+    "--left": {"required": True, "help": "channel file or family"},
+    "--right": {"required": True, "help": "channel file or family"},
+}
+_STATE = ("--state", "--named")
+_ROOF = ("--seed", "--restarts")
+
+
+def _subcommand(sub, name: str, func, help: str, *shared: str) -> argparse.ArgumentParser:
+    p = sub.add_parser(name, help=help)
+    for flag in shared:
+        p.add_argument(flag, **_SHARED[flag])
     p.add_argument("--out", default=None, help="output directory for report files")
     p.add_argument("--format", choices=("json", "csv", "both"), default="json")
-    p.add_argument("--bits", action="store_true", help="add bit-valued display fields")
-    p.add_argument("--tolerance", type=float, default=1e-3)
-
-
-def _add_state(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--state", default=None, help="state JSON file")
-    p.add_argument("--named", default=None, help="named state, e.g. mixed:4 or bell")
+    p.set_defaults(func=func)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="roofkit",
         description="Output-entropy convex roofs, Holevo quantities and additivity probes.",
     )
     parser.add_argument("--version", action="version", version=f"roofkit {VERSION}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("entropy", help="von Neumann entropy of a state")
-    _add_state(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_entropy)
-
-    p = sub.add_parser("ccooe", help="convex-roof upper bound of the output entropy")
+    _subcommand(sub, "entropy", cmd_entropy, "von Neumann entropy of a state", *_STATE, "--bits")
+    p = _subcommand(sub, "ccooe", cmd_ccooe, "convex-roof upper bound of the output entropy",
+                    *_STATE, *_ROOF, "--bits")
     p.add_argument("--channel", required=True)
-    _add_state(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_ccooe)
-
-    p = sub.add_parser("eof", help="entanglement of formation across a bipartite cut")
+    p = _subcommand(sub, "eof", cmd_eof, "entanglement of formation across a bipartite cut",
+                    *_STATE, *_ROOF, "--bits")
     p.add_argument("--dims", required=True, help="factor dims, e.g. 2x2")
-    _add_state(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_eof)
-
-    p = sub.add_parser("chi", help="constrained Holevo quantity at a state")
+    p = _subcommand(sub, "chi", cmd_chi, "constrained Holevo quantity at a state",
+                    *_STATE, *_ROOF, "--bits")
     p.add_argument("--channel", required=True)
     p.add_argument("--method", choices=("roof", "direct"), default="roof")
-    _add_state(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_chi)
 
-    p = sub.add_parser("additivity", help="margin checks, truncation traces and scans")
-    p.add_argument("mode", choices=("margin", "chi", "corollary", "truncate", "scan", "complement"))
-    p.add_argument("--left", default=None, help="channel file or family")
-    p.add_argument("--right", default=None, help="channel file or family")
-    p.add_argument("--dims", default=None, help="four factors for truncate, e.g. 2x2x2x2")
-    p.add_argument("--ranks", default="1,2", help="strictly ascending ranks for truncate")
+    modes = sub.add_parser(
+        "additivity", help="margin checks, truncation traces and scans"
+    ).add_subparsers(dest="mode", required=True)
+    for mode in _MARGIN_CMDS:
+        _subcommand(modes, mode, cmd_margin, f"{mode} check of a channel pair at a state",
+                    "--left", "--right", *_STATE, *_ROOF, "--tolerance")
+    p = _subcommand(modes, "truncate", cmd_truncate, "truncation ladder of a four-factor state",
+                    *_STATE, *_ROOF)
+    p.add_argument("--dims", required=True, help="four factors, e.g. 2x2x2x2")
+    p.add_argument("--ranks", default="1,2", help="strictly ascending ranks")
+    p = _subcommand(modes, "scan", cmd_scan, "margin checks over random draws of two families",
+                    "--left", "--right", *_ROOF, "--tolerance")
     p.add_argument("--samples", type=int, default=20)
     p.add_argument("--check", choices=tuple(_CHECKS), default="superadditivity")
-    _add_state(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_additivity)
+    p = _subcommand(modes, "complement", cmd_complement, "complementary transfer probe",
+                    "--left", "--right", *_ROOF, "--tolerance")
+    p.add_argument("--samples", type=int, default=20)
 
-    p = sub.add_parser("phase-channel", help="discretized random-phase channel probes")
+    p = _subcommand(sub, "phase-channel", cmd_phase_channel,
+                    "discretized random-phase channel probes", "--seed")
     p.add_argument("--spec", required=True, help="spec JSON file or inline JSON")
     p.add_argument("--samples", type=int, default=16)
     p.add_argument("--sweep", default=None, help="grid-size range lo:hi")
     p.add_argument("--tails", default=None, help="comma list of cutoffs")
     p.add_argument("--cross-check", action="store_true", dest="cross_check")
     p.add_argument("--t-points", type=int, default=64, dest="t_points")
-    _add_common(p)
-    p.set_defaults(func=cmd_phase_channel)
-
-    p = sub.add_parser("gibbs", help="maximum-entropy state at fixed mean energy")
+    p = _subcommand(sub, "gibbs", cmd_gibbs, "maximum-entropy state at fixed mean energy", "--bits")
     p.add_argument("--hamiltonian", required=True, help="Hermitian matrix JSON file")
     p.add_argument("--level", type=float, required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_gibbs)
-
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        started = time.perf_counter()
+        payload, tables = args.func(args)
+        if getattr(args, "bits", False):    # a base-2 copy of each top-level entropy
+            payload.update({
+                key.removesuffix("_nats") + "_bits": value / LN2
+                for key, value in payload.items()
+                if key.endswith("_nats") and isinstance(value, float)
+            })
+        command = args.command + (f"-{args.mode}" if args.command == "additivity" else "")
+        report = {
+            "tool": "roofkit",
+            "version": VERSION,
+            "command": command,
+            "config": {k: v for k, v in vars(args).items() if not callable(v)},
+            "seed": getattr(args, "seed", 0),
+            "walltime_s": time.perf_counter() - started,
+            "result": payload,
+        }
+        if not args.out:
+            sys.stdout.write(dumps(report))
+        elif args.format == "csv" and not tables:
+            raise ParameterError(f"--format csv writes nothing: {command} has no tables")
+        else:
+            os.makedirs(args.out, exist_ok=True)
+            if args.format in ("json", "both"):
+                write_json(os.path.join(args.out, "report.json"), report)
+            if args.format in ("csv", "both"):
+                for name, columns, rows in tables:
+                    write_csv(os.path.join(args.out, name), columns, rows)
     except (RoofkitError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except KeyError as exc:
         print(f"error: missing key {exc}", file=sys.stderr)
         return 1
+    flagged = payload.get("verdict") == FLAGGED or payload.get("flagged", 0) > 0
+    return 2 if flagged else 0
 
 
 if __name__ == "__main__":

@@ -358,7 +358,7 @@ def test_criterion_11_cli_determinism(capsys, tmp_path):
                  "--samples", "2", "--restarts", "4"],
         "phase": ["phase-channel", "--spec",
                   '{"a": 1.0, "d": 4, "density": {"family": "gaussian", "std": 1.0}}',
-                  "--samples", "2", "--restarts", "2"],
+                  "--samples", "2"],
     }
     for label, argv in commands.items():
         out = tmp_path / label

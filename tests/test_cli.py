@@ -84,6 +84,11 @@ NAMED_ERRORS = {
     # an empty range printed an empty sweep
     ("phase-channel", "--spec", '{"a": 1.0, "d": 4}', "--sweep", "5:3"):
         "--sweep '5:3' has LO above HI",
+    # channel short-form values that are not numbers of their key's type
+    ("ccooe", "--channel", "dephasing:x", "--named", "mixed:2"):
+        "channel family 'dephasing' takes the values ['q'], not 'dephasing:x'",
+    ("ccooe", "--channel", "random:2.5", "--named", "mixed:2"):
+        "channel family 'random' takes the values ['dim', 'out', 'env'], not 'random:2.5'",
 }
 
 
@@ -149,12 +154,27 @@ class TestRoofCommands:
         assert code == 0
         assert direct_payload["result"]["chi_nats"] == pytest.approx(math.log(2.0), abs=5e-3)
 
-    def test_bits_display_fields(self, capsys):
-        _, payload, _ = run(
-            capsys, "chi", "--channel", "dephasing:0.25", "--named", "mixed:2",
-            "--restarts", "8", "--bits",
-        )
-        assert payload["result"]["chi_bits"] == pytest.approx(1.0, abs=1e-6)
+    @pytest.mark.parametrize(
+        "argv, key, bits",
+        [
+            (("entropy", "--named", "mixed:2"), "entropy", 1.0),
+            (("ccooe", "--channel", "noiseless:2", "--named", "mixed:2", "--restarts", "4"),
+             "value", 0.0),
+            (("eof", "--dims", "2x2", "--named", "bell", "--restarts", "4"), "value", 1.0),
+            (("chi", "--channel", "dephasing:0.25", "--named", "mixed:2", "--restarts", "8"),
+             "chi", 1.0),
+            # the entropy of the populations (3/4, 1/4) at level 1/4
+            (("gibbs", "--hamiltonian", '{"re": [[0, 0], [0, 1]], "im": [[0, 0], [0, 0]]}',
+              "--level", "0.25"), "entropy", 0.75 * math.log2(4 / 3) + 0.25 * 2.0),
+        ],
+        ids=["entropy", "ccooe", "eof", "chi", "gibbs"],
+    )
+    def test_bits_display_fields(self, capsys, argv, key, bits):
+        code, payload, _ = run(capsys, *argv, "--bits")
+        assert code == 0
+        result = payload["result"]
+        assert result[f"{key}_bits"] == result[f"{key}_nats"] / math.log(2.0)
+        assert result[f"{key}_bits"] == pytest.approx(bits, abs=1e-6)
 
     def test_channel_file_input(self, capsys, tmp_path):
         ch_file = tmp_path / "channel.json"
@@ -283,7 +303,6 @@ class TestPhaseChannel:
     def test_schur_gate_and_entropies(self, capsys):
         code, payload, _ = run(
             capsys, "phase-channel", "--spec", self.SPEC, "--samples", "4",
-            "--restarts", "2",
         )
         assert code == 0
         res = payload["result"]
@@ -295,7 +314,7 @@ class TestPhaseChannel:
     def test_sweep_rows(self, capsys):
         code, payload, _ = run(
             capsys, "phase-channel", "--spec", self.SPEC, "--samples", "2",
-            "--restarts", "2", "--sweep", "2:5",
+            "--sweep", "2:5",
         )
         assert code == 0
         rows = payload["result"]["sweep"]
@@ -304,7 +323,7 @@ class TestPhaseChannel:
     def test_tail_rows_non_increasing(self, capsys):
         code, payload, _ = run(
             capsys, "phase-channel", "--spec", self.SPEC, "--samples", "2",
-            "--restarts", "2", "--tails", "3,4,5,6",
+            "--tails", "3,4,5,6",
         )
         assert code == 0
         rows = payload["result"]["tails"]
@@ -316,7 +335,7 @@ class TestPhaseChannel:
     def test_cross_check(self, capsys):
         code, payload, _ = run(
             capsys, "phase-channel", "--spec", self.SPEC, "--samples", "2",
-            "--restarts", "2", "--cross-check", "--t-points", "64",
+            "--cross-check", "--t-points", "64",
         )
         assert code == 0
         assert payload["result"]["complement_gram_dev"] < 1e-6
@@ -507,3 +526,79 @@ class TestDeterminism:
         file_payload = read_json(out / "report.json")
         # config echoes the --out path, so only the result is comparable
         assert dumps(stdout_payload["result"]) == dumps(file_payload["result"])
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("entropy", "--named", "mixed:2", "--colour"), "unrecognized arguments: --colour"),
+        (("ccooe", "--channel", "noiseless:2", "--named", "mixed:2", "--restarts", "x"),
+         "argument --restarts: invalid int value: 'x'"),
+        (("additivity", "bogus"), "argument mode: invalid choice: 'bogus'"),
+        (("additivity", "margin", "--left", "noiseless:2", "--named", "mixed:4"),
+         "the following arguments are required: --right"),
+        ((), "the following arguments are required: command"),
+    ],
+    ids=["unknown-flag", "non-int-restarts", "bad-mode", "missing-right", "no-subcommand"],
+)
+def test_usage_error_exits_one(capsys, argv, message):
+    # 2 is the exit code of a flagged verdict, so usage errors exit 1 like other bad input
+    code, payload, err = run(capsys, *argv)
+    assert code == 1
+    assert payload is None
+    assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize(
+    "argv", [("--help",), ("--version",), ("additivity", "scan", "--help")],
+    ids=["help", "version", "mode-help"],
+)
+def test_help_and_version_exit_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
+
+
+GIBBS = ("gibbs", "--hamiltonian", '{"re": [[0, 0], [0, 1]], "im": [[0, 0], [0, 0]]}',
+         "--level", "0.25")
+PAIR = ("--left", "noiseless:2", "--right", "noiseless:2")
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("entropy", "--named", "mixed:2"), ("--restarts", "4")),
+        (("entropy", "--named", "mixed:2"), ("--seed", "1")),
+        (GIBBS, ("--seed", "1")),
+        (GIBBS, ("--restarts", "4")),
+        (("ccooe", "--channel", "noiseless:2", "--named", "mixed:2"), ("--tolerance", "0.1")),
+        (("eof", "--dims", "2x2", "--named", "bell"), ("--tolerance", "0.1")),
+        (("additivity", "margin", *PAIR, "--named", "mixed:4"), ("--samples", "2")),
+        (("additivity", "chi", *PAIR, "--named", "mixed:4"), ("--bits",)),
+        (("additivity", "scan", *PAIR), ("--named", "mixed:4")),
+        (("additivity", "truncate", "--dims", "2x2x2x2", "--named", "mixed:16"),
+         ("--left", "noiseless:2")),
+        (("additivity", "truncate", "--dims", "2x2x2x2", "--named", "mixed:16"),
+         ("--tolerance", "0.1")),
+        (("additivity", "complement", *PAIR), ("--check", "superadditivity")),
+        (("phase-channel", "--spec", '{"a": 1.0, "d": 4}'), ("--bits",)),
+        (("phase-channel", "--spec", '{"a": 1.0, "d": 4}'), ("--restarts", "2")),
+    ],
+    ids=lambda v: v[0] if v[0] != "additivity" else f"additivity-{v[1]}",
+)
+def test_command_rejects_a_flag_it_does_not_read(capsys, argv, flag):
+    code, payload, err = run(capsys, *argv, *flag)
+    assert code == 1
+    assert payload is None
+    assert err.startswith(f"error: unrecognized arguments: {flag[0]}")
+
+
+@pytest.mark.parametrize("mode", ["scan", "complement"])
+def test_flagged_scan_and_complement_exit_two(capsys, mode):
+    code, payload, _ = run(
+        capsys, "additivity", mode, "--left", "dephasing:0.25", "--right", "random:2",
+        "--samples", "1", "--restarts", "1", "--tolerance", "-1",
+    )
+    assert code == 2
+    assert payload["result"]["flagged"] > 0
