@@ -124,9 +124,7 @@ def _json_object(text: str, what: str) -> dict:
 def _load_state(args) -> DensityMatrix:
     if args.state:
         return decode_state(_json_object(args.state, "state"))
-    if args.named:
-        return _named_state(args.named)
-    raise ParameterError("provide --state FILE or --named NAME")
+    return _named_state(args.named)
 
 
 def _family_dict(text: str) -> dict:
@@ -363,8 +361,10 @@ _ROOF = ("--seed", "--restarts")
 
 def _subcommand(sub, name: str, func, help: str, *shared: str) -> argparse.ArgumentParser:
     p = sub.add_parser(name, help=help)
+    # a command that reads a state takes exactly one of --state and --named
+    state = p.add_mutually_exclusive_group(required=True) if "--state" in shared else None
     for flag in shared:
-        p.add_argument(flag, **_SHARED[flag])
+        (state if flag in _STATE else p).add_argument(flag, **_SHARED[flag])
     p.add_argument("--out", default=None, help="output directory for report files")
     p.add_argument("--format", choices=("json", "csv", "both"), default="json")
     p.set_defaults(func=func)
@@ -426,6 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if args.format != "json" and not args.out:
+            raise ParameterError(f"--format {args.format} writes files: give --out DIR")
         started = time.perf_counter()
         payload, tables = args.func(args)
         if getattr(args, "bits", False):    # a base-2 copy of each top-level entropy

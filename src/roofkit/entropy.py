@@ -32,7 +32,8 @@ def spectrum_entropy(vals: np.ndarray) -> float:
     w = w[w > 0.0]
     if w.size == 0:
         return 0.0
-    return float(-(w * np.log(w)).sum())
+    # 0.0 - x, not -x: a pure spectrum sums to 0.0, and its entropy is +0.0
+    return 0.0 - float((w * np.log(w)).sum())
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
@@ -70,7 +71,7 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
         return math.inf
     mask = ~small
     cross = float((diag[mask] * np.log(svals[mask])).sum()) if mask.any() else 0.0
-    return -von_neumann_entropy(rho) - cross
+    return 0.0 - von_neumann_entropy(rho) - cross       # +0.0, not -0.0, at rho = sigma pure
 
 
 def binary_entropy(p: float) -> float:

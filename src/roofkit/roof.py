@@ -448,9 +448,36 @@ def eof(omega: DensityMatrix, shape: SubsystemShape, options: RoofOptions | None
     return ccooe(partial_trace_channel(shape, (0,)), omega, options)
 
 
+# the roof of the most recent chi call: (its inputs, its RoofResult)
+_last_chi: tuple = (None, None)
+
+
+def _chi_roof(channel: Channel, rho: DensityMatrix, options: RoofOptions | None) -> RoofResult:
+    """`ccooe` at a chi call's inputs, reused when they repeat the previous chi call's.
+
+    The inputs are the Kraus stack's shape and bytes, rho's bytes and the
+    resolved options, so a hit returns the roof a descent would recompute
+    bit for bit.  Only the last chi call's roof is kept, and inputs and roof
+    are replaced as one tuple, so concurrent callers at worst descend again.
+    """
+    global _last_chi
+    options = options or RoofOptions()
+    kstack = channel.kraus_stack()
+    key = (kstack.shape, kstack.tobytes(), rho.entries.tobytes(), options)
+    seen, roof = _last_chi
+    if seen != key:
+        roof = ccooe(channel, rho, options)
+        _last_chi = (key, roof)
+    return roof
+
+
 def chi_from_roof(channel: Channel, rho: DensityMatrix, options: RoofOptions | None = None) -> float:
-    """Constrained Holevo quantity at rho via S(channel(rho)) minus the roof."""
-    return output_entropy(channel, rho) - ccooe(channel, rho, options).value
+    """Constrained Holevo quantity at rho via S(channel(rho)) minus the roof.
+
+    The roof is the previous chi call's when that call, either route, had the
+    same Kraus operators, rho and resolved options; otherwise it is descended.
+    """
+    return output_entropy(channel, rho) - _chi_roof(channel, rho, options).value
 
 
 def chi_direct(channel: Channel, rho: DensityMatrix, options: RoofOptions | None = None) -> float:
@@ -460,9 +487,11 @@ def chi_direct(channel: Channel, rho: DensityMatrix, options: RoofOptions | None
     roof's witness ensemble at rho.  Pure members lose nothing: S o channel
     is concave, so splitting a mixed member into pure parts never lowers the
     sum.  Members whose relative entropy is infinite (possible only when
-    channel(rho) is rank deficient) are discarded with a warning.
+    channel(rho) is rank deficient) are discarded with a warning.  As in
+    `chi_from_roof`, the roof is the previous chi call's when that call had
+    the same Kraus operators, rho and resolved options.
     """
-    ensemble = ccooe(channel, rho, options).ensemble
+    ensemble = _chi_roof(channel, rho, options).ensemble
     reference = apply(channel, rho)
     total, dropped = 0.0, 0
     for w, s in zip(ensemble.weights, ensemble.states):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from roofkit import channel_from_family, dephasing, random_density, rng_for
+from roofkit import DensityMatrix, channel_from_family, dephasing, random_density, rng_for
 from roofkit.cli import _family_dict, main
 from roofkit.serialize import dumps, encode_channel, encode_state, read_json
 
@@ -103,6 +103,12 @@ class TestEntropy:
         code, payload, _ = run(capsys, "entropy", "--named", "pure:3:5")
         assert code == 0
         assert payload["result"]["entropy_nats"] == pytest.approx(0.0, abs=1e-12)
+
+    def test_pure_file_state_prints_positive_zero(self, capsys, tmp_path):
+        state_file = tmp_path / "state.json"
+        state_file.write_text(dumps(encode_state(DensityMatrix(np.diag([1.0, 0.0])))))
+        assert main(["entropy", "--state", str(state_file)]) == 0
+        assert '"entropy_nats": 0.0\n' in capsys.readouterr().out
 
     def test_file_round_trip(self, capsys, tmp_path):
         rho = random_density(3, 3, 21)
@@ -538,12 +544,25 @@ class TestDeterminism:
         (("additivity", "margin", "--left", "noiseless:2", "--named", "mixed:4"),
          "the following arguments are required: --right"),
         ((), "the following arguments are required: command"),
+        # a state comes from exactly one of --state and --named
+        (("entropy", "--state", "{state}", "--named", "mixed:2"),
+         "argument --named: not allowed with argument --state"),
+        (("chi", "--channel", "noiseless:2"), "one of the arguments --state --named is required"),
+        # --format csv or both writes files, so it needs a directory
+        (("additivity", "scan", "--left", "noiseless:2", "--right", "noiseless:2",
+          "--samples", "1", "--restarts", "1", "--format", "csv"),
+         "--format csv writes files: give --out DIR"),
+        (("entropy", "--named", "mixed:2", "--format", "both"),
+         "--format both writes files: give --out DIR"),
     ],
-    ids=["unknown-flag", "non-int-restarts", "bad-mode", "missing-right", "no-subcommand"],
+    ids=["unknown-flag", "non-int-restarts", "bad-mode", "missing-right", "no-subcommand",
+         "state-and-named", "no-state", "csv-without-out", "both-without-out"],
 )
-def test_usage_error_exits_one(capsys, argv, message):
+def test_usage_error_exits_one(capsys, tmp_path, argv, message):
     # 2 is the exit code of a flagged verdict, so usage errors exit 1 like other bad input
-    code, payload, err = run(capsys, *argv)
+    state = tmp_path / "state.json"
+    state.write_text(dumps(encode_state(DensityMatrix(np.diag([1.0, 0.0])))))
+    code, payload, err = run(capsys, *(str(state) if a == "{state}" else a for a in argv))
     assert code == 1
     assert payload is None
     assert err.startswith("error:") and message in err

@@ -35,6 +35,14 @@ class TestVonNeumann:
             psi = random_pure(4, seed)
             assert von_neumann_entropy(psi.density()) < 1e-12
 
+    def test_pure_spectrum_is_positive_zero(self):
+        # -sum(w log w) over the spectrum [1] is -0.0; reports print +0.0
+        for vals in ([1.0], [0.0, 1.0], [-1e-15, 0.0, 1.0]):
+            assert math.copysign(1.0, spectrum_entropy(np.array(vals))) == 1.0
+        pure = DensityMatrix(np.diag([1.0, 0.0]))
+        assert math.copysign(1.0, von_neumann_entropy(pure)) == 1.0
+        assert math.copysign(1.0, relative_entropy(pure, pure)) == 1.0
+
     def test_maximally_mixed(self):
         for d in (2, 3, 8):
             rho = DensityMatrix(np.eye(d) / d)

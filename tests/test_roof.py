@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from roofkit import (
+    Channel,
     DensityMatrix,
     DimensionError,
     Ensemble,
@@ -322,6 +323,87 @@ class TestChi:
             roof_route = chi_from_roof(ch, rho, FAST)
             direct_route = chi_direct(ch, rho, FAST)
             assert abs(roof_route - direct_route) <= 1e-12, dims
+
+
+@pytest.fixture
+def descents(monkeypatch):
+    """The option sets of every roof descent, starting from an empty chi slot."""
+    from roofkit import roof
+
+    calls, multistart = [], roof._multistart
+
+    def record(f, size, rank, options):
+        calls.append(options)
+        return multistart(f, size, rank, options)
+
+    monkeypatch.setattr(roof, "_multistart", record)
+    monkeypatch.setattr(roof, "_last_chi", (None, None))
+    return calls
+
+
+SLOT_OPTS = RoofOptions(restarts=3, max_iterations=40, seed=1)
+
+
+def _slot_input():
+    return random_stinespring(2, 2, 2, 61), random_density(2, 2, 62)
+
+
+def _one_kraus_entry_moved(ch):
+    k0 = ch.kraus[0].copy()
+    k0[0, 0] += 1e-13                                   # still trace preserving within 1e-9
+    return Channel([k0, *ch.kraus[1:]])
+
+
+SLOT_VARIANTS = {
+    "kraus-entry": lambda ch, rho, o: (_one_kraus_entry_moved(ch), rho, o),
+    "rho": lambda ch, rho, o: (ch, random_density(2, 2, 63), o),
+    "seed": lambda ch, rho, o: (ch, rho, dataclasses.replace(o, seed=2)),
+    "restarts": lambda ch, rho, o: (ch, rho, dataclasses.replace(o, restarts=4)),
+    "max_iterations": lambda ch, rho, o: (ch, rho, dataclasses.replace(o, max_iterations=41)),
+}
+
+
+class TestChiSlot:
+    """A chi call repeating the previous chi call's inputs reuses its roof."""
+
+    def test_both_routes_at_one_input_descend_once(self, descents):
+        ch, rho = _slot_input()
+        roof_route = chi_from_roof(ch, rho, SLOT_OPTS)
+        direct_route = chi_direct(ch, rho, SLOT_OPTS)
+        assert len(descents) == 1
+        assert abs(roof_route - direct_route) <= 1e-12
+        # equal inputs in new objects, and None for the default options, hit too
+        ch2, rho2 = _slot_input()
+        chi_direct(ch2, DensityMatrix(rho2.entries.copy()), dataclasses.replace(SLOT_OPTS))
+        chi_from_roof(ch, rho)
+        chi_direct(ch, rho, RoofOptions())
+        assert descents == [SLOT_OPTS, RoofOptions()]
+
+    @pytest.mark.parametrize("variant", sorted(SLOT_VARIANTS))
+    def test_any_changed_input_descends_again(self, descents, variant):
+        ch, rho = _slot_input()
+        chi_from_roof(ch, rho, SLOT_OPTS)
+        chi_direct(*SLOT_VARIANTS[variant](ch, rho, SLOT_OPTS))
+        assert len(descents) == 2
+        # the slot keeps one roof: the first input's is gone
+        chi_from_roof(ch, rho, SLOT_OPTS)
+        assert len(descents) == 3
+
+    def test_reused_value_matches_a_descent_bit_for_bit(self, descents):
+        ch, rho = _slot_input()
+        chi_from_roof(ch, rho, SLOT_OPTS)
+        from_slot = chi_direct(ch, rho, SLOT_OPTS)
+        chi_from_roof(*SLOT_VARIANTS["rho"](ch, rho, SLOT_OPTS))    # evicts the slot
+        descended = chi_direct(ch, rho, SLOT_OPTS)
+        assert len(descents) == 3
+        assert from_slot.hex() == descended.hex()
+
+    def test_ccooe_never_reads_the_slot(self, descents):
+        ch, rho = _slot_input()
+        chi_from_roof(ch, rho, SLOT_OPTS)
+        ccooe(ch, rho, SLOT_OPTS)
+        ccooe(ch, rho, SLOT_OPTS)
+        assert len(descents) == 3
 
 
 class TestMinOutputEntropy:
@@ -704,7 +786,7 @@ def test_lockstep_end_points_are_orthonormal(objective):
         assert np.abs(gram - np.eye(rank)).max() <= 1e-12, cap
 
 
-def test_roof_paths_call_no_einsum_or_svd(monkeypatch):
+def test_roof_paths_call_no_einsum_or_svd(monkeypatch, descents):
     # the kernel runs on stacked matmuls and the retraction on a Gram eigh
     def forbidden(*args, **kwargs):
         raise AssertionError("the roof optimizer called np.einsum or np.linalg.svd")
@@ -715,6 +797,7 @@ def test_roof_paths_call_no_einsum_or_svd(monkeypatch):
     assert ccooe(random_stinespring(4, 3, 2, 98), rho, FAST).value > 0.0
     assert eof(rho, SubsystemShape((2, 2)), FAST).value > 0.0
     assert chi_direct(dephasing(0.3), random_density(2, 2, 99), FAST) > 0.0
+    assert descents == [FAST] * 3                       # chi_direct descended, not reused
     assert min_output_entropy(random_stinespring(3, 2, 3, 100), FAST)[0] > 0.0
 
 
