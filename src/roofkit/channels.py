@@ -1,17 +1,18 @@
 """Completely positive trace-preserving maps in Kraus form.
 
-Besides the generic container this module builds the constructions the lab
-works with: tensor products, complementary channels, direct-sum mixtures of
-the identity with another channel, measure-and-prepare maps, partial traces
-as channels, and a discretized random-phase (Schur multiplier) channel with
-its tail estimates.
+A channel holds its Kraus operators as one read-only complex (env, out, in)
+array: the Stinespring isometry V psi = sum_i (K_i psi) (x) |i>, reshaped.
+Besides the generic container this module builds, each as that one array,
+the constructions the lab works with: tensor products, complementary
+channels, direct-sum mixtures of the identity with another channel,
+measure-and-prepare maps, partial traces as channels, and a discretized
+random-phase (Schur multiplier) channel with its tail estimates.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 from math import prod
 from typing import Sequence
 
@@ -26,7 +27,6 @@ from .core import (
     require_hermitian,
     require_keep,
     rng_for,
-    trace_out,
 )
 from .entropy import binary_entropy, spectrum_entropy
 from .errors import (
@@ -42,25 +42,27 @@ KRAUS_CLIP = 1e-12
 
 
 class Channel:
-    """Kraus family {K_i} with sum K_i* K_i = I within 1e-9."""
+    """Kraus family {K_i} with sum K_i* K_i = I within 1e-9, copied into one stack."""
 
     __slots__ = ("label", "in_dim", "out_dim", "kraus")
 
     def __init__(self, kraus: Sequence[np.ndarray], label: str = ""):
-        ops = [require_finite(k, "Kraus operator") for k in kraus]
-        if not ops:
+        try:
+            stack = np.array(kraus, dtype=complex)
+        except ValueError:      # numpy refuses operators of different shapes
+            raise DimensionError("Kraus operators must share one rectangular shape") from None
+        require_finite(stack, "Kraus operator")
+        if stack.shape[:1] == (0,):
             raise ParameterError("a channel needs at least one Kraus operator")
-        shape = ops[0].shape
-        if len(shape) != 2 or any(k.shape != shape for k in ops):
+        if stack.ndim != 3:
             raise DimensionError("Kraus operators must share one rectangular shape")
-        out_dim, in_dim = shape
-        total = sum(k.conj().T @ k for k in ops)
-        dev = float(np.max(np.abs(total - np.eye(in_dim))))
+        env_dim, out_dim, in_dim = stack.shape
+        iso = stack.reshape(env_dim * out_dim, in_dim)
+        dev = float(np.max(np.abs(iso.conj().T @ iso - np.eye(in_dim))))
         if dev > TP_TOL:
             raise ValidityError(f"not trace preserving: deviation {dev:.3e}")
-        for k in ops:
-            k.setflags(write=False)
-        self.kraus = tuple(ops)
+        stack.setflags(write=False)
+        self.kraus = stack
         self.in_dim = in_dim
         self.out_dim = out_dim
         self.label = label or f"channel({in_dim}->{out_dim})"
@@ -69,16 +71,11 @@ class Channel:
     def env_dim(self) -> int:
         return len(self.kraus)
 
-    def kraus_stack(self) -> np.ndarray:
-        """All Kraus operators as one (env, out, in) array."""
-        return np.stack(self.kraus)
-
     def apply_raw(self, arr: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.out_dim, self.out_dim), dtype=complex)
-        for k in self.kraus:
-            kr = k @ arr
-            out += kr @ k.conj().T
-        return out
+        # summed over env in order; the real view keeps a 1 x 1 output's sum
+        # from turning pairwise, so every output adds its terms one by one
+        terms = self.kraus @ arr @ self.kraus.conj().transpose(0, 2, 1)
+        return terms.view(float).sum(axis=0).view(complex)
 
     def __repr__(self) -> str:
         return f"Channel({self.label!r}, {self.in_dim}->{self.out_dim}, env={self.env_dim})"
@@ -101,9 +98,10 @@ def output_entropy(channel: Channel, rho: DensityMatrix) -> float:
 
 
 def tensor_channel(a: Channel, b: Channel) -> Channel:
-    """Product channel with pairwise Kronecker Kraus operators."""
-    ops = [np.kron(ka, kb) for ka in a.kraus for kb in b.kraus]
-    return Channel(ops, label=f"{a.label}(x){b.label}")
+    """Product channel with pairwise Kronecker Kraus operators, a's index slowest."""
+    pairs = a.kraus[:, None, :, None, :, None] * b.kraus[None, :, None, :, None, :]
+    shape = (a.env_dim * b.env_dim, a.out_dim * b.out_dim, a.in_dim * b.in_dim)
+    return Channel(pairs.reshape(shape), label=f"{a.label}(x){b.label}")
 
 
 def complementary(channel: Channel) -> Channel:
@@ -113,9 +111,8 @@ def complementary(channel: Channel) -> Channel:
     leaves the map whose j-th Kraus operator has entries (K_i)_{jk} at (i, k).
     The complement of a noiseless channel is the constant map to a point.
     """
-    stack = channel.kraus_stack()            # (env, out, in)
-    flipped = stack.transpose(1, 0, 2)       # (out, env, in)
-    return Channel(list(flipped), label=f"complement[{channel.label}]")
+    flipped = channel.kraus.transpose(1, 0, 2)     # (out, env, in)
+    return Channel(flipped, label=f"complement[{channel.label}]")
 
 
 def choi(channel: Channel) -> np.ndarray:
@@ -124,12 +121,9 @@ def choi(channel: Channel) -> np.ndarray:
     Tracing out the output factor returns the in_dim identity; the rank equals
     the number of linearly independent Kraus operators.
     """
-    d_in, d_out = channel.in_dim, channel.out_dim
-    c = np.zeros((d_in * d_out, d_in * d_out), dtype=complex)
-    for k in channel.kraus:
-        vec = k.T.reshape(-1)                # index a*out + o carries K[o, a]
-        c += np.outer(vec, vec.conj())
-    return c
+    # row i, index a*out + o, carries K_i[o, a]
+    vecs = channel.kraus.transpose(0, 2, 1).reshape(channel.env_dim, -1)
+    return vecs.T @ vecs.conj()
 
 
 def is_ppt_choi(channel: Channel, tol: float = 1e-9) -> tuple[bool, float]:
@@ -163,13 +157,9 @@ def completely_depolarizing(dim: int) -> Channel:
     """Constant channel to the maximally mixed state."""
     if dim < 1:
         raise ParameterError(f"dimension must be positive, got {dim}")
-    ops = []
-    for i in range(dim):
-        for j in range(dim):
-            k = np.zeros((dim, dim), dtype=complex)
-            k[i, j] = 1.0 / math.sqrt(dim)
-            ops.append(k)
-    return Channel(ops, label=f"depolarizing({dim})")
+    # operator i*dim + j is the unit matrix E_ij over sqrt(dim)
+    units = np.eye(dim * dim).reshape(dim * dim, dim, dim)
+    return Channel(units / math.sqrt(dim), label=f"depolarizing({dim})")
 
 
 def random_stinespring(in_dim: int, out_dim: int, env_dim: int, seed) -> Channel:
@@ -185,9 +175,8 @@ def random_stinespring(in_dim: int, out_dim: int, env_dim: int, seed) -> Channel
         size=(out_dim * env_dim, in_dim)
     )
     v, _ = np.linalg.qr(g)
-    v = v.reshape(out_dim, env_dim, in_dim)
     return Channel(
-        [v[:, e, :] for e in range(env_dim)],
+        v.reshape(out_dim, env_dim, in_dim).transpose(1, 0, 2),
         label=f"random({in_dim}->{out_dim},env={env_dim})",
     )
 
@@ -202,18 +191,11 @@ def direct_sum_mixture(q: float, inner: Channel) -> Channel:
     if not 0.0 <= q <= 1.0:
         raise ParameterError(f"mixture weight must lie in [0, 1], got {q}")
     n = inner.in_dim
-    out = n + inner.out_dim
-    ops = []
-    if q > 0.0:
-        top = np.zeros((out, n), dtype=complex)
-        top[:n, :] = math.sqrt(q) * np.eye(n)
-        ops.append(top)
-    if q < 1.0:
-        for k in inner.kraus:
-            low = np.zeros((out, n), dtype=complex)
-            low[n:, :] = math.sqrt(1.0 - q) * k
-            ops.append(low)
-    return Channel(ops, label=f"id(+){inner.label}(q={q:g})")
+    stack = np.zeros((1 + inner.env_dim, n + inner.out_dim, n), dtype=complex)
+    stack[0, :n] = math.sqrt(q) * np.eye(n)
+    stack[1:, n:] = math.sqrt(1.0 - q) * inner.kraus
+    keep = [q > 0.0] + [q < 1.0] * inner.env_dim       # a block of weight 0 is dropped
+    return Channel(stack[keep], label=f"id(+){inner.label}(q={q:g})")
 
 
 def measure_prepare(povm: Sequence[np.ndarray], outputs: Sequence[DensityMatrix]) -> Channel:
@@ -234,21 +216,18 @@ def measure_prepare(povm: Sequence[np.ndarray], outputs: Sequence[DensityMatrix]
     total = sum(effects)
     if float(np.max(np.abs(total - np.eye(d_in)))) > TP_TOL:
         raise ValidityError("POVM elements do not sum to the identity within 1e-9")
-    ops = []
+    blocks = []
     for m, sigma in zip(effects, outputs):
         mvals, mvecs = hermitian_eig(require_hermitian(m, 1e-9, "POVM element"))
         if float(mvals[-1]) < -1e-9:
             raise ValidityError(f"POVM element has eigenvalue {mvals[-1]:.3e}")
         svals, svecs = hermitian_eig(sigma.entries)
-        for j in range(len(svals)):
-            if svals[j] <= KRAUS_CLIP:
-                continue
-            for k in range(len(mvals)):
-                if mvals[k] <= KRAUS_CLIP:
-                    continue
-                coeff = math.sqrt(svals[j] * mvals[k])
-                ops.append(coeff * np.outer(svecs[:, j], mvecs[:, k].conj()))
-    return Channel(ops, label=f"measure-prepare({len(effects)} outcomes)")
+        s_keep, m_keep = svals > KRAUS_CLIP, mvals > KRAUS_CLIP
+        # operator (j, k), j slowest: sqrt(s_j m_k) |s_j><m_k|
+        outer = svecs[:, s_keep].T[:, None, :, None] * mvecs[:, m_keep].T.conj()[None, :, None, :]
+        coeff = np.sqrt(np.multiply.outer(svals[s_keep], mvals[m_keep]))
+        blocks.append((coeff[:, :, None, None] * outer).reshape(-1, d_out, d_in))
+    return Channel(np.concatenate(blocks), label=f"measure-prepare({len(effects)} outcomes)")
 
 
 def partial_trace_channel(shape: SubsystemShape, keep: Sequence[int]) -> Channel:
@@ -259,14 +238,12 @@ def partial_trace_channel(shape: SubsystemShape, keep: Sequence[int]) -> Channel
     """
     dims = shape.factor_dims
     keep = require_keep(keep, len(dims))
-    traced = tuple(i for i in range(len(dims)) if i not in keep)
-    tr_dims = tuple(dims[i] for i in traced)
-    ops = []
-    for j in range(prod(tr_dims)):
-        rows = dict(zip(traced, np.unravel_index(j, tr_dims)))
-        factors = [np.eye(d)[[rows[i]]] if i in rows else np.eye(d) for i, d in enumerate(dims)]
-        ops.append(reduce(np.kron, factors))
-    return Channel(ops, label=f"trace-out{list(traced)}of{list(dims)}")
+    n, total = len(dims), prod(dims)
+    traced = tuple(i for i in range(n) if i not in keep)
+    # the identity's output indices, traced factors first, become (env, out)
+    ident = np.eye(total).reshape(dims + dims).transpose(traced + keep + tuple(range(n, 2 * n)))
+    stack = ident.reshape(prod(dims[i] for i in traced), -1, total)
+    return Channel(stack, label=f"trace-out{list(traced)}of{list(dims)}")
 
 
 # --- random-phase (Schur multiplier) channel -------------------------------
@@ -451,11 +428,12 @@ def random_phase_channel(spec: RandomPhaseSpec) -> Channel:
             "multiplier matrix is not a unit-diagonal PSD matrix within 1e-8; "
             "refine the density tabulation or shrink the grid spacing"
         )
-    ops = []
-    for m in range(len(vals)):
-        if vals[m] > KRAUS_CLIP:
-            ops.append(np.diag(math.sqrt(float(vals[m])) * vecs[:, m]))
-    return Channel(ops, label=f"phase(a={spec.half_width:g},d={spec.grid_size})")
+    keep = vals > KRAUS_CLIP
+    d = spec.grid_size
+    stack = np.zeros((int(keep.sum()), d, d), dtype=complex)
+    # entry (i, i) of a d x d matrix is entry i * (d + 1) of its flattening
+    stack.reshape(-1, d * d)[:, :: d + 1] = (vecs[:, keep] * np.sqrt(vals[keep])).T
+    return Channel(stack, label=f"phase(a={spec.half_width:g},d={spec.grid_size})")
 
 
 def _complement_profiles(
@@ -488,12 +466,10 @@ def phase_channel_complement_mp(
     """
     prof = _complement_profiles(spec, t_points, t_half_width)
     d = spec.grid_size
-    povm = [np.diag(np.eye(d)[j]).astype(complex) for j in range(d)]
-    outputs = []
-    for j in range(d):
-        outputs.append(DensityMatrix(np.outer(prof[:, j], prof[:, j].conj())))
+    povm = [np.diag(e) for e in np.eye(d)]
+    outputs = [DensityMatrix(np.outer(p, p.conj())) for p in prof.T]
     ch = measure_prepare(povm, outputs)
-    ch = Channel(ch.kraus, label=f"phase-complement(a={spec.half_width:g},d={d})")
+    ch.label = f"phase-complement(a={spec.half_width:g},d={d})"
     return ch
 
 

@@ -334,6 +334,13 @@ def cmd_gibbs(args) -> tuple[dict, list]:
     return payload, []
 
 
+def _writes_tables(args) -> bool:
+    """Whether the command's handler returns CSV tables, known before it runs."""
+    if args.func is cmd_phase_channel:
+        return bool(args.sweep or args.tails)
+    return args.func in (cmd_margin, cmd_truncate, cmd_scan, cmd_complement)
+
+
 # --- parser -------------------------------------------------------------------
 
 
@@ -426,8 +433,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        command = args.command + (f"-{args.mode}" if args.command == "additivity" else "")
         if args.format != "json" and not args.out:
             raise ParameterError(f"--format {args.format} writes files: give --out DIR")
+        if args.format == "csv" and not _writes_tables(args):
+            raise ParameterError(f"--format csv writes nothing: {command} has no tables")
         started = time.perf_counter()
         payload, tables = args.func(args)
         if getattr(args, "bits", False):    # a base-2 copy of each top-level entropy
@@ -436,7 +446,6 @@ def main(argv=None) -> int:
                 for key, value in payload.items()
                 if key.endswith("_nats") and isinstance(value, float)
             })
-        command = args.command + (f"-{args.mode}" if args.command == "additivity" else "")
         report = {
             "tool": "roofkit",
             "version": VERSION,
@@ -448,8 +457,6 @@ def main(argv=None) -> int:
         }
         if not args.out:
             sys.stdout.write(dumps(report))
-        elif args.format == "csv" and not tables:
-            raise ParameterError(f"--format csv writes nothing: {command} has no tables")
         else:
             os.makedirs(args.out, exist_ok=True)
             if args.format in ("json", "both"):

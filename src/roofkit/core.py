@@ -32,14 +32,18 @@ def rng_for(seed, *stream: int) -> np.random.Generator:
     """Deterministic generator for (seed, sub-stream indices).
 
     `seed` may be an int, a tuple of ints, or an existing Generator (which is
-    passed through and must not be combined with stream indices).
+    passed through and must not be combined with stream indices).  Seeds and
+    stream indices must be non-negative.
     """
     if isinstance(seed, np.random.Generator):
         if stream:
             raise ParameterError("cannot extend an existing generator with stream indices")
         return seed
     base = tuple(int(s) for s in seed) if isinstance(seed, (tuple, list)) else (int(seed),)
-    return np.random.default_rng(base + tuple(int(s) for s in stream))
+    key = base + tuple(int(s) for s in stream)
+    if any(s < 0 for s in key):
+        raise ParameterError(f"seed and stream indices must be non-negative, got {key}")
+    return np.random.default_rng(key)
 
 
 class DensityMatrix:

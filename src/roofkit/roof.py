@@ -30,6 +30,7 @@ r x r Gram matrix, not an SVD of the m x r point.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 
@@ -62,13 +63,16 @@ class RoofOptions:
     seed: int = 0
 
     def __post_init__(self):
-        if self.restarts < 1 or self.max_iterations < 1:
-            raise ParameterError("restarts and max_iterations must be positive")
+        counts = (("restarts", 1), ("max_iterations", 1), ("ensemble_size", 1), ("seed", 0))
+        for name, least in counts:
+            value = getattr(self, name)
+            if value is None and name == "ensemble_size":     # resolved per roof from the rank
+                continue
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
+                raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}")
         # an infinite tolerance would report every unmoved start as converged
         if not 0.0 < self.grad_tol < math.inf:
             raise ParameterError("gradient tolerance must be positive and finite")
-        if self.ensemble_size is not None and self.ensemble_size < 1:
-            raise ParameterError("ensemble size must be positive")
 
     def refined(self) -> "RoofOptions":
         """Same schedule extended to twice as many restarts."""
@@ -421,7 +425,7 @@ def ccooe(channel: Channel, rho: DensityMatrix, options: RoofOptions | None = No
         raise DimensionError(f"state dimension {rho.dim} != channel input {channel.in_dim}")
     g, rank = _support_factor(rho)
     size = _resolve_size(options, rank)
-    best, best_idx = _multistart(_objective(channel.kraus_stack(), g), size, rank, options)
+    best, best_idx = _multistart(_objective(channel.kraus, g), size, rank, options)
     ensemble = ensemble_from_mixing(rho, best.m_mat)
     value = average_output_entropy(channel, ensemble)
     return RoofResult(
@@ -462,8 +466,7 @@ def _chi_roof(channel: Channel, rho: DensityMatrix, options: RoofOptions | None)
     """
     global _last_chi
     options = options or RoofOptions()
-    kstack = channel.kraus_stack()
-    key = (kstack.shape, kstack.tobytes(), rho.entries.tobytes(), options)
+    key = (channel.kraus.shape, channel.kraus.tobytes(), rho.entries.tobytes(), options)
     seen, roof = _last_chi
     if seen != key:
         roof = ccooe(channel, rho, options)
@@ -519,7 +522,7 @@ def min_output_entropy(
     value and the achieving input.
     """
     options = options or RoofOptions()
-    best, _ = _multistart(_objective(channel.kraus_stack()), channel.in_dim, 1, options)
+    best, _ = _multistart(_objective(channel.kraus), channel.in_dim, 1, options)
     psi = best.m_mat[:, 0]
     state = PureState(psi / np.linalg.norm(psi))
     return output_entropy(channel, state.density()), state

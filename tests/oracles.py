@@ -4,7 +4,8 @@ Everything here is computed from first principles with plain numpy so the
 tests can compare library output against a second, unrelated route: the
 closed-form two-qubit entanglement formula, direct quadrature of the phase
 channel action, a dense parameter grid for qubit decompositions, and
-exhaustive enumeration for the orbit minimum.  None of these call into
+exhaustive enumeration for the orbit minimum, and each channel builder's
+Kraus operators from its per-operator formula.  None of these call into
 roofkit's optimizers.
 """
 
@@ -127,6 +128,101 @@ def brute_force_qubit_roof(kraus: list[np.ndarray], rho: np.ndarray, steps: int 
                 total += w * entropy_nats(out)
             best = min(best, total)
     return best
+
+
+def kraus_sum(kraus, arr: np.ndarray) -> np.ndarray:
+    """sum_i K_i arr K_i^dagger, one operator at a time from a zero start."""
+    out = np.zeros((kraus[0].shape[0],) * 2, dtype=complex)
+    for k in kraus:
+        out += (k @ arr) @ k.conj().T
+    return out
+
+
+def kron_pairs(a, b) -> list[np.ndarray]:
+    """Kraus operators of a tensor product: K_i (x) L_j, the first index slowest."""
+    return [np.kron(ka, kb) for ka in a for kb in b]
+
+
+def swapped_axes(kraus) -> list[np.ndarray]:
+    """Complementary Kraus operators: operator j holds (K_i)_{jk} at (i, k)."""
+    return [np.array([k[j] for k in kraus]) for j in range(kraus[0].shape[0])]
+
+
+def trace_rows(dims, keep) -> list[np.ndarray]:
+    """Partial trace operators: I on kept factors, basis row e_j^T on traced ones."""
+    traced = [i for i in range(len(dims)) if i not in keep]
+    ops = []
+    for rows in itertools.product(*(range(dims[i]) for i in traced)):
+        row_of = dict(zip(traced, rows))
+        op = np.eye(1)
+        for i, d in enumerate(dims):
+            op = np.kron(op, np.eye(d)[[row_of[i]]] if i in row_of else np.eye(d))
+        ops.append(op)
+    return ops
+
+
+def unit_matrices(dim: int) -> list[np.ndarray]:
+    """Completely depolarizing operators E_ij / sqrt(dim), with i slowest."""
+    ops = []
+    for i in range(dim):
+        for j in range(dim):
+            k = np.zeros((dim, dim), dtype=complex)
+            k[i, j] = 1.0 / math.sqrt(dim)
+            ops.append(k)
+    return ops
+
+
+def direct_sum_blocks(q: float, kraus, in_dim: int) -> list[np.ndarray]:
+    """sqrt(q) I on the first output block, then sqrt(1 - q) K_i on the second."""
+    out = in_dim + kraus[0].shape[0]
+    ops = []
+    if q > 0.0:
+        top = np.zeros((out, in_dim), dtype=complex)
+        top[:in_dim] = math.sqrt(q) * np.eye(in_dim)
+        ops.append(top)
+    for k in kraus if q < 1.0 else []:
+        low = np.zeros((out, in_dim), dtype=complex)
+        low[in_dim:] = math.sqrt(1.0 - q) * k
+        ops.append(low)
+    return ops
+
+
+def _descending_eig(a):
+    a = np.asarray(a, dtype=complex)
+    vals, vecs = np.linalg.eigh((a + a.conj().T) / 2.0)
+    return vals[::-1], vecs[:, ::-1]
+
+
+def prepare_outers(povm, outputs, clip: float = 1e-12) -> list[np.ndarray]:
+    """Measure-and-prepare operators sqrt(s_j m_k) |s_j><m_k|, outcome then j then k slowest.
+
+    s_j and m_k run over the eigenpairs above `clip` of each output state and
+    its POVM element, in descending order.
+    """
+    ops = []
+    for m, sigma in zip(povm, outputs):
+        mvals, mvecs = _descending_eig(m)
+        svals, svecs = _descending_eig(sigma)
+        for j in range(len(svals)):
+            for k in range(len(mvals)):
+                if svals[j] > clip and mvals[k] > clip:
+                    coeff = math.sqrt(svals[j] * mvals[k])
+                    ops.append(coeff * np.outer(svecs[:, j], mvecs[:, k].conj()))
+    return ops
+
+
+def multiplier_diagonals(multiplier: np.ndarray, clip: float = 1e-12) -> list[np.ndarray]:
+    """Schur multiplier operators diag(sqrt(b_m) u_m) over its eigenpairs above `clip`."""
+    vals, vecs = _descending_eig(multiplier)
+    return [np.diag(math.sqrt(float(v)) * vecs[:, m]) for m, v in enumerate(vals) if v > clip]
+
+
+def isometry_slices(in_dim: int, out_dim: int, env_dim: int, rng) -> list[np.ndarray]:
+    """Random Stinespring operators V[:, e, :] of a QR isometry into out (x) env."""
+    shape = (out_dim * env_dim, in_dim)
+    v = np.linalg.qr(rng.normal(size=shape) + 1j * rng.normal(size=shape))[0]
+    v = v.reshape(out_dim, env_dim, in_dim)
+    return [v[:, e, :] for e in range(env_dim)]
 
 
 def exhaustive_min_orbit(energies: np.ndarray, weights: np.ndarray) -> float:

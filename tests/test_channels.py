@@ -46,6 +46,7 @@ from roofkit import (
     von_neumann_entropy,
 )
 
+import oracles
 from oracles import quadrature_phase_output, entropy_nats
 
 
@@ -75,7 +76,94 @@ class TestChannelValidation:
     def test_dims_and_stack(self):
         ch = random_stinespring(2, 3, 4, 7)
         assert (ch.in_dim, ch.out_dim, ch.env_dim) == (2, 3, 4)
-        assert ch.kraus_stack().shape == (4, 3, 2)
+        assert ch.kraus.shape == (4, 3, 2)
+
+
+_PHASE_SPEC = RandomPhaseSpec(1.5, 6, GaussianDensity(0.7))
+_MP_POVM = [np.diag([0.7, 0.2]), np.diag([0.3, 0.8])]
+_MP_OUTPUTS = [random_density(3, 2, 40), random_density(3, 3, 41)]
+
+# each builder and its per-operator formula, from the same inputs
+BUILDERS = {
+    "tensor": (
+        lambda: tensor_channel(random_stinespring(2, 3, 2, 1), dephasing(0.3)),
+        lambda: oracles.kron_pairs(random_stinespring(2, 3, 2, 1).kraus, dephasing(0.3).kraus),
+    ),
+    "complement": (
+        lambda: complementary(random_stinespring(3, 2, 4, 2)),
+        lambda: oracles.swapped_axes(random_stinespring(3, 2, 4, 2).kraus),
+    ),
+    "partial-trace": (
+        lambda: partial_trace_channel(SubsystemShape((2, 3, 2)), (0, 2)),
+        lambda: oracles.trace_rows((2, 3, 2), (0, 2)),
+    ),
+    "partial-trace-first": (
+        lambda: partial_trace_channel(SubsystemShape((3, 2)), (1,)),
+        lambda: oracles.trace_rows((3, 2), (1,)),
+    ),
+    "measure-prepare": (
+        lambda: measure_prepare(_MP_POVM, _MP_OUTPUTS),
+        lambda: oracles.prepare_outers(_MP_POVM, [s.entries for s in _MP_OUTPUTS]),
+    ),
+    "depolarizing": (
+        lambda: completely_depolarizing(3),
+        lambda: oracles.unit_matrices(3),
+    ),
+    "random-phase": (
+        lambda: random_phase_channel(_PHASE_SPEC),
+        lambda: oracles.multiplier_diagonals(schur_matrix(_PHASE_SPEC)),
+    ),
+    "stinespring": (
+        lambda: random_stinespring(2, 3, 4, np.random.default_rng(8)),
+        lambda: oracles.isometry_slices(2, 3, 4, np.random.default_rng(8)),
+    ),
+    "direct-sum": (
+        lambda: direct_sum_mixture(0.3, random_stinespring(2, 3, 2, 3)),
+        lambda: oracles.direct_sum_blocks(0.3, random_stinespring(2, 3, 2, 3).kraus, 2),
+    ),
+}
+
+
+class TestKrausStack:
+    def test_caller_arrays_stay_writeable(self):
+        ops = [np.eye(2, dtype=complex)]
+        ch = Channel(ops)
+        assert ops[0].flags.writeable
+        assert not ch.kraus.flags.writeable
+        ops[0][0, 0] = 5.0
+        assert ch.kraus[0, 0, 0] == 1.0
+
+    def test_one_contiguous_complex_stack(self):
+        ch = Channel([np.eye(2), np.zeros((2, 2))])
+        assert ch.kraus.shape == (2, 2, 2)
+        assert ch.kraus.dtype == complex
+        assert ch.kraus.flags.c_contiguous
+
+    @pytest.mark.parametrize("name", list(BUILDERS))
+    def test_builder_matches_per_operator_formula(self, name):
+        build, formula = BUILDERS[name]
+        ch, ops = build(), np.array(formula(), dtype=complex)
+        assert ch.kraus.shape == ops.shape
+        assert ch.kraus.tobytes() == ops.tobytes()
+
+    @pytest.mark.parametrize("name", list(BUILDERS))
+    def test_apply_raw_matches_per_operator_sum(self, name):
+        ch = BUILDERS[name][0]()
+        rho = random_density(ch.in_dim, 2, 42).entries
+        assert ch.apply_raw(rho).tobytes() == oracles.kraus_sum(ch.kraus, rho).tobytes()
+
+    def test_apply_raw_on_a_one_dimensional_output(self):
+        # a 1 x 1 output still adds its terms one operator at a time
+        ch = complementary(noiseless(9))
+        for rank in (1, 4, 9):
+            rho = random_density(9, rank, (43, rank)).entries
+            assert ch.apply_raw(rho).tobytes() == oracles.kraus_sum(ch.kraus, rho).tobytes()
+
+    def test_choi_is_the_sum_of_vectorized_outer_products(self):
+        ch = random_stinespring(2, 3, 4, 44)
+        vecs = [k.T.reshape(-1) for k in ch.kraus]
+        expected = sum(np.outer(v, v.conj()) for v in vecs)
+        assert np.abs(choi(ch) - expected).max() < 1e-15
 
 
 class TestApply:

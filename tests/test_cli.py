@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from roofkit import DensityMatrix, channel_from_family, dephasing, random_density, rng_for
+from roofkit import cli, roof
 from roofkit.cli import _family_dict, main
 from roofkit.serialize import dumps, encode_channel, encode_state, read_json
 
@@ -25,6 +26,13 @@ NAMED_ERRORS = {
         "--left holds Kraus operators; scans draw channels from a family descriptor",
     ("additivity", "scan", "--left", "noiseless:2", "--right", "{kraus}"):
         "--right holds Kraus operators",
+    # a negative seed is named, whether a roof or a channel draw reads it first
+    ("eof", "--dims", "2x2", "--named", "bell", "--seed", "-1"):
+        "seed must be an integer >= 0, got -1",
+    ("ccooe", "--channel", "random:2:2:3", "--named", "mixed:2", "--seed", "-1"):
+        "seed and stream indices must be non-negative",
+    ("phase-channel", "--spec", '{"a": 1.0, "d": 4}', "--seed", "-1"):
+        "seed and stream indices must be non-negative",
     # short forms with more values than their family has keys, or none at all
     ("ccooe", "--channel", "noiseless:2:7", "--named", "mixed:2"):
         "channel family 'noiseless' takes the values ['dim']",
@@ -474,8 +482,8 @@ SHORT_FORMS = [
 def test_short_form_and_descriptor_build_the_same_channel(short, descriptor):
     # the CLI parses short forms from the library's family table, so both
     # routes must draw the same Kraus operators from the same stream
-    from_short = channel_from_family(_family_dict(short), rng_for(5, 0)).kraus_stack()
-    from_json = channel_from_family(descriptor, rng_for(5, 0)).kraus_stack()
+    from_short = channel_from_family(_family_dict(short), rng_for(5, 0)).kraus
+    from_json = channel_from_family(descriptor, rng_for(5, 0)).kraus
     assert from_short.shape == from_json.shape
     assert from_short.tobytes() == from_json.tobytes()
 
@@ -566,6 +574,44 @@ def test_usage_error_exits_one(capsys, tmp_path, argv, message):
     assert code == 1
     assert payload is None
     assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize(
+    "argv, handler",
+    [
+        (("entropy", "--named", "mixed:2"), "cmd_entropy"),
+        (("ccooe", "--channel", "noiseless:2", "--named", "mixed:2"), "cmd_ccooe"),
+        (("eof", "--dims", "2x2", "--named", "random:4"), "cmd_eof"),
+        (("chi", "--channel", "noiseless:2", "--named", "mixed:2"), "cmd_chi"),
+        (("phase-channel", "--spec", '{"a": 1.0, "d": 4}'), "cmd_phase_channel"),
+        (("gibbs", "--hamiltonian", '{"re": [[0, 0], [0, 1]], "im": [[0, 0], [0, 0]]}',
+          "--level", "0.25"), "cmd_gibbs"),
+    ],
+    ids=["entropy", "ccooe", "eof", "chi", "phase-channel", "gibbs"],
+)
+def test_csv_without_tables_fails_before_the_command_runs(
+    capsys, tmp_path, monkeypatch, argv, handler
+):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the command ran before --format csv was checked")
+
+    monkeypatch.setattr(cli, handler, forbidden)
+    monkeypatch.setattr(roof, "ccooe", forbidden)       # and no roof descends
+    out = tmp_path / "out"
+    code, payload, err = run(capsys, *argv, "--out", str(out), "--format", "csv")
+    command = argv[0]
+    assert (code, payload) == (1, None)
+    assert err == f"error: --format csv writes nothing: {command} has no tables\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--sweep", "3:4"), ("--tails", "1.5")])
+def test_phase_channel_csv_writes_its_tables(capsys, tmp_path, flag, value):
+    out = tmp_path / "out"
+    code, _, err = run(capsys, "phase-channel", "--spec", '{"a": 1.0, "d": 4}', "--samples", "2",
+                       flag, value, "--out", str(out), "--format", "csv")
+    assert (code, err) == (0, "")
+    assert [p.name for p in out.iterdir()] == [f"phase_{flag[2:]}.csv"]
 
 
 @pytest.mark.parametrize(

@@ -216,6 +216,20 @@ class TestCcooe:
             with pytest.raises(ParameterError, match="positive and finite"):
                 RoofOptions(grad_tol=tol)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("restarts", 2.5), ("max_iterations", 10.5), ("ensemble_size", 4.5), ("restarts", True),
+         ("ensemble_size", False), ("seed", 1.5), ("seed", -1), ("seed", True), ("seed", "1")],
+    )
+    def test_counts_and_seed_must_be_integers(self, field, value):
+        # a float count used to fail mid-descent, and seed=1.5 ran as seed 1
+        with pytest.raises(ParameterError, match=f"^{field} must be an integer >= "):
+            RoofOptions(**{field: value})
+
+    def test_numpy_integers_are_counts(self):
+        opts = RoofOptions(restarts=np.int64(2), ensemble_size=np.int32(4), seed=np.uint8(3))
+        assert (opts.restarts, opts.ensemble_size, opts.seed) == (2, 4, 3)
+
     def test_refined_doubles_restarts(self):
         opts = RoofOptions(restarts=6, seed=5)
         finer = opts.refined()
@@ -435,7 +449,7 @@ OBJECTIVES = [
 
 def _kraus_case(objective, seed):
     objective, _, dims = objective.partition("-")
-    return objective, random_stinespring(3, *KRAUS_DIMS[dims], seed).kraus_stack()
+    return objective, random_stinespring(3, *KRAUS_DIMS[dims], seed).kraus
 
 
 @pytest.mark.parametrize("case", OBJECTIVES)
@@ -935,7 +949,7 @@ def test_kernel_side_is_the_smaller_one_for_pure_members(monkeypatch):
 
     monkeypatch.setattr(roof, "_spectral", record_spectral)
     monkeypatch.setattr(roof, "_qubit_spectral", record_qubit_spectral)
-    kstack = random_stinespring(3, 4, 2, 121).kraus_stack()
+    kstack = random_stinespring(3, 4, 2, 121).kraus
     g, rank = roof._support_factor(random_density(3, 2, 122))
     unit = roof._random_start(rng_for(123), 3, 1)
     mixing = roof._random_start(rng_for(124), rank * rank, rank)
