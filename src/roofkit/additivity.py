@@ -497,27 +497,48 @@ def complementary_transfer_probe(
 # --- random scans -------------------------------------------------------------
 
 
-# family -> the keys its descriptor may carry besides "family", with their
-# value types, in the order a CLI short form `family:v1:v2...` fills them
-_FAMILY_KEYS = {
-    "noiseless": {"dim": int},
-    "dephasing": {"q": float},
-    "depolarizing": {"dim": int},
-    "random": {"dim": int, "out": int, "env": int},
-    "measure_prepare": {"dim": int, "outcomes": int},
-    "phase": {"a": float, "d": int, "density": dict},
+def _random_measure_prepare(rng: np.random.Generator, dim: int, outcomes: int | None = None) -> Channel:
+    """Effects S^(-1/2) G_i G_i* S^(-1/2), S the sum of the G_i G_i*, and outputs H_i H_i* over
+    their trace, for complex Gaussian G_i then H_i, each drawn real part first."""
+    draw = rng.normal(size=(2, outcomes or dim, 2, dim, dim))
+    g = draw[:, :, 0] + 1j * draw[:, :, 1]
+    raw, mats = g @ g.conj().transpose(0, 1, 3, 2)
+    vals, vecs = np.linalg.eigh(sum(raw))
+    inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.conj().T
+    outputs = [DensityMatrix(m / m.trace().real) for m in mats]
+    return measure_prepare(inv_sqrt @ raw @ inv_sqrt, outputs)
+
+
+# family -> (the keys its descriptor may carry besides "family", with their
+# value types, in the order a CLI short form `family:v1:v2...` fills them;
+# its builder, called with the generator and the descriptor's values).
+# Omitted keys default to q = 0.25 and out = env = outcomes = dim; phase
+# needs a and d.
+_FAMILIES = {
+    "noiseless": ({"dim": int}, lambda rng, dim: noiseless(dim)),
+    "dephasing": ({"q": float}, lambda rng, q=0.25: dephasing(q)),
+    "depolarizing": ({"dim": int}, lambda rng, dim: completely_depolarizing(dim)),
+    "random": (
+        {"dim": int, "out": int, "env": int},
+        lambda rng, dim, out=None, env=None: random_stinespring(dim, out or dim, env or dim, rng),
+    ),
+    "measure_prepare": ({"dim": int, "outcomes": int}, _random_measure_prepare),
+    "phase": (
+        {"a": float, "d": int, "density": dict},
+        lambda rng, **spec: random_phase_channel(decode_phase_spec(spec)),
+    ),
 }
 
 
 def _family_kind(family: dict) -> str:
-    """The descriptor's family, checked against its keys and their types in _FAMILY_KEYS.
+    """The descriptor's family, checked against its keys and their types in _FAMILIES.
 
     Every int key (a dimension, an outcome count or a grid size) must be at least 1.
     """
     kind = family.get("family")
-    if not isinstance(kind, str) or kind not in _FAMILY_KEYS:
+    if not isinstance(kind, str) or kind not in _FAMILIES:
         raise ParameterError(f"unknown channel family {kind!r}")
-    keys = _FAMILY_KEYS[kind]
+    keys = _FAMILIES[kind][0]
     unknown = sorted(set(family) - set(keys) - {"family"})
     if unknown:
         raise ParameterError(
@@ -547,41 +568,9 @@ def _has_type(value, want: type) -> bool:
 
 
 def channel_from_family(family: dict, rng: np.random.Generator) -> Channel:
-    """Construct a channel from a descriptor, drawing randomness from rng.
-
-    The keys each family takes are in _FAMILY_KEYS.  Omitted keys default to
-    q = 0.25 and out = env = outcomes = dim; phase needs a and d.
-    """
-    kind = _family_kind(family)
-    if kind == "noiseless":
-        return noiseless(int(family["dim"]))
-    if kind == "dephasing":
-        return dephasing(float(family.get("q", 0.25)))
-    if kind == "depolarizing":
-        return completely_depolarizing(int(family["dim"]))
-    if kind == "random":
-        dim = int(family["dim"])
-        out = int(family.get("out", dim))
-        env = int(family.get("env", dim))
-        return random_stinespring(dim, out, env, rng)
-    if kind == "measure_prepare":
-        dim = int(family["dim"])
-        outcomes = int(family.get("outcomes", dim))
-        raw = []
-        for _ in range(outcomes):
-            gmat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            raw.append(gmat @ gmat.conj().T)
-        total = sum(raw)
-        vals, vecs = np.linalg.eigh(total)
-        inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.conj().T
-        povm = [inv_sqrt @ a @ inv_sqrt for a in raw]
-        outputs = []
-        for _ in range(outcomes):
-            gmat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            mat = gmat @ gmat.conj().T
-            outputs.append(DensityMatrix(mat / mat.trace().real))
-        return measure_prepare(povm, outputs)
-    return random_phase_channel(decode_phase_spec(family))     # kind == "phase"
+    """Construct a channel from a descriptor by its _FAMILIES row, drawing randomness from rng."""
+    keys, build = _FAMILIES[_family_kind(family)]
+    return build(rng, **{k: keys[k](v) for k, v in family.items() if k != "family"})
 
 
 @dataclass

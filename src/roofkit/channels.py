@@ -170,7 +170,7 @@ def random_stinespring(in_dim: int, out_dim: int, env_dim: int, seed) -> Channel
         raise ParameterError(
             f"no isometry into {out_dim}x{env_dim} from dimension {in_dim}"
         )
-    rng = seed if isinstance(seed, np.random.Generator) else rng_for(seed)
+    rng = rng_for(seed)
     g = rng.normal(size=(out_dim * env_dim, in_dim)) + 1j * rng.normal(
         size=(out_dim * env_dim, in_dim)
     )
@@ -201,10 +201,11 @@ def direct_sum_mixture(q: float, inner: Channel) -> Channel:
 def measure_prepare(povm: Sequence[np.ndarray], outputs: Sequence[DensityMatrix]) -> Channel:
     """Entanglement-breaking map rho -> sum_i outputs[i] Tr(rho povm[i]).
 
-    Kraus operators come from the spectral decompositions of both families,
+    The POVM is a sequence of effects or one (outcomes, d, d) stack.  Kraus
+    operators come from the spectral decompositions of both families,
     dropping eigenvalues at or below 1e-12.
     """
-    if len(povm) != len(outputs) or not povm:
+    if len(povm) != len(outputs) or len(povm) == 0:
         raise ParameterError("need equally many POVM elements and output states")
     effects = [require_finite(m, "POVM element") for m in povm]
     d_in = effects[0].shape[0]

@@ -23,7 +23,7 @@ import numpy as np
 
 from .additivity import (
     _CHECKS,
-    _FAMILY_KEYS,
+    _FAMILIES,
     FLAGGED,
     TransferRow,
     channel_from_family,
@@ -46,6 +46,7 @@ from .channels import (
 )
 from .core import (
     DensityMatrix,
+    PureState,
     SubsystemShape,
     random_density,
     random_pure,
@@ -74,42 +75,40 @@ from .serialize import (
 LN2 = math.log(2.0)
 
 
-# each named state's short form; values in brackets are optional
-_NAMED_FORMS = {
-    "mixed": "mixed:D",
-    "pure": "pure:D[:SEED]",
-    "random": "random:D[:RANK[:SEED]]",
-    "bell": "bell",
-    "plus": "plus",
-    "diag": "diag:P1,P2,...",
+def _mixed(dim: int) -> DensityMatrix:
+    if dim < 1:     # _named_state reads this as a value not of the form
+        raise ValueError(f"dimension {dim} is below 1")
+    return DensityMatrix(np.eye(dim) / dim)
+
+
+# each named state's short form, values in brackets optional, and its builder,
+# called with the form's values: integers, except that a form's comma list
+# (diag's probabilities) comes as its text
+_NAMED = {
+    "mixed": ("mixed:D", _mixed),
+    "pure": ("pure:D[:SEED]", lambda d, seed=0: random_pure(d, seed).density()),
+    "random": (
+        "random:D[:RANK[:SEED]]",
+        lambda d, rank=None, seed=0: random_density(d, d if rank is None else rank, seed),
+    ),
+    "bell": ("bell", lambda: PureState(np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2)).density()),
+    "plus": ("plus", lambda: PureState(np.array([1.0, 1.0]) / math.sqrt(2)).density()),
+    "diag": ("diag:P1,P2,...", lambda p: DensityMatrix(np.diag([float(x) for x in p.split(",")]))),
 }
 
 
 def _named_state(text: str) -> DensityMatrix:
     kind, *values = text.split(":")
-    form = _NAMED_FORMS.get(kind)
-    if form is None:
+    if kind not in _NAMED:
         raise ParameterError(f"unknown named state {text!r}")
+    form, build = _NAMED[kind]
     mismatch = f"named state {text!r} does not match the form {form}"
     if not form.split("[")[0].count(":") <= len(values) <= form.count(":"):
         raise ParameterError(mismatch)
-    try:    # diag takes probabilities, every other form integers
-        nums = [float(p) for p in values[0].split(",")] if kind == "diag" else [int(v) for v in values]
+    try:    # a value that is not a number of its form
+        return build(*(v if "," in form else int(v) for v in values))
     except ValueError:
         raise ParameterError(mismatch) from None
-    if kind == "mixed" and nums[0] < 1:
-        raise ParameterError(mismatch)
-    if kind == "mixed":
-        return DensityMatrix(np.eye(nums[0]) / nums[0])
-    if kind == "pure":
-        return random_pure(nums[0], nums[1] if len(nums) > 1 else 0).density()
-    if kind == "random":
-        rank = nums[1] if len(nums) > 1 else nums[0]
-        return random_density(nums[0], rank, nums[2] if len(nums) > 2 else 0)
-    if kind in ("bell", "plus"):
-        v = np.array([1.0, 0.0, 0.0, 1.0] if kind == "bell" else [1.0, 1.0]) / math.sqrt(2)
-        return DensityMatrix(np.outer(v, v))
-    return DensityMatrix(np.diag(nums))     # kind == "diag"
 
 
 def _json_object(text: str, what: str) -> dict:
@@ -133,9 +132,9 @@ def _family_dict(text: str) -> dict:
         return _json_object(text, "channel descriptor")
     # short form family:v1:v2...; the values fill the family's keys in order
     kind, *values = text.split(":")
-    keys = _FAMILY_KEYS.get(kind)
-    if keys is None or dict in keys.values():
+    if kind not in _FAMILIES or dict in _FAMILIES[kind][0].values():
         raise ParameterError(f"no channel short form {text!r}; give a JSON descriptor")
+    keys = _FAMILIES[kind][0]
     mismatch = f"channel family {kind!r} takes the values {list(keys)}, not {text!r}"
     if len(values) > len(keys):
         raise ParameterError(mismatch)

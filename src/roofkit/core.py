@@ -8,6 +8,7 @@ deliberately small (total dimensions up to a few dozen).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from math import prod
 from typing import Sequence
@@ -33,17 +34,16 @@ def rng_for(seed, *stream: int) -> np.random.Generator:
 
     `seed` may be an int, a tuple of ints, or an existing Generator (which is
     passed through and must not be combined with stream indices).  Seeds and
-    stream indices must be non-negative.
+    stream indices must be integers >= 0: numpy integers, not bools or floats.
     """
     if isinstance(seed, np.random.Generator):
         if stream:
             raise ParameterError("cannot extend an existing generator with stream indices")
         return seed
-    base = tuple(int(s) for s in seed) if isinstance(seed, (tuple, list)) else (int(seed),)
-    key = base + tuple(int(s) for s in stream)
-    if any(s < 0 for s in key):
-        raise ParameterError(f"seed and stream indices must be non-negative, got {key}")
-    return np.random.default_rng(key)
+    key = (tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)) + stream
+    if not all(isinstance(s, numbers.Integral) and not isinstance(s, bool) and s >= 0 for s in key):
+        raise ParameterError(f"seed and stream indices must be non-negative integers, got {key}")
+    return np.random.default_rng(tuple(int(s) for s in key))
 
 
 class DensityMatrix:

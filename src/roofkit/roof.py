@@ -284,13 +284,13 @@ def _tangent(m_mat: np.ndarray, grad: np.ndarray) -> np.ndarray:
 
 @dataclass
 class _RunStats:
-    """One restart's end point, or every restart's along a leading axis."""
+    """Every restart's end point and stop record, along a leading axis."""
 
     m_mat: np.ndarray
-    value: float
-    grad_norm: float
-    iterations: int
-    converged: bool
+    value: np.ndarray
+    grad_norm: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
 
 
 def _lockstep(f, m_mat: np.ndarray, options: RoofOptions) -> _RunStats:
@@ -376,7 +376,7 @@ def _random_start(rng: np.random.Generator, size: int, rank: int) -> np.ndarray:
 
 
 def _multistart(f, size: int, rank: int, options: RoofOptions) -> tuple[_RunStats, int]:
-    """Best of `options.restarts` descents from the seeded starts.
+    """Every restart's end of `options.restarts` descents, and the index of the best.
 
     Restart idx starts from the stream rng_for(seed, idx), and all restarts
     run as one `_lockstep` stack, each stopping on its own rule.  Scanning
@@ -391,13 +391,7 @@ def _multistart(f, size: int, rank: int, options: RoofOptions) -> tuple[_RunStat
     for i in range(1, options.restarts):
         if runs.value[i] < runs.value[best] - TIE_TOL:
             best = i
-    return _RunStats(
-        runs.m_mat[best],
-        float(runs.value[best]),
-        float(runs.grad_norm[best]),
-        int(runs.iterations[best]),
-        bool(runs.converged[best]),
-    ), best
+    return runs, best
 
 
 @dataclass
@@ -425,17 +419,17 @@ def ccooe(channel: Channel, rho: DensityMatrix, options: RoofOptions | None = No
         raise DimensionError(f"state dimension {rho.dim} != channel input {channel.in_dim}")
     g, rank = _support_factor(rho)
     size = _resolve_size(options, rank)
-    best, best_idx = _multistart(_objective(channel.kraus, g), size, rank, options)
-    ensemble = ensemble_from_mixing(rho, best.m_mat)
+    runs, best = _multistart(_objective(channel.kraus, g), size, rank, options)
+    ensemble = ensemble_from_mixing(rho, runs.m_mat[best])
     value = average_output_entropy(channel, ensemble)
     return RoofResult(
         value=value,
         ensemble=ensemble,
         restarts_used=options.restarts,
-        best_restart=best_idx,
-        gradient_norm=best.grad_norm,
-        iterations=best.iterations,
-        converged=best.converged,
+        best_restart=best,
+        gradient_norm=float(runs.grad_norm[best]),
+        iterations=int(runs.iterations[best]),
+        converged=bool(runs.converged[best]),
     )
 
 
@@ -522,7 +516,7 @@ def min_output_entropy(
     value and the achieving input.
     """
     options = options or RoofOptions()
-    best, _ = _multistart(_objective(channel.kraus), channel.in_dim, 1, options)
-    psi = best.m_mat[:, 0]
+    runs, best = _multistart(_objective(channel.kraus), channel.in_dim, 1, options)
+    psi = runs.m_mat[best, :, 0]
     state = PureState(psi / np.linalg.norm(psi))
     return output_entropy(channel, state.density()), state

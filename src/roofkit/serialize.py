@@ -11,6 +11,7 @@ import csv
 import io
 import json
 import math
+from functools import partial
 
 import numpy as np
 
@@ -99,18 +100,20 @@ def decode_channel(data: dict) -> Channel:
     return channel
 
 
+_float_array = partial(np.asarray, dtype=float)
+
+# density family -> (its class, its fields with the type each decodes to)
+_DENSITIES = {
+    "gaussian": (GaussianDensity, {"std": float}),
+    "uniform": (UniformDensity, {"half_width": float}),
+    "custom": (TabulatedDensity, dict.fromkeys(("points", "values", "weights"), _float_array)),
+}
+
+
 def encode_density_profile(density) -> dict:
-    if isinstance(density, GaussianDensity):
-        return {"family": "gaussian", "std": density.std}
-    if isinstance(density, UniformDensity):
-        return {"family": "uniform", "half_width": density.half_width}
-    if isinstance(density, TabulatedDensity):
-        return {
-            "family": "custom",
-            "points": np.asarray(density.points).tolist(),
-            "values": np.asarray(density.values).tolist(),
-            "weights": np.asarray(density.weights).tolist(),
-        }
+    for family, (cls, fields) in _DENSITIES.items():
+        if isinstance(density, cls):
+            return {"family": family, **{k: np.asarray(getattr(density, k)).tolist() for k in fields}}
     raise ParameterError(f"unknown density type {type(density).__name__}")
 
 
@@ -118,17 +121,10 @@ def decode_density_profile(data: dict):
     if not isinstance(data, dict):
         raise ParameterError(f"density profile must be a JSON object, got {data!r}")
     family = data.get("family")
-    if family == "gaussian":
-        return GaussianDensity(float(data["std"]))
-    if family == "uniform":
-        return UniformDensity(float(data["half_width"]))
-    if family == "custom":
-        return TabulatedDensity(
-            np.asarray(data["points"], dtype=float),
-            np.asarray(data["values"], dtype=float),
-            np.asarray(data["weights"], dtype=float),
-        )
-    raise ParameterError(f"unknown density family {family!r}")
+    if not isinstance(family, str) or family not in _DENSITIES:
+        raise ParameterError(f"unknown density family {family!r}")
+    cls, fields = _DENSITIES[family]
+    return cls(**{k: decode(data[k]) for k, decode in fields.items()})
 
 
 def encode_phase_spec(spec: RandomPhaseSpec) -> dict:

@@ -225,6 +225,28 @@ def isometry_slices(in_dim: int, out_dim: int, env_dim: int, rng) -> list[np.nda
     return [v[:, e, :] for e in range(env_dim)]
 
 
+def measure_prepare_draws(dim: int, outcomes: int, rng) -> tuple[list, list]:
+    """Random POVM effects and output states, drawn one matrix at a time.
+
+    Each effect comes from G G^dagger for a complex Gaussian G (real part
+    drawn first), all rescaled by the inverse square root of their sum; the
+    outputs are further G G^dagger drawn after every effect, over their trace.
+    """
+    raw = []
+    for _ in range(outcomes):
+        gmat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        raw.append(gmat @ gmat.conj().T)
+    vals, vecs = np.linalg.eigh(sum(raw))
+    inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.conj().T
+    povm = [inv_sqrt @ a @ inv_sqrt for a in raw]
+    outputs = []
+    for _ in range(outcomes):
+        gmat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        mat = gmat @ gmat.conj().T
+        outputs.append(mat / mat.trace().real)
+    return povm, outputs
+
+
 def exhaustive_min_orbit(energies: np.ndarray, weights: np.ndarray) -> float:
     """Minimum of sum_k energies[perm(k)] * weights[k] over all permutations."""
     energies = np.asarray(energies, dtype=float)

@@ -6,10 +6,13 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+import oracles
 from roofkit import (
     DensityMatrix,
     DimensionError,
+    GaussianDensity,
     ParameterError,
+    RandomPhaseSpec,
     RoofOptions,
     SubsystemShape,
     channel_from_family,
@@ -24,6 +27,7 @@ from roofkit import (
     min_output_margin,
     noiseless,
     random_density,
+    random_phase_channel,
     random_stinespring,
     rng_for,
     scan_random,
@@ -372,6 +376,61 @@ class TestScanRandom:
     def test_integral_and_int_values_still_build(self):
         assert channel_from_family({"family": "noiseless", "dim": 2.0}, rng_for(0)).in_dim == 2
         assert channel_from_family({"family": "dephasing", "q": 1}, rng_for(0)).in_dim == 2
+
+
+def _drawn_measure_prepare(dim, outcomes, rng):
+    povm, outputs = oracles.measure_prepare_draws(dim, outcomes, rng)
+    return measure_prepare(povm, [DensityMatrix(m) for m in outputs])
+
+
+# descriptors that leave keys to their defaults or give ints as integral
+# floats, beside the constructor call each one stands for
+FAMILY_BUILDS = {
+    "noiseless-float-dim": ({"family": "noiseless", "dim": 3.0}, lambda rng: noiseless(3)),
+    "dephasing-default": ({"family": "dephasing"}, lambda rng: dephasing(0.25)),
+    "dephasing-int-q": ({"family": "dephasing", "q": 1}, lambda rng: dephasing(1.0)),
+    "depolarizing-float-dim": (
+        {"family": "depolarizing", "dim": 2.0}, lambda rng: completely_depolarizing(2)
+    ),
+    "random-defaults": ({"family": "random", "dim": 2.0}, lambda rng: random_stinespring(2, 2, 2, rng)),
+    "random-float-out": (
+        {"family": "random", "dim": 2, "out": 3.0}, lambda rng: random_stinespring(2, 3, 2, rng)
+    ),
+    "measure-prepare-default": (
+        {"family": "measure_prepare", "dim": 3}, lambda rng: _drawn_measure_prepare(3, 3, rng)
+    ),
+    "measure-prepare-float-keys": (
+        {"family": "measure_prepare", "dim": 2.0, "outcomes": 3.0},
+        lambda rng: _drawn_measure_prepare(2, 3, rng),
+    ),
+    "phase-default-density": (
+        {"family": "phase", "a": 1, "d": 4.0},
+        lambda rng: random_phase_channel(RandomPhaseSpec(1.0, 4, GaussianDensity(1.0))),
+    ),
+}
+
+
+class TestFamilyTable:
+    @pytest.mark.parametrize("dim, outcomes", [(2, 2), (2, 3), (3, 2), (3, 3)])
+    def test_measure_prepare_draws_like_the_per_outcome_loop(self, dim, outcomes):
+        # one stacked draw reads the stream in the loop's order, so every
+        # channel keeps the loop's bytes
+        family = {"family": "measure_prepare", "dim": dim, "outcomes": outcomes}
+        for seed in range(5):
+            built = channel_from_family(family, rng_for(seed, 3)).kraus
+            expected = _drawn_measure_prepare(dim, outcomes, rng_for(seed, 3)).kraus
+            assert built.shape == expected.shape
+            assert built.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("case", sorted(FAMILY_BUILDS))
+    def test_defaults_and_integral_floats_build_the_constructor_channel(self, case):
+        family, construct = FAMILY_BUILDS[case]
+        for seed in range(5):
+            built = channel_from_family(family, rng_for(seed, 3))
+            expected = construct(rng_for(seed, 3))
+            assert built.label == expected.label
+            assert built.kraus.shape == expected.kraus.shape
+            assert built.kraus.tobytes() == expected.kraus.tobytes()
 
 
 def test_checks_share_one_trio():

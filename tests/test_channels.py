@@ -358,6 +358,23 @@ class TestMeasurePrepare:
             )
             assert np.abs(apply(ch, rho).entries - direct).max() < 1e-10
 
+    def test_stack_and_list_build_the_same_operators(self):
+        rng = np.random.default_rng(24)
+        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        m0 = a @ a.conj().T
+        m0 /= np.linalg.eigvalsh(m0)[-1] * 1.5
+        povm = [m0, np.eye(3) - m0]
+        outputs = [random_density(2, 2, 25), random_density(2, 1, 26)]
+        from_list = measure_prepare(povm, outputs).kraus
+        from_stack = measure_prepare(np.stack(povm), outputs).kraus
+        assert from_list.shape == from_stack.shape
+        assert from_list.tobytes() == from_stack.tobytes()
+
+    @pytest.mark.parametrize("povm", [[], np.zeros((0, 2, 2))], ids=["list", "stack"])
+    def test_empty_povm_rejected(self, povm):
+        with pytest.raises(ParameterError, match="need equally many POVM elements"):
+            measure_prepare(povm, [])
+
     def test_incomplete_povm_rejected(self):
         with pytest.raises(ValidityError):
             measure_prepare([np.eye(2) * 0.5], [random_density(2, 2, 0)])

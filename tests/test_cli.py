@@ -6,9 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from roofkit import DensityMatrix, channel_from_family, dephasing, random_density, rng_for
+from roofkit import (
+    DensityMatrix, channel_from_family, dephasing, random_density, random_pure, rng_for,
+)
 from roofkit import cli, roof
-from roofkit.cli import _family_dict, main
+from roofkit.cli import _family_dict, _named_state, main
 from roofkit.serialize import dumps, encode_channel, encode_state, read_json
 
 
@@ -486,6 +488,28 @@ def test_short_form_and_descriptor_build_the_same_channel(short, descriptor):
     from_json = channel_from_family(descriptor, rng_for(5, 0)).kraus
     assert from_short.shape == from_json.shape
     assert from_short.tobytes() == from_json.tobytes()
+
+
+# each named state beside the formula it stands for
+NAMED_FORMULAS = {
+    "mixed:3": lambda: np.eye(3) / 3,
+    "pure:3": lambda: random_pure(3, 0).projector(),
+    "pure:3:5": lambda: random_pure(3, 5).projector(),
+    "random:3": lambda: random_density(3, 3, 0).entries,
+    "random:3:2": lambda: random_density(3, 2, 0).entries,
+    "random:3:2:7": lambda: random_density(3, 2, 7).entries,
+    "bell": lambda: np.array([[1, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 1]]) / 2,
+    "plus": lambda: np.ones((2, 2)) / 2,
+    "diag:0.25,0.75": lambda: np.diag([0.25, 0.75]),
+}
+
+
+@pytest.mark.parametrize("text", sorted(NAMED_FORMULAS))
+def test_named_state_equals_its_formula(text):
+    entries = _named_state(text).entries
+    expected = NAMED_FORMULAS[text]()
+    assert entries.shape == expected.shape
+    assert np.abs(entries - expected).max() <= 1e-15
 
 
 def _strict_json(text):

@@ -27,6 +27,7 @@ from roofkit import (
     purify,
     random_density,
     random_pure,
+    random_stinespring,
     random_unitary,
     rng_for,
     tensor,
@@ -202,6 +203,31 @@ class TestRandomSampling:
         assert rng_for(gen) is gen
         with pytest.raises(ParameterError):
             rng_for(gen, 1)
+
+
+# each seeded constructor, as the bytes it draws from a seed
+SEEDED = {
+    "random_density": lambda seed: random_density(3, 2, seed).entries,
+    "random_pure": lambda seed: random_pure(3, seed).amplitudes,
+    "random_stinespring": lambda seed: random_stinespring(2, 2, 2, seed).kraus,
+    "random_unitary": lambda seed: random_unitary(3, seed),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEEDED))
+@pytest.mark.parametrize("seed", [1.5, True, (0, 1.5)], ids=["float", "bool", "float-in-tuple"])
+def test_seeds_must_be_integers(name, seed):
+    # int() used to truncate 1.5 and True to the stream of seed 1
+    key = seed if isinstance(seed, tuple) else (seed,)
+    message = f"seed and stream indices must be non-negative integers, got {key}"
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        SEEDED[name](seed)
+
+
+@pytest.mark.parametrize("name", sorted(SEEDED))
+def test_numpy_integer_seeds_draw_like_ints(name):
+    for seed, same in ((np.int64(7), 7), ((np.int64(3), np.uint8(1)), (3, 1))):
+        assert SEEDED[name](seed).tobytes() == SEEDED[name](same).tobytes()
 
 
 class TestPsdAndNorms:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -126,6 +127,36 @@ class TestPhaseSpec:
         assert isinstance(back.density, TabulatedDensity)
         assert np.array_equal(back.density.points, dens.points)
         assert np.array_equal(back.density.values, dens.values)
+
+    @pytest.mark.parametrize(
+        "density",
+        [
+            GaussianDensity(0.7),
+            UniformDensity(1.25),
+            TabulatedDensity(np.array([-1.0, 0.0, 1.0]), np.array([0.25, 0.5, 0.25]), np.ones(3)),
+        ],
+        ids=["gaussian", "uniform", "custom"],
+    )
+    def test_density_families_round_trip_to_the_same_json(self, density):
+        text = dumps(encode_phase_spec(RandomPhaseSpec(1.5, 6, density)))
+        back = decode_phase_spec(json.loads(text))
+        assert type(back.density) is type(density)
+        assert dumps(encode_phase_spec(back)) == text
+
+    @pytest.mark.parametrize("family", ["cauchy", ["gaussian"], None])
+    def test_unknown_density_family_is_named(self, family):
+        with pytest.raises(ParameterError, match=re.escape(f"unknown density family {family!r}")):
+            decode_phase_spec({"a": 1.0, "d": 4, "density": {"family": family}})
+
+    @pytest.mark.parametrize(
+        "density, key",
+        [({"family": "gaussian"}, "std"), ({"family": "uniform"}, "half_width"),
+         ({"family": "custom", "points": [0.0]}, "values")],
+    )
+    def test_missing_density_field_is_a_key_error(self, density, key):
+        # the CLI reports it as `missing key 'KEY'`
+        with pytest.raises(KeyError, match=f"'{key}'"):
+            decode_phase_spec({"a": 1.0, "d": 4, "density": density})
 
     def test_unknown_family_rejected(self):
         with pytest.raises(Exception):
