@@ -12,7 +12,6 @@ from .additivity import (
     ScanResult,
     TransferProbe,
     TruncationTrace,
-    channel_from_family,
     chi_subadditivity_margin,
     complementary_transfer_probe,
     continuity_probe,
@@ -104,4 +103,4 @@ from .roof import (
     eof,
     min_output_entropy,
 )
-from .serialize import VERSION as __version__
+from .serialize import VERSION as __version__, channel_from_family

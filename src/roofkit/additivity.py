@@ -11,7 +11,6 @@ still below -tolerance afterwards is reported as flagged.
 from __future__ import annotations
 
 import math
-import numbers
 import statistics
 from dataclasses import asdict, dataclass, field
 
@@ -19,20 +18,15 @@ import numpy as np
 
 from .channels import (
     Channel,
-    completely_depolarizing,
     complementary,
-    dephasing,
-    measure_prepare,
-    noiseless,
     output_entropy,
     partial_trace_channel,
-    random_phase_channel,
-    random_stinespring,
     tensor_channel,
 )
 from .core import (
     DensityMatrix,
     SubsystemShape,
+    has_type,
     marginals,
     mixed_with,
     partial_trace,
@@ -48,7 +42,7 @@ from .core import (
 from .entropy import spectrum_entropy
 from .errors import DegenerateTruncationError, ParameterError
 from .roof import RoofOptions, average_output_entropy, ccooe, min_output_entropy
-from .serialize import decode_phase_spec
+from .serialize import _checked_family, channel_from_family
 
 CONSISTENT = "consistent"
 INCONCLUSIVE = "inconclusive"
@@ -68,39 +62,37 @@ class AdditivityReport:
     lhs_bound: str
     rhs: float
     rhs_bound: str
-    margin: float
+    margin: float = field(init=False)
     tolerance: float
-    verdict: str
-    refined: bool
+    verdict: str = INCONCLUSIVE
+    refined: bool = False
     diagnostics: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        self.margin = self.lhs - self.rhs
 
-def _violation_possible(lhs_bound: str, rhs_bound: str) -> bool:
+
+def _settle(build, options: RoofOptions | None, tolerance: float) -> AdditivityReport:
+    """The report `build` makes at the options, with its verdict; a margin below
+    -tolerance that could show a violation is rebuilt once with doubled restarts."""
+    # NaN fails every margin comparison, so it would flag every check, and
+    # reports write non-finite numbers as null
+    if not math.isfinite(tolerance):
+        raise ParameterError(f"tolerance must be finite, got {tolerance!r}")
+    options = options or RoofOptions()
+    report = build(options)
     # a lower bound on the left against an upper bound on the right can never
     # even suggest a violation of lhs >= rhs
-    return not (lhs_bound == "lower" and rhs_bound == "upper")
-
-
-def _settle(report: AdditivityReport, recompute) -> AdditivityReport:
-    """Apply the verdict policy, refining once when the margin looks negative."""
-    if report.margin >= -report.tolerance:
+    if report.margin < -tolerance and (report.lhs_bound, report.rhs_bound) != ("lower", "upper"):
+        first, report = report, build(options.refined())
+        report.refined = True
+        before = {"lhs": first.lhs, "rhs": first.rhs, "margin": first.margin}
+        report.diagnostics["before_refinement"] = before
+    if report.margin >= -tolerance:
         report.verdict = CONSISTENT
-        return report
-    if not _violation_possible(report.lhs_bound, report.rhs_bound):
-        report.verdict = INCONCLUSIVE
-        return report
-    refined = recompute()
-    refined.refined = True
-    refined.diagnostics["before_refinement"] = {
-        "lhs": report.lhs,
-        "rhs": report.rhs,
-        "margin": report.margin,
-    }
-    if refined.margin >= -refined.tolerance:
-        refined.verdict = CONSISTENT
-    else:
-        refined.verdict = FLAGGED
-    return refined
+    elif report.refined:
+        report.verdict = FLAGGED
+    return report
 
 
 def _roof_trio(phi: Channel, psi: Channel, omega: DensityMatrix, options: RoofOptions) -> tuple[dict, dict]:
@@ -139,32 +131,6 @@ _TRIO_ROWS = {
 }
 
 
-def _report(kind, channels, state, lhs, lhs_bound, rhs, rhs_bound, tolerance, diagnostics):
-    return AdditivityReport(
-        kind=kind,
-        channels=channels,
-        state=state,
-        lhs=lhs,
-        lhs_bound=lhs_bound,
-        rhs=rhs,
-        rhs_bound=rhs_bound,
-        margin=lhs - rhs,
-        tolerance=tolerance,
-        verdict=INCONCLUSIVE,
-        refined=False,
-        diagnostics=diagnostics,
-    )
-
-
-def _checked(build, options: RoofOptions | None, tolerance: float) -> AdditivityReport:
-    # NaN fails every margin comparison, so it would flag every check, and
-    # reports write non-finite numbers as null
-    if not math.isfinite(tolerance):
-        raise ParameterError(f"tolerance must be finite, got {tolerance!r}")
-    options = options or RoofOptions()
-    return _settle(build(options), lambda: build(options.refined()))
-
-
 def _trio_check(kind, phi, psi, omega, options, tolerance, state_label, observe=lambda r: {}):
     """One check on one trio; `observe` maps its RoofResults to extra diagnostics."""
     def build(opts: RoofOptions) -> AdditivityReport:
@@ -174,12 +140,12 @@ def _trio_check(kind, phi, psi, omega, options, tolerance, state_label, observe=
         diag = {f"roof_{k}": v for k, v in roof.items()}
         diag["converged"] = [r.converged for r in roofs.values()]
         diag["restarts"] = roofs["joint"].restarts_used
-        return _report(
+        return AdditivityReport(
             kind, (phi.label, psi.label), state_label, lhs, lhs_bound, rhs, rhs_bound,
-            tolerance, {**diag, **extra, **observe(roofs)},
+            tolerance, diagnostics={**diag, **extra, **observe(roofs)},
         )
 
-    return _checked(build, options, tolerance)
+    return _settle(build, options, tolerance)
 
 
 def superadditivity_margin(
@@ -246,13 +212,13 @@ def min_output_margin(
         joint_val, _ = min_output_entropy(tensor_channel(phi, psi), opts)
         left_val, _ = min_output_entropy(phi, opts)
         right_val, _ = min_output_entropy(psi, opts)
-        return _report(
+        return AdditivityReport(
             "min-output", (phi.label, psi.label), "(pure optimum)", joint_val, "upper",
             max(left_val, right_val), "upper", tolerance,
-            {"min_left": left_val, "min_right": right_val},
+            diagnostics={"min_left": left_val, "min_right": right_val},
         )
 
-    return _checked(build, options, tolerance)
+    return _settle(build, options, tolerance)
 
 
 # --- truncation experiment --------------------------------------------------
@@ -301,9 +267,11 @@ def truncation_experiment(
     if shape.factors != 4:
         raise ParameterError(f"need a four-factor shape, got {shape.factor_dims}")
     shape.require_total(omega.dim)
+    ranks = tuple(ranks)
+    positive = all(has_type(n, int) and n >= 1 for n in ranks)
+    if not ranks or not positive or any(a >= b for a, b in zip(ranks, ranks[1:])):
+        raise ParameterError(f"ranks must be strictly ascending positive integers, got {ranks}")
     ranks = tuple(int(n) for n in ranks)
-    if not ranks or ranks[0] < 1 or any(a >= b for a, b in zip(ranks, ranks[1:])):
-        raise ParameterError(f"ranks must be a non-empty strictly ascending list, got {ranks}")
     if ranks[-1] > max(shape.factor_dims):
         raise ParameterError(
             f"rank {ranks[-1]} exceeds every factor dimension {shape.factor_dims}"
@@ -497,82 +465,6 @@ def complementary_transfer_probe(
 # --- random scans -------------------------------------------------------------
 
 
-def _random_measure_prepare(rng: np.random.Generator, dim: int, outcomes: int | None = None) -> Channel:
-    """Effects S^(-1/2) G_i G_i* S^(-1/2), S the sum of the G_i G_i*, and outputs H_i H_i* over
-    their trace, for complex Gaussian G_i then H_i, each drawn real part first."""
-    draw = rng.normal(size=(2, outcomes or dim, 2, dim, dim))
-    g = draw[:, :, 0] + 1j * draw[:, :, 1]
-    raw, mats = g @ g.conj().transpose(0, 1, 3, 2)
-    vals, vecs = np.linalg.eigh(sum(raw))
-    inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.conj().T
-    outputs = [DensityMatrix(m / m.trace().real) for m in mats]
-    return measure_prepare(inv_sqrt @ raw @ inv_sqrt, outputs)
-
-
-# family -> (the keys its descriptor may carry besides "family", with their
-# value types, in the order a CLI short form `family:v1:v2...` fills them;
-# its builder, called with the generator and the descriptor's values).
-# Omitted keys default to q = 0.25 and out = env = outcomes = dim; phase
-# needs a and d.
-_FAMILIES = {
-    "noiseless": ({"dim": int}, lambda rng, dim: noiseless(dim)),
-    "dephasing": ({"q": float}, lambda rng, q=0.25: dephasing(q)),
-    "depolarizing": ({"dim": int}, lambda rng, dim: completely_depolarizing(dim)),
-    "random": (
-        {"dim": int, "out": int, "env": int},
-        lambda rng, dim, out=None, env=None: random_stinespring(dim, out or dim, env or dim, rng),
-    ),
-    "measure_prepare": ({"dim": int, "outcomes": int}, _random_measure_prepare),
-    "phase": (
-        {"a": float, "d": int, "density": dict},
-        lambda rng, **spec: random_phase_channel(decode_phase_spec(spec)),
-    ),
-}
-
-
-def _family_kind(family: dict) -> str:
-    """The descriptor's family, checked against its keys and their types in _FAMILIES.
-
-    Every int key (a dimension, an outcome count or a grid size) must be at least 1.
-    """
-    kind = family.get("family")
-    if not isinstance(kind, str) or kind not in _FAMILIES:
-        raise ParameterError(f"unknown channel family {kind!r}")
-    keys = _FAMILIES[kind][0]
-    unknown = sorted(set(family) - set(keys) - {"family"})
-    if unknown:
-        raise ParameterError(
-            f"channel family {kind!r} takes no key {unknown[0]!r}; its keys are {list(keys)}"
-        )
-    if "dim" in keys and "dim" not in family:
-        raise ParameterError(f"channel family {kind!r} needs the key 'dim'")
-    for key, want in keys.items():
-        if key in family and not _has_type(family[key], want):
-            raise ParameterError(
-                f"channel family {kind!r} key {key!r} must be of type {want.__name__}, "
-                f"got {family[key]!r}"
-            )
-        if want is int and key in family and family[key] < 1:
-            raise ParameterError(
-                f"channel family {kind!r} key {key!r} must be at least 1, got {family[key]!r}"
-            )
-    return kind
-
-
-def _has_type(value, want: type) -> bool:
-    """Whether a descriptor value fits its key: int keys take integral numbers, not bools."""
-    if want is dict:
-        return isinstance(value, dict)
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    return real and (want is float or float(value).is_integer())
-
-
-def channel_from_family(family: dict, rng: np.random.Generator) -> Channel:
-    """Construct a channel from a descriptor by its _FAMILIES row, drawing randomness from rng."""
-    keys, build = _FAMILIES[_family_kind(family)]
-    return build(rng, **{k: keys[k](v) for k, v in family.items() if k != "family"})
-
-
 @dataclass
 class ScanResult:
     reports: list[AdditivityReport]
@@ -607,7 +499,7 @@ def scan_random(
     if samples < 0:
         raise ParameterError(f"sample count must be non-negative, got {samples}")
     for family in (phi_family, psi_family):
-        _family_kind(family)
+        _checked_family(family)
     if samples == 0:
         return ScanResult([], math.nan, math.nan, 0, [])
     if check not in _CHECKS:

@@ -21,6 +21,7 @@ import numpy as np
 from .core import (
     DensityMatrix,
     SubsystemShape,
+    has_type,
     hermitian_eig,
     partial_transpose,
     require_finite,
@@ -398,8 +399,8 @@ class RandomPhaseSpec:
     def __post_init__(self):
         if not self.half_width > 0.0:
             raise ParameterError(f"half width must be positive, got {self.half_width}")
-        if int(self.grid_size) < 1:
-            raise ParameterError(f"grid size must be positive, got {self.grid_size}")
+        if not (has_type(self.grid_size, int) and self.grid_size >= 1):
+            raise ParameterError(f"grid size must be a positive integer, got {self.grid_size}")
         object.__setattr__(self, "grid_size", int(self.grid_size))
 
     def grid(self) -> np.ndarray:

@@ -23,10 +23,8 @@ import numpy as np
 
 from .additivity import (
     _CHECKS,
-    _FAMILIES,
     FLAGGED,
     TransferRow,
-    channel_from_family,
     chi_subadditivity_margin,
     complementary_transfer_probe,
     corollary_bound_check,
@@ -56,10 +54,12 @@ from .entropy import EnergyConstraint, gibbs_state, von_neumann_entropy
 from .errors import ParameterError, RoofkitError
 from .roof import RoofOptions, ccooe, chi_direct, chi_from_roof, eof
 from .serialize import (
+    _FAMILIES,
     ADDITIVITY_CSV_FIELDS,
     TRUNCATION_CSV_FIELDS,
     VERSION,
     additivity_csv_rows,
+    channel_from_family,
     decode_channel,
     decode_matrix,
     decode_phase_spec,
@@ -132,7 +132,7 @@ def _family_dict(text: str) -> dict:
         return _json_object(text, "channel descriptor")
     # short form family:v1:v2...; the values fill the family's keys in order
     kind, *values = text.split(":")
-    if kind not in _FAMILIES or dict in _FAMILIES[kind][0].values():
+    if kind not in _FAMILIES or not {int, float}.issuperset(_FAMILIES[kind][0].values()):
         raise ParameterError(f"no channel short form {text!r}; give a JSON descriptor")
     keys = _FAMILIES[kind][0]
     mismatch = f"channel family {kind!r} takes the values {list(keys)}, not {text!r}"

@@ -46,6 +46,20 @@ def rng_for(seed, *stream: int) -> np.random.Generator:
     return np.random.default_rng(tuple(int(s) for s in key))
 
 
+def has_type(value, want: type) -> bool:
+    """Whether a descriptor value fits a key of type `want`: int takes integral numbers
+    (2.0 too) and float any real, neither a bool; list takes lists of such numbers, nested
+    to any depth; str and dict take strings and JSON objects."""
+    if want in (str, dict):
+        return isinstance(value, want)
+    if want is list:
+        return isinstance(value, list) and all(
+            has_type(v, list if isinstance(v, list) else float) for v in value
+        )
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return real and (want is float or float(value).is_integer())
+
+
 class DensityMatrix:
     """Hermitian, positive semidefinite, unit-trace operator.
 
@@ -108,10 +122,10 @@ class SubsystemShape:
     factor_dims: tuple[int, ...]
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.factor_dims)
-        if not dims or any(d < 1 for d in dims):
-            raise ParameterError(f"factor dimensions must be positive, got {dims}")
-        object.__setattr__(self, "factor_dims", dims)
+        dims = tuple(self.factor_dims)
+        if not dims or not all(has_type(d, int) and d >= 1 for d in dims):
+            raise ParameterError(f"factor dimensions must be positive integers, got {dims}")
+        object.__setattr__(self, "factor_dims", tuple(int(d) for d in dims))
 
     @property
     def total(self) -> int:

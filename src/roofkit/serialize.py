@@ -1,8 +1,11 @@
-"""JSON and CSV interchange.
+"""JSON and CSV interchange, and the channel-family table.
 
 Matrices travel as {"dim": n, "re": [[...]], "im": [[...]]} (rectangular ones
 carry "rows"/"cols" instead of "dim"); floats are emitted via repr, which
-round-trips doubles exactly.  CSV is reserved for tabular traces.
+round-trips doubles exactly.  CSV is reserved for tabular traces.  Every
+descriptor value (a family key, a phase spec, a noise density field, a
+matrix header or its entries) is checked against its key's type by one rule,
+`_typed`, never cast.
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ import csv
 import io
 import json
 import math
-from functools import partial
 
 import numpy as np
 
@@ -21,12 +23,43 @@ from .channels import (
     RandomPhaseSpec,
     TabulatedDensity,
     UniformDensity,
+    completely_depolarizing,
+    dephasing,
+    measure_prepare,
+    noiseless,
+    random_phase_channel,
+    random_stinespring,
 )
-from .core import DensityMatrix, PureState
+from .core import DensityMatrix, PureState, has_type
 from .errors import DimensionError, ParameterError
 from .roof import Ensemble, RoofResult
 
 VERSION = "0.1.0"
+
+
+def _typed(what: str, data: dict, keys: dict, needs=()) -> dict:
+    """data's values, each checked against its type in `keys` and read by it: the one rule
+    of every descriptor.  Keys outside `keys` or missing from `needs` are errors, and int
+    keys (dimensions, counts, grid sizes) must be at least 1.  A key typed by a decoder
+    holds a nested JSON object, whose errors get the key's name."""
+    unknown = sorted(set(data) - set(keys))
+    if unknown:
+        raise ParameterError(f"{what} takes no key {unknown[0]!r}; its keys are {list(keys)}")
+    for key in needs:
+        if key not in data:
+            raise ParameterError(f"{what} needs the key {key!r}")
+    values = {}
+    for key in (k for k in keys if k in data):
+        want, value = keys[key], data[key]
+        if isinstance(want, type) and not has_type(value, want):
+            raise ParameterError(f"{what} key {key!r} must be of type {want.__name__}, got {value!r}")
+        if want is int and value < 1:
+            raise ParameterError(f"{what} key {key!r} must be at least 1, got {value!r}")
+        try:
+            values[key] = want(value)
+        except ParameterError as exc:   # only decoders raise it
+            raise ParameterError(f"{what} key {key!r}: {exc}") from None
+    return values
 
 
 def encode_matrix(arr) -> dict:
@@ -42,14 +75,15 @@ def encode_matrix(arr) -> dict:
 
 
 def decode_matrix(data: dict) -> np.ndarray:
-    re = np.asarray(data["re"], dtype=float)
-    im = np.asarray(data["im"], dtype=float)
+    values = _typed("matrix", data, {"dim": int, "rows": int, "cols": int, "re": list, "im": list})
+    re = np.asarray(values["re"], dtype=float)
+    im = np.asarray(values["im"], dtype=float)
     if re.ndim != 2 or re.shape != im.shape:
         raise ParameterError("re/im parts must be matching 2-d arrays")
-    if "dim" in data:
-        want = (int(data["dim"]),) * 2
-    elif "rows" in data or "cols" in data:
-        want = (int(data["rows"]), int(data["cols"]))
+    if "dim" in values:
+        want = (values["dim"],) * 2
+    elif "rows" in values or "cols" in values:
+        want = (values["rows"], values["cols"])
     else:
         want = re.shape
     if re.shape != want:
@@ -63,11 +97,12 @@ def encode_vector(vec) -> dict:
 
 
 def decode_vector(data: dict) -> np.ndarray:
-    re = np.asarray(data["re"], dtype=float)
-    im = np.asarray(data["im"], dtype=float)
+    values = _typed("vector", data, {"dim": int, "re": list, "im": list})
+    re = np.asarray(values["re"], dtype=float)
+    im = np.asarray(values["im"], dtype=float)
     if re.ndim != 1 or re.shape != im.shape:
         raise ParameterError("re/im parts must be matching 1-d arrays")
-    if "dim" in data and re.shape[0] != int(data["dim"]):
+    if "dim" in values and re.shape[0] != values["dim"]:
         raise DimensionError(f"declared dim {data['dim']} does not match length {re.shape[0]}")
     return re + 1j * im
 
@@ -90,23 +125,25 @@ def encode_channel(channel: Channel) -> dict:
 
 
 def decode_channel(data: dict) -> Channel:
-    ops = [decode_matrix(k) for k in data["kraus"]]
-    channel = Channel(ops, label=str(data.get("label", "")))
+    values = _typed("channel", data, {
+        "label": str, "in_dim": int, "out_dim": int,
+        "kraus": lambda ops: [decode_matrix(k) for k in ops],
+    })
+    ops = values["kraus"]
+    channel = Channel(ops, label=values.get("label", ""))
     for key in ("in_dim", "out_dim"):
-        if key in data and int(data[key]) != getattr(channel, key):
+        if key in values and values[key] != getattr(channel, key):
             raise DimensionError(
                 f"declared {key}={data[key]} does not match Kraus shape {ops[0].shape}"
             )
     return channel
 
 
-_float_array = partial(np.asarray, dtype=float)
-
-# density family -> (its class, its fields with the type each decodes to)
+# density family -> (its class, its fields with their types)
 _DENSITIES = {
     "gaussian": (GaussianDensity, {"std": float}),
     "uniform": (UniformDensity, {"half_width": float}),
-    "custom": (TabulatedDensity, dict.fromkeys(("points", "values", "weights"), _float_array)),
+    "custom": (TabulatedDensity, dict.fromkeys(("points", "values", "weights"), list)),
 }
 
 
@@ -118,13 +155,16 @@ def encode_density_profile(density) -> dict:
 
 
 def decode_density_profile(data: dict):
-    if not isinstance(data, dict):
-        raise ParameterError(f"density profile must be a JSON object, got {data!r}")
+    """The density a profile describes; a missing field is a KeyError naming it."""
+    if not has_type(data, dict):
+        raise ParameterError(f"density profile must be a JSON object (a dict), got {data!r}")
     family = data.get("family")
     if not isinstance(family, str) or family not in _DENSITIES:
         raise ParameterError(f"unknown density family {family!r}")
     cls, fields = _DENSITIES[family]
-    return cls(**{k: decode(data[k]) for k, decode in fields.items()})
+    rest = {k: v for k, v in data.items() if k != "family"}
+    values = _typed(f"density family {family!r}", rest, fields)
+    return cls(**{k: values[k] for k in fields})
 
 
 def encode_phase_spec(spec: RandomPhaseSpec) -> dict:
@@ -136,14 +176,67 @@ def encode_phase_spec(spec: RandomPhaseSpec) -> dict:
 
 
 def decode_phase_spec(data: dict) -> RandomPhaseSpec:
-    for key in ("a", "d"):
-        if key not in data:
-            raise ParameterError(f"channel family 'phase' needs the key {key!r}")
-    return RandomPhaseSpec(
-        half_width=float(data["a"]),
-        grid_size=int(data["d"]),
-        density=decode_density_profile(data.get("density", {"family": "gaussian", "std": 1.0})),
-    )
+    """The spec of a phase-family descriptor's values, read by the family's row."""
+    keys, needs, _ = _FAMILIES["phase"]
+    return _phase_spec(**_typed("channel family 'phase'", data, keys, needs))
+
+
+def _phase_spec(a: float, d: int, density=GaussianDensity(1.0)) -> RandomPhaseSpec:
+    return RandomPhaseSpec(a, d, density)
+
+
+# --- channel families -----------------------------------------------------------
+
+
+def _random_measure_prepare(rng: np.random.Generator, dim: int, outcomes: int | None = None) -> Channel:
+    """Effects S^(-1/2) G_i G_i* S^(-1/2), S the sum of the G_i G_i*, and outputs H_i H_i* over
+    their trace, for complex Gaussian G_i then H_i, each drawn real part first."""
+    draw = rng.normal(size=(2, outcomes or dim, 2, dim, dim))
+    g = draw[:, :, 0] + 1j * draw[:, :, 1]
+    raw, mats = g @ g.conj().transpose(0, 1, 3, 2)
+    vals, vecs = np.linalg.eigh(sum(raw))
+    inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.conj().T
+    outputs = [DensityMatrix(m / m.trace().real) for m in mats]
+    return measure_prepare(inv_sqrt @ raw @ inv_sqrt, outputs)
+
+
+# family -> (the keys its descriptor may carry besides "family", with their
+# types, in the order a CLI short form `family:v1:v2...` fills them; the keys
+# it needs; its builder, called with the generator and the descriptor's
+# values).  Omitted keys default to q = 0.25, out = env = outcomes = dim and a
+# Gaussian density of std 1.
+_FAMILIES = {
+    "noiseless": ({"dim": int}, ("dim",), lambda rng, dim: noiseless(dim)),
+    "dephasing": ({"q": float}, (), lambda rng, q=0.25: dephasing(q)),
+    "depolarizing": ({"dim": int}, ("dim",), lambda rng, dim: completely_depolarizing(dim)),
+    "random": (
+        {"dim": int, "out": int, "env": int},
+        ("dim",),
+        lambda rng, dim, out=None, env=None: random_stinespring(dim, out or dim, env or dim, rng),
+    ),
+    "measure_prepare": ({"dim": int, "outcomes": int}, ("dim",), _random_measure_prepare),
+    "phase": (
+        {"a": float, "d": int, "density": decode_density_profile},
+        ("a", "d"),
+        lambda rng, **spec: random_phase_channel(_phase_spec(**spec)),
+    ),
+}
+
+
+def _checked_family(family: dict):
+    """The descriptor's builder and its values, checked against its _FAMILIES row."""
+    kind = family.get("family")
+    if not isinstance(kind, str) or kind not in _FAMILIES:
+        raise ParameterError(f"unknown channel family {kind!r}")
+    keys, needs, build = _FAMILIES[kind]
+    rest = {k: v for k, v in family.items() if k != "family"}
+    return build, _typed(f"channel family {kind!r}", rest, keys, needs)
+
+
+def channel_from_family(family: dict, rng: np.random.Generator) -> Channel:
+    """Construct a channel from a descriptor by its _FAMILIES row, drawing randomness from rng."""
+    build, values = _checked_family(family)
+    return build(rng, **values)
 
 
 def encode_ensemble(ensemble: Ensemble) -> dict:

@@ -15,6 +15,8 @@ from roofkit import (
     RandomPhaseSpec,
     RoofOptions,
     SubsystemShape,
+    TabulatedDensity,
+    UniformDensity,
     channel_from_family,
     chi_subadditivity_margin,
     completely_depolarizing,
@@ -35,6 +37,7 @@ from roofkit import (
     tensor,
     truncation_experiment,
 )
+from roofkit.serialize import decode_phase_spec
 
 FAST = RoofOptions(restarts=8, seed=0)
 
@@ -208,6 +211,10 @@ class TestTruncation:
             truncation_experiment(omega, self.SHAPE, ranks=(3,))
         with pytest.raises(ParameterError, match="strictly ascending"):
             truncation_experiment(omega, self.SHAPE, ranks=(1, 1, 2))
+        # int() ran rungs 1 and 2 for these
+        for ranks in [(1.5, 2), (True, 2)]:
+            with pytest.raises(ParameterError, match="strictly ascending positive integers"):
+                truncation_experiment(omega, self.SHAPE, ranks=ranks)
 
     def test_rows_expose_plot_columns(self):
         omega = random_density(16, 16, 95)
@@ -366,6 +373,10 @@ class TestScanRandom:
             ({"family": "noiseless", "dim": "2"}, "dim", "int"),
             ({"family": "measure_prepare", "dim": 2, "outcomes": 2.5}, "outcomes", "int"),
             ({"family": "phase", "a": 1.0, "d": 4, "density": 3}, "density", "dict"),
+            ({"family": "phase", "a": 1.0, "d": 4.5}, "d", "int"),
+            ({"family": "phase", "a": True, "d": 4}, "a", "float"),
+            ({"family": "phase", "a": 1.0, "d": 4,
+              "density": {"family": "uniform", "half_width": "1"}}, "density", "float"),
         ],
     )
     def test_descriptor_values_keep_their_types(self, family, key, kind):
@@ -407,6 +418,22 @@ FAMILY_BUILDS = {
         {"family": "phase", "a": 1, "d": 4.0},
         lambda rng: random_phase_channel(RandomPhaseSpec(1.0, 4, GaussianDensity(1.0))),
     ),
+    "phase-gaussian-int-std": (
+        {"family": "phase", "a": 1.5, "d": 6, "density": {"family": "gaussian", "std": 2}},
+        lambda rng: random_phase_channel(RandomPhaseSpec(1.5, 6, GaussianDensity(2.0))),
+    ),
+    "phase-uniform": (
+        {"family": "phase", "a": 2.0, "d": 4, "density": {"family": "uniform", "half_width": 1.25}},
+        lambda rng: random_phase_channel(RandomPhaseSpec(2.0, 4, UniformDensity(1.25))),
+    ),
+    "phase-custom-int-lists": (
+        {"family": "phase", "a": 1.0, "d": 4, "density": {
+            "family": "custom", "points": [-1, 0, 1], "values": [0.25, 0.5, 0.25], "weights": [1, 1, 1]
+        }},
+        lambda rng: random_phase_channel(RandomPhaseSpec(1.0, 4, TabulatedDensity(
+            np.array([-1.0, 0.0, 1.0]), np.array([0.25, 0.5, 0.25]), np.ones(3)
+        ))),
+    ),
 }
 
 
@@ -431,6 +458,12 @@ class TestFamilyTable:
             assert built.label == expected.label
             assert built.kraus.shape == expected.kraus.shape
             assert built.kraus.tobytes() == expected.kraus.tobytes()
+        if family["family"] == "phase":
+            # a phase-channel --spec reads the same row
+            spec = {k: v for k, v in family.items() if k != "family"}
+            from_spec = random_phase_channel(decode_phase_spec(spec))
+            assert from_spec.label == expected.label
+            assert from_spec.kraus.tobytes() == expected.kraus.tobytes()
 
 
 def test_checks_share_one_trio():

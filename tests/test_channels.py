@@ -541,6 +541,10 @@ class TestRandomPhaseChannel:
             RandomPhaseSpec(0.0, 8, GaussianDensity(1.0))
         with pytest.raises(ParameterError):
             RandomPhaseSpec(1.0, 0, GaussianDensity(1.0))
+        for d in [4.5, True, "4"]:
+            with pytest.raises(ParameterError, match="grid size"):
+                RandomPhaseSpec(1.0, d, GaussianDensity(1.0))
+        assert RandomPhaseSpec(1.0, 4.0, GaussianDensity(1.0)).grid_size == 4
 
 
 class TestPhaseComplement:

@@ -99,7 +99,44 @@ NAMED_ERRORS = {
         "channel family 'dephasing' takes the values ['q'], not 'dephasing:x'",
     ("ccooe", "--channel", "random:2.5", "--named", "mixed:2"):
         "channel family 'random' takes the values ['dim', 'out', 'env'], not 'random:2.5'",
+    # JSON matrix headers and entries are checked like family keys, not cast
+    ("entropy", "--state", '{"dim": 2.7, "re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]]}'):
+        "matrix key 'dim' must be of type int, got 2.7",
+    ("entropy", "--state", '{"re": [["1", "0"], ["0", "0"]], "im": [[0, 0], [0, 0]]}'):
+        "matrix key 're' must be of type list, got [['1', '0'], ['0', '0']]",
+    ("entropy", "--state", '{"re": [[1, 0], [0, 0]], "im": [[0, 0], [0, true]]}'):
+        "matrix key 'im' must be of type list, got [[0, 0], [0, True]]",
+    ("ccooe", "--channel", '{"in_dim": 2.5, "kraus": [{"dim": 2, "re": [[1, 0], [0, 1]], '
+     '"im": [[0, 0], [0, 0]]}]}', "--named", "mixed:2"):
+        "channel key 'in_dim' must be of type int, got 2.5",
+    ("ccooe", "--channel", '{"kraus": [{"dim": 2, "rows": 2, "re": [[1, 0], [0, 1]], '
+     '"im": [[0, 0], [0, 0]], "scale": 2}]}', "--named", "mixed:2"):
+        "channel key 'kraus': matrix takes no key 'scale'",
 }
+
+# phase spec bodies that fail alike as `phase-channel --spec {BODY}` and as
+# `--channel {"family": "phase", BODY}`: both routes read the family's row
+PHASE_SPEC_ERRORS = {
+    '"a": 1.0, "d": 4.5': "channel family 'phase' key 'd' must be of type int, got 4.5",
+    '"a": true, "d": 4': "channel family 'phase' key 'a' must be of type float, got True",
+    '"a": "1.5", "d": 4': "channel family 'phase' key 'a' must be of type float, got '1.5'",
+    '"a": 1.0, "d": 4, "colour": "red"':
+        "channel family 'phase' takes no key 'colour'; its keys are ['a', 'd', 'density']",
+    '"a": 1.0, "d": 4, "density": {"family": "gaussian", "std": true}':
+        "channel family 'phase' key 'density': "
+        "density family 'gaussian' key 'std' must be of type float, got True",
+    '"a": 1.0, "d": 4, "density": {"family": "gaussian", "std": "2"}':
+        "channel family 'phase' key 'density': "
+        "density family 'gaussian' key 'std' must be of type float, got '2'",
+    '"a": 1.0, "d": 4, "density": {"family": "gaussian", "std": 1.0, "mean": 0.0}':
+        "channel family 'phase' key 'density': "
+        "density family 'gaussian' takes no key 'mean'; its keys are ['std']",
+}
+for body, message in PHASE_SPEC_ERRORS.items():
+    NAMED_ERRORS[("phase-channel", "--spec", f"{{{body}}}")] = f"error: {message}\n"
+    NAMED_ERRORS[("ccooe", "--channel", f'{{"family": "phase", {body}}}', "--named", "mixed:4")] = (
+        f"error: {message}\n"
+    )
 
 
 class TestEntropy:

@@ -103,6 +103,14 @@ class TestSubsystemShape:
     def test_rejects_non_positive_factor(self):
         with pytest.raises(ParameterError):
             SubsystemShape((2, 0))
+        for dims in [(2.5, 2), (True, 2), ("2", 2)]:
+            with pytest.raises(ParameterError, match="positive integers"):
+                SubsystemShape(dims)
+
+    def test_integral_float_factors_become_ints(self):
+        dims = SubsystemShape((2.0, np.int64(3))).factor_dims
+        assert dims == (2, 3)
+        assert all(type(d) is int for d in dims)
 
 
 class TestTensorAndPartialTrace:

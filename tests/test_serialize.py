@@ -74,6 +74,29 @@ class TestMatrixRoundTrip:
         with pytest.raises(DimensionError):
             decode_matrix(data)
 
+    @pytest.mark.parametrize(
+        "decode, data, message",
+        [
+            (decode_matrix, {"rows": 2, "cols": True, "re": [[1.0]], "im": [[0.0]]},
+             "matrix key 'cols' must be of type int, got True"),
+            (decode_matrix, {"re": [[1.0, "0"]], "im": [[0.0, 0.0]]}, "matrix key 're'"),
+            (decode_vector, {"dim": 1.5, "re": [1.0], "im": [0.0]},
+             "vector key 'dim' must be of type int, got 1.5"),
+            (decode_vector, {"re": [1.0], "im": [0.0], "norm": 1.0}, "vector takes no key 'norm'"),
+            (decode_channel, {"label": 7, "kraus": [encode_matrix(np.eye(2))]},
+             "channel key 'label' must be of type str, got 7"),
+        ],
+    )
+    def test_headers_and_entries_are_checked_not_cast(self, decode, data, message):
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            decode(data)
+
+    def test_integral_float_headers_still_decode(self):
+        data = {"dim": 2.0, "re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]]}
+        assert np.array_equal(decode_matrix(data), np.diag([1.0, 0.0]))
+        channel = {"in_dim": 2.0, "out_dim": 2, "kraus": [encode_matrix(np.eye(2))]}
+        assert decode_channel(channel).in_dim == 2
+
     def test_vector_round_trip(self):
         vec = np.array([0.5, -0.5j, complex(1 / 3, -2 / 7)])
         back = decode_vector(json.loads(json.dumps(encode_vector(vec))))
