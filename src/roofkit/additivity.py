@@ -42,7 +42,7 @@ from .core import (
 from .entropy import spectrum_entropy
 from .errors import DegenerateTruncationError, ParameterError
 from .roof import RoofOptions, average_output_entropy, ccooe, min_output_entropy
-from .serialize import _checked_family, channel_from_family
+from .serialize import _FAMILIES, _family_row, channel_from_family
 
 CONSISTENT = "consistent"
 INCONCLUSIVE = "inconclusive"
@@ -277,9 +277,7 @@ def truncation_experiment(
             f"rank {ranks[-1]} exceeds every factor dimension {shape.factor_dims}"
         )
     dims = shape.factor_dims
-    phi = partial_trace_channel(SubsystemShape(dims[:2]), (0,))
-    psi = partial_trace_channel(SubsystemShape(dims[2:]), (0,))
-    joint = tensor_channel(phi, psi)
+    joint = partial_trace_channel(shape, (0, 2))
     full_out = trace_out(omega.entries, dims, (0, 2))
     full_entropy = spectrum_entropy(np.linalg.eigvalsh(full_out))
     margs = marginals(omega, shape)
@@ -499,7 +497,7 @@ def scan_random(
     if samples < 0:
         raise ParameterError(f"sample count must be non-negative, got {samples}")
     for family in (phi_family, psi_family):
-        _checked_family(family)
+        _family_row(family, _FAMILIES, "channel descriptor")
     if samples == 0:
         return ScanResult([], math.nan, math.nan, 0, [])
     if check not in _CHECKS:

@@ -46,6 +46,7 @@ from .core import (
     DensityMatrix,
     PureState,
     SubsystemShape,
+    has_type,
     random_density,
     random_pure,
     rng_for,
@@ -111,25 +112,22 @@ def _named_state(text: str) -> DensityMatrix:
         raise ParameterError(mismatch) from None
 
 
-def _json_object(text: str, what: str) -> dict:
-    """The JSON object given inline ({...}) or in the file at path `text`."""
+def _json(text: str):
+    """The JSON value given inline ({...}) or in the file at path `text`, unchecked."""
     text = text.strip()
-    data = json.loads(text) if text.startswith("{") else read_json(text)
-    if not isinstance(data, dict):
-        raise ParameterError(f"{what} must be a JSON object, got {type(data).__name__}")
-    return data
+    return json.loads(text) if text.startswith("{") else read_json(text)
 
 
 def _load_state(args) -> DensityMatrix:
     if args.state:
-        return decode_state(_json_object(args.state, "state"))
+        return decode_state(_json(args.state))
     return _named_state(args.named)
 
 
 def _family_dict(text: str) -> dict:
     text = text.strip()
     if text.startswith("{") or os.path.isfile(text):
-        return _json_object(text, "channel descriptor")
+        return _json(text)
     # short form family:v1:v2...; the values fill the family's keys in order
     kind, *values = text.split(":")
     if kind not in _FAMILIES or not {int, float}.issuperset(_FAMILIES[kind][0].values()):
@@ -146,7 +144,7 @@ def _family_dict(text: str) -> dict:
 
 def _load_channel(text: str, seed: int, stream: int) -> Channel:
     data = _family_dict(text)
-    if "kraus" in data:
+    if has_type(data, dict) and "kraus" in data:
         return decode_channel(data)
     return channel_from_family(data, rng_for(seed, stream))
 
@@ -234,7 +232,7 @@ def cmd_truncate(args) -> tuple[dict, list]:
 def cmd_scan(args) -> tuple[dict, list]:
     families = (_family_dict(args.left), _family_dict(args.right))
     for flag, family in zip(("--left", "--right"), families):
-        if "kraus" in family:
+        if has_type(family, dict) and "kraus" in family:
             raise ParameterError(
                 f"{flag} holds Kraus operators; scans draw channels from a family descriptor"
             )
@@ -263,7 +261,7 @@ def cmd_complement(args) -> tuple[dict, list]:
 def cmd_phase_channel(args) -> tuple[dict, list]:
     if args.samples < 1:
         raise ParameterError(f"--samples must be at least 1, got {args.samples}")
-    spec = decode_phase_spec(_json_object(args.spec, "phase spec"))
+    spec = decode_phase_spec(_json(args.spec))
     channel = random_phase_channel(spec)
     b = schur_matrix(spec)
     bvals = np.linalg.eigvalsh(b)
@@ -322,7 +320,7 @@ def cmd_phase_channel(args) -> tuple[dict, list]:
 
 
 def cmd_gibbs(args) -> tuple[dict, list]:
-    ham = decode_matrix(_json_object(args.hamiltonian, "Hamiltonian"))
+    ham = decode_matrix(_json(args.hamiltonian))
     state, beta, entropy = gibbs_state(EnergyConstraint(ham, args.level))
     payload = {
         "beta": beta,
@@ -463,7 +461,7 @@ def main(argv=None) -> int:
             if args.format in ("csv", "both"):
                 for name, columns, rows in tables:
                     write_csv(os.path.join(args.out, name), columns, rows)
-    except (RoofkitError, OSError, ValueError) as exc:
+    except (RoofkitError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except KeyError as exc:

@@ -48,13 +48,14 @@ def rng_for(seed, *stream: int) -> np.random.Generator:
 
 def has_type(value, want: type) -> bool:
     """Whether a descriptor value fits a key of type `want`: int takes integral numbers
-    (2.0 too) and float any real, neither a bool; list takes lists of such numbers, nested
-    to any depth; str and dict take strings and JSON objects."""
+    (2.0 too) and float any real, neither a bool; list takes rectangular lists of such
+    numbers, nested to any depth; str and dict take strings and JSON objects."""
     if want in (str, dict):
         return isinstance(value, want)
-    if want is list:
-        return isinstance(value, list) and all(
-            has_type(v, list if isinstance(v, list) else float) for v in value
+    if want is list:    # all items reals, or all lists that fit and share one shape
+        return isinstance(value, list) and (
+            all(has_type(v, float) for v in value)
+            or all(has_type(v, list) for v in value) and len({np.shape(v) for v in value}) == 1
         )
     real = isinstance(value, numbers.Real) and not isinstance(value, bool)
     return real and (want is float or float(value).is_integer())

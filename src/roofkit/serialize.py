@@ -4,8 +4,8 @@ Matrices travel as {"dim": n, "re": [[...]], "im": [[...]]} (rectangular ones
 carry "rows"/"cols" instead of "dim"); floats are emitted via repr, which
 round-trips doubles exactly.  CSV is reserved for tabular traces.  Every
 descriptor value (a family key, a phase spec, a noise density field, a
-matrix header or its entries) is checked against its key's type by one rule,
-`_typed`, never cast.
+matrix header or its entries, a Kraus or ensemble list) is checked against its
+key's type by one rule, `_typed`, never cast; decoders read only what it returns.
 """
 
 from __future__ import annotations
@@ -37,11 +37,14 @@ from .roof import Ensemble, RoofResult
 VERSION = "0.1.0"
 
 
-def _typed(what: str, data: dict, keys: dict, needs=()) -> dict:
+def _typed(what: str, data, keys: dict, needs=()) -> dict:
     """data's values, each checked against its type in `keys` and read by it: the one rule
-    of every descriptor.  Keys outside `keys` or missing from `needs` are errors, and int
-    keys (dimensions, counts, grid sizes) must be at least 1.  A key typed by a decoder
-    holds a nested JSON object, whose errors get the key's name."""
+    of every descriptor.  data must be a JSON object, keys outside `keys` or missing from
+    `needs` are errors, and int keys (dimensions, counts, grid sizes) must be at least 1.
+    A key typed by a decoder holds a nested JSON object, and one typed [decoder] a JSON
+    list of them; their errors get the key's name."""
+    if not has_type(data, dict):
+        raise ParameterError(f"{what} must be a JSON object (a dict), got {data!r}")
     unknown = sorted(set(data) - set(keys))
     if unknown:
         raise ParameterError(f"{what} takes no key {unknown[0]!r}; its keys are {list(keys)}")
@@ -51,12 +54,15 @@ def _typed(what: str, data: dict, keys: dict, needs=()) -> dict:
     values = {}
     for key in (k for k in keys if k in data):
         want, value = keys[key], data[key]
-        if isinstance(want, type) and not has_type(value, want):
-            raise ParameterError(f"{what} key {key!r} must be of type {want.__name__}, got {value!r}")
+        listed = isinstance(want, list)     # [decoder]: any JSON list, each item read by it
+        kind = list if listed else want
+        fits = not isinstance(kind, type) or (isinstance(value, list) if listed else has_type(value, kind))
+        if not fits:
+            raise ParameterError(f"{what} key {key!r} must be of type {kind.__name__}, got {value!r}")
         if want is int and value < 1:
             raise ParameterError(f"{what} key {key!r} must be at least 1, got {value!r}")
         try:
-            values[key] = want(value)
+            values[key] = [want[0](item) for item in value] if listed else want(value)
         except ParameterError as exc:   # only decoders raise it
             raise ParameterError(f"{what} key {key!r}: {exc}") from None
     return values
@@ -103,7 +109,7 @@ def decode_vector(data: dict) -> np.ndarray:
     if re.ndim != 1 or re.shape != im.shape:
         raise ParameterError("re/im parts must be matching 1-d arrays")
     if "dim" in values and re.shape[0] != values["dim"]:
-        raise DimensionError(f"declared dim {data['dim']} does not match length {re.shape[0]}")
+        raise DimensionError(f"declared dim {values['dim']} does not match length {re.shape[0]}")
     return re + 1j * im
 
 
@@ -125,30 +131,28 @@ def encode_channel(channel: Channel) -> dict:
 
 
 def decode_channel(data: dict) -> Channel:
-    values = _typed("channel", data, {
-        "label": str, "in_dim": int, "out_dim": int,
-        "kraus": lambda ops: [decode_matrix(k) for k in ops],
-    })
+    keys = {"label": str, "in_dim": int, "out_dim": int, "kraus": [decode_matrix]}
+    values = _typed("channel", data, keys)
     ops = values["kraus"]
     channel = Channel(ops, label=values.get("label", ""))
     for key in ("in_dim", "out_dim"):
         if key in values and values[key] != getattr(channel, key):
             raise DimensionError(
-                f"declared {key}={data[key]} does not match Kraus shape {ops[0].shape}"
+                f"declared {key}={values[key]} does not match Kraus shape {ops[0].shape}"
             )
     return channel
 
 
-# density family -> (its class, its fields with their types)
+# density family -> (its fields with their types, none needed, its class): _FAMILIES's layout
 _DENSITIES = {
-    "gaussian": (GaussianDensity, {"std": float}),
-    "uniform": (UniformDensity, {"half_width": float}),
-    "custom": (TabulatedDensity, dict.fromkeys(("points", "values", "weights"), list)),
+    "gaussian": ({"std": float}, (), GaussianDensity),
+    "uniform": ({"half_width": float}, (), UniformDensity),
+    "custom": (dict.fromkeys(("points", "values", "weights"), list), (), TabulatedDensity),
 }
 
 
 def encode_density_profile(density) -> dict:
-    for family, (cls, fields) in _DENSITIES.items():
+    for family, (fields, _, cls) in _DENSITIES.items():
         if isinstance(density, cls):
             return {"family": family, **{k: np.asarray(getattr(density, k)).tolist() for k in fields}}
     raise ParameterError(f"unknown density type {type(density).__name__}")
@@ -156,14 +160,7 @@ def encode_density_profile(density) -> dict:
 
 def decode_density_profile(data: dict):
     """The density a profile describes; a missing field is a KeyError naming it."""
-    if not has_type(data, dict):
-        raise ParameterError(f"density profile must be a JSON object (a dict), got {data!r}")
-    family = data.get("family")
-    if not isinstance(family, str) or family not in _DENSITIES:
-        raise ParameterError(f"unknown density family {family!r}")
-    cls, fields = _DENSITIES[family]
-    rest = {k: v for k, v in data.items() if k != "family"}
-    values = _typed(f"density family {family!r}", rest, fields)
+    (fields, _, cls), values = _family_row(data, _DENSITIES, "density profile")
     return cls(**{k: values[k] for k in fields})
 
 
@@ -223,19 +220,22 @@ _FAMILIES = {
 }
 
 
-def _checked_family(family: dict):
-    """The descriptor's builder and its values, checked against its _FAMILIES row."""
-    kind = family.get("family")
-    if not isinstance(kind, str) or kind not in _FAMILIES:
-        raise ParameterError(f"unknown channel family {kind!r}")
-    keys, needs, build = _FAMILIES[kind]
-    rest = {k: v for k, v in family.items() if k != "family"}
-    return build, _typed(f"channel family {kind!r}", rest, keys, needs)
+def _family_row(data, table: dict, what: str):
+    """The _FAMILIES or _DENSITIES row that data's "family" names, and data's other values
+    read by _typed against it.  `what` names the descriptor, its first word the family kind."""
+    if not has_type(data, dict):
+        raise ParameterError(f"{what} must be a JSON object (a dict), got {data!r}")
+    noun, kind = what.split()[0], data.get("family")
+    if not isinstance(kind, str) or kind not in table:
+        raise ParameterError(f"unknown {noun} family {kind!r}")
+    keys, needs, _ = row = table[kind]
+    rest = {k: v for k, v in data.items() if k != "family"}
+    return row, _typed(f"{noun} family {kind!r}", rest, keys, needs)
 
 
 def channel_from_family(family: dict, rng: np.random.Generator) -> Channel:
     """Construct a channel from a descriptor by its _FAMILIES row, drawing randomness from rng."""
-    build, values = _checked_family(family)
+    (_, _, build), values = _family_row(family, _FAMILIES, "channel descriptor")
     return build(rng, **values)
 
 
@@ -247,10 +247,10 @@ def encode_ensemble(ensemble: Ensemble) -> dict:
 
 
 def decode_ensemble(data: dict) -> Ensemble:
-    return Ensemble(
-        np.asarray(data["weights"], dtype=float),
-        [PureState(decode_vector(v)) for v in data["states"]],
-    )
+    keys = {"weights": list, "states": [decode_vector]}
+    values = _typed("ensemble", data, keys, needs=tuple(keys))
+    weights = np.asarray(values["weights"], dtype=float)
+    return Ensemble(weights, [PureState(v) for v in values["states"]])
 
 
 def encode_roof_result(result: RoofResult) -> dict:

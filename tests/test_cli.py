@@ -112,6 +112,16 @@ NAMED_ERRORS = {
     ("ccooe", "--channel", '{"kraus": [{"dim": 2, "rows": 2, "re": [[1, 0], [0, 1]], '
      '"im": [[0, 0], [0, 0]], "scale": 2}]}', "--named", "mixed:2"):
         "channel key 'kraus': matrix takes no key 'scale'",
+    # a Kraus value that is not a list of matrix objects, a top level that is not an
+    # object, and ragged entries are named, not left to Python or numpy
+    ("ccooe", "--channel", '{"kraus": 3}', "--named", "mixed:2"):
+        "channel key 'kraus' must be of type list, got 3",
+    ("ccooe", "--channel", '{"kraus": [3]}', "--named", "mixed:2"):
+        "channel key 'kraus': matrix must be a JSON object (a dict), got 3",
+    ("ccooe", "--channel", "{three}", "--named", "mixed:2"):
+        "channel descriptor must be a JSON object (a dict), got 3",
+    ("entropy", "--state", '{"re": [[1, 0], [0]], "im": [[0, 0], [0, 0]]}'):
+        "matrix key 're' must be of type list, got [[1, 0], [0]]",
 }
 
 # phase spec bodies that fail alike as `phase-channel --spec {BODY}` and as
@@ -460,15 +470,27 @@ class TestFailureModes:
     )
     def test_short_descriptor_or_missing_flag_exits_one(self, capsys, tmp_path, argv):
         out, listing, kraus = tmp_path / "report", tmp_path / "list.json", tmp_path / "kraus.json"
+        three = tmp_path / "three.json"
         listing.write_text("[1, 2]")
+        three.write_text("3")
         kraus.write_text(dumps(encode_channel(dephasing(0.3))))
-        paths = {"{out}": out, "{list}": listing, "{kraus}": kraus}
+        paths = {"{out}": out, "{list}": listing, "{kraus}": kraus, "{three}": three}
         code, payload, err = run(capsys, *(str(paths.get(a, a)) for a in argv))
         assert code == 1
         assert payload is None
         assert err.startswith("error:")
         assert NAMED_ERRORS.get(argv, "error:") in err
         assert not out.exists()
+
+    def test_memory_error_exits_one(self, capsys, monkeypatch):
+        # an input too large to allocate, such as a phase grid of ten million points
+        def exhausted(args):
+            raise MemoryError("Unable to allocate 728. TiB for an array")
+
+        monkeypatch.setattr(cli, "cmd_phase_channel", exhausted)
+        code, payload, err = run(capsys, "phase-channel", "--spec", '{"a": 1.0, "d": 10000000}')
+        assert (code, payload) == (1, None)
+        assert err == "error: Unable to allocate 728. TiB for an array\n"
 
     def test_zero_samples_names_the_flag(self, capsys):
         code, _, err = run(capsys, "phase-channel", "--spec", '{"a": 1.0, "d": 4}', "--samples", "0")

@@ -85,6 +85,21 @@ class TestMatrixRoundTrip:
             (decode_vector, {"re": [1.0], "im": [0.0], "norm": 1.0}, "vector takes no key 'norm'"),
             (decode_channel, {"label": 7, "kraus": [encode_matrix(np.eye(2))]},
              "channel key 'label' must be of type str, got 7"),
+            # a Kraus list is a JSON list of matrix objects, read item by item
+            (decode_channel, {"kraus": 3}, "channel key 'kraus' must be of type list, got 3"),
+            (decode_channel, {"kraus": [3]},
+             "channel key 'kraus': matrix must be a JSON object (a dict), got 3"),
+            (decode_channel, {"kraus": "ab"}, "channel key 'kraus' must be of type list, got 'ab'"),
+            (decode_channel, {"kraus": {"a": 1}},
+             "channel key 'kraus' must be of type list, got {'a': 1}"),
+            # entries must nest rectangularly
+            (decode_matrix, {"re": [[1.0, 0.0], [0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]},
+             "matrix key 're' must be of type list, got [[1.0, 0.0], [0.0]]"),
+            (decode_ensemble, {"weights": "x", "states": []},
+             "ensemble key 'weights' must be of type list, got 'x'"),
+            (decode_ensemble, {"weights": [1.0], "states": 3},
+             "ensemble key 'states' must be of type list, got 3"),
+            (decode_ensemble, {"weights": [1.0]}, "ensemble needs the key 'states'"),
         ],
     )
     def test_headers_and_entries_are_checked_not_cast(self, decode, data, message):
