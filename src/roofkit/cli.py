@@ -115,7 +115,10 @@ def _named_state(text: str) -> DensityMatrix:
 def _json(text: str):
     """The JSON value given inline ({...}) or in the file at path `text`, unchecked."""
     text = text.strip()
-    return json.loads(text) if text.startswith("{") else read_json(text)
+    try:
+        return json.loads(text) if text.startswith("{") else read_json(text)
+    except RecursionError:
+        raise ParameterError("JSON input is nested deeper than the decoder allows") from None
 
 
 def _load_state(args) -> DensityMatrix:

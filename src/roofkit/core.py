@@ -9,7 +9,9 @@ deliberately small (total dimensions up to a few dozen).
 from __future__ import annotations
 
 import numbers
+import sys
 from dataclasses import dataclass
+from functools import reduce
 from math import prod
 from typing import Sequence
 
@@ -48,17 +50,23 @@ def rng_for(seed, *stream: int) -> np.random.Generator:
 
 def has_type(value, want: type) -> bool:
     """Whether a descriptor value fits a key of type `want`: int takes integral numbers
-    (2.0 too) and float any real, neither a bool; list takes rectangular lists of such
-    numbers, nested to any depth; str and dict take strings and JSON objects."""
+    (2.0 too) and float any real no larger than the largest float, neither a bool; list
+    takes rectangular lists of such reals, nested to any depth; str and dict take strings
+    and JSON objects."""
     if want in (str, dict):
         return isinstance(value, want)
-    if want is list:    # all items reals, or all lists that fit and share one shape
-        return isinstance(value, list) and (
-            all(has_type(v, float) for v in value)
-            or all(has_type(v, list) for v in value) and len({np.shape(v) for v in value}) == 1
-        )
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    return real and (want is float or float(value).is_integer())
+    if want is list:    # one nesting level at a time: all lists of one length, down to reals
+        level = [value]
+        while all(isinstance(v, list) for v in level) and len({len(v) for v in level}) == 1:
+            level = [item for v in level for item in v]
+            if all(has_type(item, float) for item in level):
+                return True
+        return False
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    if isinstance(value, numbers.Integral):     # exact: a JSON integer may exceed any float
+        return want is int or abs(value) <= sys.float_info.max
+    return want is float or float(value).is_integer()
 
 
 class DensityMatrix:
@@ -176,10 +184,7 @@ class TruncationProjector:
 
     def full(self) -> np.ndarray:
         """Projector on the composite space."""
-        out = self.factor_projector(0)
-        for i in range(1, len(self.bases)):
-            out = np.kron(out, self.factor_projector(i))
-        return out
+        return reduce(np.kron, map(self.factor_projector, range(len(self.bases))))
 
 
 def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
@@ -271,20 +276,8 @@ def purify(rho: DensityMatrix) -> PureState:
     reference factor carries the eigenvalue index in the computational basis.
     """
     vals, vecs = hermitian_eig(rho.entries)
-    vals = np.clip(vals, 0.0, None)
-    d = rho.dim
-    vec = np.zeros(d * d, dtype=complex)
-    for i in range(d):
-        if vals[i] > 0.0:
-            vec += np.sqrt(vals[i]) * np.kron(vecs[:, i], _basis(d, i))
-    vec /= np.linalg.norm(vec)
-    return PureState(vec)
-
-
-def _basis(dim: int, index: int) -> np.ndarray:
-    e = np.zeros(dim, dtype=complex)
-    e[index] = 1.0
-    return e
+    vec = (vecs * np.sqrt(np.clip(vals, 0.0, None))).reshape(-1)
+    return PureState(vec / np.linalg.norm(vec))
 
 
 def truncate_state(omega: DensityMatrix, w: TruncationProjector) -> tuple[DensityMatrix, float]:
@@ -371,4 +364,4 @@ def basis_state(dim: int, index: int) -> PureState:
     """Computational basis vector |index> in `dim` dimensions."""
     if not 0 <= index < dim:
         raise ParameterError(f"index {index} out of range for dimension {dim}")
-    return PureState(_basis(dim, index))
+    return PureState(np.eye(dim, dtype=complex)[index])

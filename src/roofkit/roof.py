@@ -104,10 +104,8 @@ class Ensemble:
         return len(self.states)
 
     def barycenter(self) -> DensityMatrix:
-        mix = np.zeros((self.states[0].dim,) * 2, dtype=complex)
-        for w, s in zip(self.weights, self.states):
-            mix += w * s.projector()
-        return DensityMatrix(mix)
+        amps = np.array([s.amplitudes for s in self.states])
+        return DensityMatrix((amps.T * self.weights) @ amps.conj())
 
 
 def _support_factor(rho: DensityMatrix) -> tuple[np.ndarray, int]:

@@ -21,6 +21,8 @@ def run(capsys, *argv):
     return code, payload, out.err
 
 
+BIG = 10 ** 400    # a JSON integer too large for a float
+
 # exit-1 inputs whose message must name the flag or the family at fault
 NAMED_ERRORS = {
     # scans draw their channels from families, never from a fixed Kraus file
@@ -122,6 +124,17 @@ NAMED_ERRORS = {
         "channel descriptor must be a JSON object (a dict), got 3",
     ("entropy", "--state", '{"re": [[1, 0], [0]], "im": [[0, 0], [0, 0]]}'):
         "matrix key 're' must be of type list, got [[1, 0], [0]]",
+    # integers too large for a float are typed errors, not an OverflowError
+    ("ccooe", "--channel", f'{{"family": "dephasing", "q": {BIG}}}', "--named", "mixed:2"):
+        f"channel family 'dephasing' key 'q' must be of type float, got {BIG}",
+    ("entropy", "--state", f'{{"re": [[{BIG}]], "im": [[0]]}}'):
+        f"matrix key 're' must be of type list, got [[{BIG}]]",
+    ("ccooe", "--channel", f'{{"family": "noiseless", "dim": {BIG}}}', "--named", "mixed:2"):
+        "error: Maximum allowed dimension exceeded\n",
+    # nests the type check walks without recursion, and one too deep for the decoder
+    ("entropy", "--state", "{deep}"): "error: setting an array element with a sequence",
+    ("entropy", "--state", "{deeper}"):
+        "error: JSON input is nested deeper than the decoder allows\n",
 }
 
 # phase spec bodies that fail alike as `phase-channel --spec {BODY}` and as
@@ -141,6 +154,7 @@ PHASE_SPEC_ERRORS = {
     '"a": 1.0, "d": 4, "density": {"family": "gaussian", "std": 1.0, "mean": 0.0}':
         "channel family 'phase' key 'density': "
         "density family 'gaussian' takes no key 'mean'; its keys are ['std']",
+    f'"a": {BIG}, "d": 2': f"channel family 'phase' key 'a' must be of type float, got {BIG}",
 }
 for body, message in PHASE_SPEC_ERRORS.items():
     NAMED_ERRORS[("phase-channel", "--spec", f"{{{body}}}")] = f"error: {message}\n"
@@ -470,11 +484,18 @@ class TestFailureModes:
     )
     def test_short_descriptor_or_missing_flag_exits_one(self, capsys, tmp_path, argv):
         out, listing, kraus = tmp_path / "report", tmp_path / "list.json", tmp_path / "kraus.json"
-        three = tmp_path / "three.json"
+        three, deep, deeper = (tmp_path / f"{n}.json" for n in ("three", "deep", "deeper"))
         listing.write_text("[1, 2]")
         three.write_text("3")
+        nest = "[" * 600 + "0" + "]" * 600
+        deep.write_text(f'{{"re": {nest}, "im": {nest}}}')
+        # deeper than the JSON decoder nests on any supported Python
+        deeper.write_text(f'{{"re": {"[" * 100_000 + "]" * 100_000}}}')
         kraus.write_text(dumps(encode_channel(dephasing(0.3))))
-        paths = {"{out}": out, "{list}": listing, "{kraus}": kraus, "{three}": three}
+        paths = {
+            "{out}": out, "{list}": listing, "{kraus}": kraus, "{three}": three,
+            "{deep}": deep, "{deeper}": deeper,
+        }
         code, payload, err = run(capsys, *(str(paths.get(a, a)) for a in argv))
         assert code == 1
         assert payload is None

@@ -1,6 +1,7 @@
 """State containers, tensor helpers, and truncation primitives."""
 
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from roofkit import (
     trace_out,
     truncate_state,
 )
-from roofkit.core import hermitian_eig, require_hermitian
+from roofkit.core import has_type, hermitian_eig, require_hermitian
 
 
 class TestDensityMatrix:
@@ -368,3 +369,29 @@ class TestRequireHermitian:
     def test_non_square_raises_dimension_error(self):
         with pytest.raises(DimensionError, match="matrix must be a square matrix"):
             require_hermitian(np.ones((2, 3)), 1e-8, "matrix")
+
+
+class TestHasType:
+    @pytest.mark.parametrize(
+        "value, fits",
+        [
+            ([[1, 2], [3]], False), ([1, [2]], False), ([], True), ([[]], True),
+            ([[], [1]], False), ([True], False), (["1"], False), ([[1, 2], [3, "a"]], False),
+            (3, False), ([[[1.5]]], True), ({"a": 1}, False),
+        ],
+    )
+    def test_list_takes_rectangular_nests_of_reals(self, value, fits):
+        assert has_type(value, list) is fits
+
+    def test_deep_nests_are_walked_without_recursion(self):
+        rectangular, ragged = 0.5, [[0.5, 1.5], [2.5]]
+        for depth in range(600):
+            rectangular = [rectangular]
+            ragged = [ragged] if depth < 598 else ragged
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(100)
+        try:
+            verdicts = has_type(rectangular, list), has_type(ragged, list)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert verdicts == (True, False)

@@ -16,11 +16,13 @@ from roofkit import (
     TabulatedDensity,
     UniformDensity,
     ccooe,
+    channel_from_family,
     dephasing,
     ensemble_from_mixing,
     noiseless,
     random_density,
     random_stinespring,
+    rng_for,
 )
 from roofkit.serialize import (
     ADDITIVITY_CSV_FIELDS,
@@ -100,6 +102,12 @@ class TestMatrixRoundTrip:
             (decode_ensemble, {"weights": [1.0], "states": 3},
              "ensemble key 'states' must be of type list, got 3"),
             (decode_ensemble, {"weights": [1.0]}, "ensemble needs the key 'states'"),
+            # integers too large for a float
+            (decode_matrix, {"re": [[10 ** 400]], "im": [[0]]},
+             f"matrix key 're' must be of type list, got [[{10 ** 400}]]"),
+            (lambda data: channel_from_family(data, rng_for(0)),
+             {"family": "dephasing", "q": 10 ** 400},
+             f"channel family 'dephasing' key 'q' must be of type float, got {10 ** 400}"),
         ],
     )
     def test_headers_and_entries_are_checked_not_cast(self, decode, data, message):
