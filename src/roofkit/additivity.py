@@ -31,6 +31,7 @@ from .core import (
     mixed_with,
     partial_trace,
     random_density,
+    require_count,
     rng_for,
     tensor,
     top_eigenbasis,
@@ -72,13 +73,17 @@ class AdditivityReport:
         self.margin = self.lhs - self.rhs
 
 
-def _settle(build, options: RoofOptions | None, tolerance: float) -> AdditivityReport:
-    """The report `build` makes at the options, with its verdict; a margin below
-    -tolerance that could show a violation is rebuilt once with doubled restarts."""
+def _require_tolerance(tolerance: float) -> None:
     # NaN fails every margin comparison, so it would flag every check, and
     # reports write non-finite numbers as null
     if not math.isfinite(tolerance):
         raise ParameterError(f"tolerance must be finite, got {tolerance!r}")
+
+
+def _settle(build, options: RoofOptions | None, tolerance: float) -> AdditivityReport:
+    """The report `build` makes at the options, with its verdict; a margin below
+    -tolerance that could show a violation is rebuilt once with doubled restarts."""
+    _require_tolerance(tolerance)
     options = options or RoofOptions()
     report = build(options)
     # a lower bound on the left against an upper bound on the right can never
@@ -367,8 +372,7 @@ def continuity_probe(
     moving-median trend check but stays informative rather than decisive,
     because each entry is a difference of two optimizer upper bounds.
     """
-    if steps < 1:
-        raise ParameterError(f"need at least one step, got {steps}")
+    steps = require_count(steps, "steps")
     if schedule is None:
         sigma = random_density(rho0.dim, rho0.dim, (seed, 977))
         schedule = lambda n: mixed_with(rho0, sigma, 1.0 / n)
@@ -426,8 +430,7 @@ def complementary_transfer_probe(
     under the complements too.  `agreement_dev` compares the two readings of
     the left-marginal roof; `flagged` counts flagged samples.
     """
-    if samples < 1:
-        raise ParameterError(f"need at least one sample, got {samples}")
+    samples = require_count(samples, "samples")
     phi_hat, psi_hat = complementary(phi), complementary(psi)
     hats = {"joint": tensor_channel(phi_hat, psi_hat), "left": phi_hat, "right": psi_hat}
 
@@ -494,14 +497,12 @@ def scan_random(
     item i derive from (seed, i) streams, so reruns reproduce the batch
     exactly.  Flagged items are serialized into `replay`.
     """
-    if samples < 0:
-        raise ParameterError(f"sample count must be non-negative, got {samples}")
+    samples = require_count(samples, "samples", 0)
     for family in (phi_family, psi_family):
         _family_row(family, _FAMILIES, "channel descriptor")
-    if samples == 0:
-        return ScanResult([], math.nan, math.nan, 0, [])
     if check not in _CHECKS:
         raise ParameterError(f"unknown check {check!r}; choose from {sorted(_CHECKS)}")
+    _require_tolerance(tolerance)
     runner = _CHECKS[check]
 
     def make_item(i: int):
@@ -516,7 +517,7 @@ def scan_random(
         for i in range(samples)
     ]
 
-    margins = [r.margin for r in reports]
+    margins = [r.margin for r in reports] or [math.nan]    # an empty batch has no margin
     replay = []
     for i, rep in enumerate(reports):
         if rep.verdict == FLAGGED:

@@ -21,9 +21,9 @@ import numpy as np
 from .core import (
     DensityMatrix,
     SubsystemShape,
-    has_type,
     hermitian_eig,
     partial_transpose,
+    require_count,
     require_finite,
     require_hermitian,
     require_keep,
@@ -136,8 +136,7 @@ def is_ppt_choi(channel: Channel, tol: float = 1e-9) -> tuple[bool, float]:
 
 def noiseless(dim: int) -> Channel:
     """Identity channel."""
-    if dim < 1:
-        raise ParameterError(f"dimension must be positive, got {dim}")
+    dim = require_count(dim, "dimension")
     return Channel([np.eye(dim, dtype=complex)], label=f"noiseless({dim})")
 
 
@@ -156,8 +155,7 @@ def dephasing(q: float) -> Channel:
 
 def completely_depolarizing(dim: int) -> Channel:
     """Constant channel to the maximally mixed state."""
-    if dim < 1:
-        raise ParameterError(f"dimension must be positive, got {dim}")
+    dim = require_count(dim, "dimension")
     # operator i*dim + j is the unit matrix E_ij over sqrt(dim)
     units = np.eye(dim * dim).reshape(dim * dim, dim, dim)
     return Channel(units / math.sqrt(dim), label=f"depolarizing({dim})")
@@ -165,12 +163,9 @@ def completely_depolarizing(dim: int) -> Channel:
 
 def random_stinespring(in_dim: int, out_dim: int, env_dim: int, seed) -> Channel:
     """Channel cut from a Haar-ish random isometry into output (x) environment."""
-    if in_dim < 1 or out_dim < 1 or env_dim < 1:
-        raise ParameterError("all dimensions must be positive")
-    if out_dim * env_dim < in_dim:
-        raise ParameterError(
-            f"no isometry into {out_dim}x{env_dim} from dimension {in_dim}"
-        )
+    out_dim, env_dim = (require_count(d, "dimension") for d in (out_dim, env_dim))
+    # an isometry maps into output (x) environment only from a space no larger
+    in_dim = require_count(in_dim, "input dimension", 1, out_dim * env_dim)
     rng = rng_for(seed)
     g = rng.normal(size=(out_dim * env_dim, in_dim)) + 1j * rng.normal(
         size=(out_dim * env_dim, in_dim)
@@ -399,9 +394,7 @@ class RandomPhaseSpec:
     def __post_init__(self):
         if not self.half_width > 0.0:
             raise ParameterError(f"half width must be positive, got {self.half_width}")
-        if not (has_type(self.grid_size, int) and self.grid_size >= 1):
-            raise ParameterError(f"grid size must be a positive integer, got {self.grid_size}")
-        object.__setattr__(self, "grid_size", int(self.grid_size))
+        object.__setattr__(self, "grid_size", require_count(self.grid_size, "grid size"))
 
     def grid(self) -> np.ndarray:
         a, d = self.half_width, self.grid_size
@@ -441,8 +434,7 @@ def random_phase_channel(spec: RandomPhaseSpec) -> Channel:
 def _complement_profiles(
     spec: RandomPhaseSpec, t_points: int, t_half_width: float | None
 ) -> np.ndarray:
-    if t_points < 1:
-        raise ParameterError(f"t-grid size must be positive, got {t_points}")
+    t_points = require_count(t_points, "t-grid size")
     if t_half_width is None:
         t_half_width = spec.half_width + spec.density.profile_reach()
     if not t_half_width > 0.0:

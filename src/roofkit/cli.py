@@ -49,6 +49,7 @@ from .core import (
     has_type,
     random_density,
     random_pure,
+    require_count,
     rng_for,
 )
 from .entropy import EnergyConstraint, gibbs_state, von_neumann_entropy
@@ -262,8 +263,7 @@ def cmd_complement(args) -> tuple[dict, list]:
 
 
 def cmd_phase_channel(args) -> tuple[dict, list]:
-    if args.samples < 1:
-        raise ParameterError(f"--samples must be at least 1, got {args.samples}")
+    samples = require_count(args.samples, "--samples")
     spec = decode_phase_spec(_json(args.spec))
     channel = random_phase_channel(spec)
     b = schur_matrix(spec)
@@ -271,7 +271,7 @@ def cmd_phase_channel(args) -> tuple[dict, list]:
     mixed = DensityMatrix(np.eye(spec.grid_size) / spec.grid_size)
     entropies = [
         output_entropy(channel, random_pure(spec.grid_size, (args.seed, i)).density())
-        for i in range(args.samples)
+        for i in range(samples)
     ]
     payload = {
         "a": spec.half_width,
@@ -293,7 +293,7 @@ def cmd_phase_channel(args) -> tuple[dict, list]:
             ch = random_phase_channel(sub)
             vals = [
                 output_entropy(ch, random_pure(d, (args.seed, d, i)).density())
-                for i in range(args.samples)
+                for i in range(samples)
             ]
             rows.append({
                 "d": d,

@@ -36,14 +36,14 @@ def rng_for(seed, *stream: int) -> np.random.Generator:
 
     `seed` may be an int, a tuple of ints, or an existing Generator (which is
     passed through and must not be combined with stream indices).  Seeds and
-    stream indices must be integers >= 0: numpy integers, not bools or floats.
+    stream indices must be integers >= 0 as `has_type` reads them: never bools or 1.5.
     """
     if isinstance(seed, np.random.Generator):
         if stream:
             raise ParameterError("cannot extend an existing generator with stream indices")
         return seed
     key = (tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)) + stream
-    if not all(isinstance(s, numbers.Integral) and not isinstance(s, bool) and s >= 0 for s in key):
+    if not all(has_type(s, int) and s >= 0 for s in key):
         raise ParameterError(f"seed and stream indices must be non-negative integers, got {key}")
     return np.random.default_rng(tuple(int(s) for s in key))
 
@@ -225,6 +225,14 @@ def require_hermitian(a, tol: float, what: str) -> np.ndarray:
     return (arr + arr.conj().T) / 2.0
 
 
+def require_count(value, what: str, least: int = 1, most: int | None = None) -> int:
+    """`value` as an int: an integer as `has_type` reads it (never a bool or 1.5) in [least, most]."""
+    if has_type(value, int) and least <= value and (most is None or value <= most):
+        return int(value)
+    bounds = f">= {least}" if most is None else f"in [{least}, {most}]"
+    raise ParameterError(f"{what} must be an integer {bounds}, got {value!r}")
+
+
 def require_keep(keep: Sequence[int], n: int) -> tuple[int, ...]:
     """Kept-factor indices, checked to be non-empty, strictly increasing and below n."""
     keep = tuple(keep)
@@ -260,8 +268,7 @@ def partial_transpose(arr: np.ndarray, dims: Sequence[int], sys: int) -> np.ndar
     """Transpose of one tensor factor of a raw matrix."""
     dims = tuple(int(d) for d in dims)
     n = len(dims)
-    if not 0 <= sys < n:
-        raise ParameterError(f"factor index {sys} out of range for {n} factors")
+    sys = require_count(sys, "factor index", 0, n - 1)
     if arr.shape != (prod(dims), prod(dims)):
         raise DimensionError(f"matrix shape {arr.shape} does not match factors {dims}")
     t = arr.reshape(dims + dims)
@@ -297,8 +304,7 @@ def truncate_state(omega: DensityMatrix, w: TruncationProjector) -> tuple[Densit
 
 def random_unitary(dim: int, seed) -> np.ndarray:
     """Haar-distributed unitary from a QR with phase-fixed diagonal."""
-    if dim < 1:
-        raise ParameterError(f"dimension must be positive, got {dim}")
+    dim = require_count(dim, "dimension")
     rng = rng_for(seed)
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(g)
@@ -308,8 +314,7 @@ def random_unitary(dim: int, seed) -> np.ndarray:
 
 def random_pure(dim: int, seed) -> PureState:
     """Normalized vector of independent standard complex Gaussians."""
-    if dim < 1:
-        raise ParameterError(f"dimension must be positive, got {dim}")
+    dim = require_count(dim, "dimension")
     rng = rng_for(seed)
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return PureState(v / np.linalg.norm(v))
@@ -317,10 +322,8 @@ def random_pure(dim: int, seed) -> PureState:
 
 def random_density(dim: int, rank: int, seed) -> DensityMatrix:
     """Normalized GG* for a dim x rank standard complex Gaussian G."""
-    if dim < 1:
-        raise ParameterError(f"dimension must be positive, got {dim}")
-    if not 1 <= rank <= dim:
-        raise ParameterError(f"rank must lie in [1, {dim}], got {rank}")
+    dim = require_count(dim, "dimension")
+    rank = require_count(rank, "rank", 1, dim)
     rng = rng_for(seed)
     g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
     m = g @ g.conj().T
@@ -345,8 +348,7 @@ def marginals(omega: DensityMatrix, shape: SubsystemShape) -> list[DensityMatrix
 
 def top_eigenbasis(rho: DensityMatrix, count: int) -> np.ndarray:
     """Orthonormal columns spanning the top-`count` eigenvectors."""
-    if not 1 <= count <= rho.dim:
-        raise ParameterError(f"count must lie in [1, {rho.dim}], got {count}")
+    count = require_count(count, "count", 1, rho.dim)
     _, vecs = hermitian_eig(rho.entries)
     return vecs[:, :count].copy()
 
@@ -362,6 +364,6 @@ def mixed_with(rho: DensityMatrix, sigma: DensityMatrix, t: float) -> DensityMat
 
 def basis_state(dim: int, index: int) -> PureState:
     """Computational basis vector |index> in `dim` dimensions."""
-    if not 0 <= index < dim:
-        raise ParameterError(f"index {index} out of range for dimension {dim}")
+    dim = require_count(dim, "dimension")
+    index = require_count(index, "index", 0, dim - 1)
     return PureState(np.eye(dim, dtype=complex)[index])

@@ -30,14 +30,13 @@ r x r Gram matrix, not an SVD of the m x r point.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .channels import Channel, apply, output_entropy, partial_trace_channel
-from .core import DensityMatrix, PureState, SubsystemShape, hermitian_eig, rng_for
+from .core import DensityMatrix, PureState, SubsystemShape, hermitian_eig, require_count, rng_for
 from .entropy import relative_entropy
 from .errors import DimensionError, ParameterError, ValidityError
 
@@ -68,8 +67,7 @@ class RoofOptions:
             value = getattr(self, name)
             if value is None and name == "ensemble_size":     # resolved per roof from the rank
                 continue
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
-                raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}")
+            object.__setattr__(self, name, require_count(value, name, least))
         # an infinite tolerance would report every unmoved start as converged
         if not 0.0 < self.grad_tol < math.inf:
             raise ParameterError("gradient tolerance must be positive and finite")

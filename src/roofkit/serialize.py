@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import math
+import sys
 
 import numpy as np
 
@@ -40,7 +41,7 @@ VERSION = "0.1.0"
 def _typed(what: str, data, keys: dict, needs=()) -> dict:
     """data's values, each checked against its type in `keys` and read by it: the one rule
     of every descriptor.  data must be a JSON object, keys outside `keys` or missing from
-    `needs` are errors, and int keys (dimensions, counts, grid sizes) must be at least 1.
+    `needs` are errors, and int keys (dimensions, counts, grid sizes) lie in [1, sys.maxsize].
     A key typed by a decoder holds a nested JSON object, and one typed [decoder] a JSON
     list of them; their errors get the key's name."""
     if not has_type(data, dict):
@@ -59,8 +60,9 @@ def _typed(what: str, data, keys: dict, needs=()) -> dict:
         fits = not isinstance(kind, type) or (isinstance(value, list) if listed else has_type(value, kind))
         if not fits:
             raise ParameterError(f"{what} key {key!r} must be of type {kind.__name__}, got {value!r}")
-        if want is int and value < 1:
-            raise ParameterError(f"{what} key {key!r} must be at least 1, got {value!r}")
+        if want is int and not 1 <= value <= sys.maxsize:   # numpy sizes arrays by int keys
+            bound = "at least 1" if value < 1 else f"at most {sys.maxsize}"
+            raise ParameterError(f"{what} key {key!r} must be {bound}, got {value!r}")
         try:
             values[key] = [want[0](item) for item in value] if listed else want(value)
         except ParameterError as exc:   # only decoders raise it
@@ -82,6 +84,9 @@ def encode_matrix(arr) -> dict:
 
 def decode_matrix(data: dict) -> np.ndarray:
     values = _typed("matrix", data, {"dim": int, "rows": int, "cols": int, "re": list, "im": list})
+    rows = values["re"] + values["im"]      # 2-d parts, checked before numpy's 64-dimension cap
+    if not all(isinstance(row, list) and not any(isinstance(x, list) for x in row) for row in rows):
+        raise ParameterError("re/im parts must be matching 2-d arrays")
     re = np.asarray(values["re"], dtype=float)
     im = np.asarray(values["im"], dtype=float)
     if re.ndim != 2 or re.shape != im.shape:

@@ -317,6 +317,16 @@ class TestScanRandom:
         assert math.isnan(result.min_margin)
         assert result.flagged == 0
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [({"check": "bogus"}, "unknown check 'bogus'"),
+         ({"tolerance": math.nan}, "tolerance must be finite")],
+    )
+    def test_empty_batch_still_checks_check_and_tolerance(self, kwargs, message):
+        # an empty batch used to return before reading either
+        with pytest.raises(ParameterError, match=message):
+            scan_random(self.NOISELESS, self.NOISELESS, samples=0, **kwargs)
+
     def test_negative_batch_rejected(self):
         with pytest.raises(ParameterError):
             scan_random(self.NOISELESS, self.NOISELESS, samples=-1)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -129,10 +130,11 @@ NAMED_ERRORS = {
         f"channel family 'dephasing' key 'q' must be of type float, got {BIG}",
     ("entropy", "--state", f'{{"re": [[{BIG}]], "im": [[0]]}}'):
         f"matrix key 're' must be of type list, got [[{BIG}]]",
+    # an int key above sys.maxsize is named, not left to numpy to size an array by
     ("ccooe", "--channel", f'{{"family": "noiseless", "dim": {BIG}}}', "--named", "mixed:2"):
-        "error: Maximum allowed dimension exceeded\n",
+        f"error: channel family 'noiseless' key 'dim' must be at most {sys.maxsize}, got {BIG}\n",
     # nests the type check walks without recursion, and one too deep for the decoder
-    ("entropy", "--state", "{deep}"): "error: setting an array element with a sequence",
+    ("entropy", "--state", "{deep}"): "error: re/im parts must be matching 2-d arrays\n",
     ("entropy", "--state", "{deeper}"):
         "error: JSON input is nested deeper than the decoder allows\n",
 }

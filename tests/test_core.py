@@ -11,26 +11,38 @@ from roofkit import (
     DensityMatrix,
     DimensionError,
     EnergyConstraint,
+    GaussianDensity,
     ParameterError,
     PureState,
+    RandomPhaseSpec,
+    RoofOptions,
     SubsystemShape,
     TruncationProjector,
     ValidityError,
     basis_state,
+    cli,
+    complementary_transfer_probe,
+    completely_depolarizing,
+    continuity_probe,
+    dephasing,
     extended_entropy,
     is_psd,
     measure_prepare,
     min_orbit_energy,
     marginals,
     mixed_with,
+    noiseless,
     partial_trace,
     partial_transpose,
+    phase_channel_complement_mp,
     purify,
     random_density,
+    random_phase_channel,
     random_pure,
     random_stinespring,
     random_unitary,
     rng_for,
+    scan_random,
     tensor,
     top_eigenbasis,
     trace_norm,
@@ -237,6 +249,90 @@ def test_seeds_must_be_integers(name, seed):
 def test_numpy_integer_seeds_draw_like_ints(name):
     for seed, same in ((np.int64(7), 7), ((np.int64(3), np.uint8(1)), (3, 1))):
         assert SEEDED[name](seed).tobytes() == SEEDED[name](same).tobytes()
+
+
+FAST = RoofOptions(restarts=1, max_iterations=20)
+
+
+def _phase_channel_report(samples):
+    args = cli.build_parser().parse_args(["phase-channel", "--spec", '{"a": 1.0, "d": 3}'])
+    args.samples = samples
+    return cli.cmd_phase_channel(args)
+
+
+# every count and index argument, as (what it builds from the count, its least value);
+# each reads it through require_count
+COUNTS = {
+    "random_unitary.dim": (lambda n: random_unitary(n, 1), 1),
+    "random_pure.dim": (lambda n: random_pure(n, 1).amplitudes, 1),
+    "random_density.dim": (lambda n: random_density(n, 1, 1).entries, 1),
+    "random_density.rank": (lambda n: random_density(3, n, 1).entries, 1),
+    "top_eigenbasis.count": (lambda n: top_eigenbasis(random_density(3, 3, 1), n), 1),
+    "basis_state.dim": (lambda n: basis_state(n, 1).amplitudes, 1),
+    "basis_state.index": (lambda n: basis_state(3, n).amplitudes, 0),
+    "partial_transpose.sys":
+        (lambda n: partial_transpose(random_density(8, 8, 1).entries, (2, 2, 2), n), 0),
+    "noiseless.dim": (lambda n: noiseless(n).kraus, 1),
+    "completely_depolarizing.dim": (lambda n: completely_depolarizing(n).kraus, 1),
+    "random_stinespring.in_dim": (lambda n: random_stinespring(n, 2, 2, 1).kraus, 1),
+    "random_stinespring.out_dim": (lambda n: random_stinespring(2, n, 2, 1).kraus, 1),
+    "random_stinespring.env_dim": (lambda n: random_stinespring(2, 2, n, 1).kraus, 1),
+    "RandomPhaseSpec.grid_size":
+        (lambda n: random_phase_channel(RandomPhaseSpec(1.0, n, GaussianDensity(1.0))).kraus, 1),
+    "phase_channel_complement_mp.t_points": (lambda n: phase_channel_complement_mp(
+        RandomPhaseSpec(1.0, 2, GaussianDensity(1.0)), t_points=n).kraus, 1),
+    "RoofOptions.restarts": (lambda n: RoofOptions(restarts=n), 1),
+    "RoofOptions.max_iterations": (lambda n: RoofOptions(max_iterations=n), 1),
+    "RoofOptions.ensemble_size": (lambda n: RoofOptions(ensemble_size=n), 1),
+    "RoofOptions.seed": (lambda n: RoofOptions(seed=n), 0),
+    "continuity_probe.steps":
+        (lambda n: continuity_probe(dephasing(0.25), random_density(2, 2, 1), n, options=FAST), 1),
+    "complementary_transfer_probe.samples":
+        (lambda n: complementary_transfer_probe(dephasing(0.25), noiseless(2), n, options=FAST), 1),
+    "scan_random.samples": (lambda n: scan_random(
+        {"family": "noiseless", "dim": 2}, {"family": "dephasing", "q": 0.25}, n, options=FAST), 0),
+    "phase-channel.--samples": (_phase_channel_report, 1),
+}
+
+
+def _raw(result):
+    return result.tobytes() if isinstance(result, np.ndarray) else repr(result)
+
+
+@pytest.mark.parametrize("bad", ["fraction", "bool", "string", "below least"])
+@pytest.mark.parametrize("name", sorted(COUNTS))
+def test_counts_must_be_integers_in_range(name, bad):
+    build, least = COUNTS[name]
+    value = {"fraction": 2.5, "bool": True, "string": "2", "below least": least - 1}[bad]
+    bounds = rf"(>= {least}|in \[{least}, \d+\])"
+    message = f"must be an integer {bounds}, got {re.escape(repr(value))}$"
+    with pytest.raises(ParameterError, match=message):
+        build(value)
+
+
+@pytest.mark.parametrize("name", sorted(COUNTS))
+def test_integral_floats_and_numpy_integers_count_like_ints(name):
+    build = COUNTS[name][0]
+    want = _raw(build(2))
+    assert _raw(build(2.0)) == want
+    assert _raw(build(np.int64(2))) == want
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: random_density(3, 4, 1), "rank must be an integer in [1, 3], got 4"),
+        (lambda: top_eigenbasis(random_density(3, 3, 1), 4),
+         "count must be an integer in [1, 3], got 4"),
+        (lambda: basis_state(3, 3), "index must be an integer in [0, 2], got 3"),
+        (lambda: random_stinespring(5, 2, 2, 1), "input dimension must be an integer in [1, 4], got 5"),
+        (lambda: partial_transpose(np.eye(4), (2, 2), 2),
+         "factor index must be an integer in [0, 1], got 2"),
+    ],
+)
+def test_bounded_counts_name_their_range(build, message):
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 class TestPsdAndNorms:

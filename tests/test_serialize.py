@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -108,6 +109,17 @@ class TestMatrixRoundTrip:
             (lambda data: channel_from_family(data, rng_for(0)),
              {"family": "dephasing", "q": 10 ** 400},
              f"channel family 'dephasing' key 'q' must be of type float, got {10 ** 400}"),
+            # int keys are bounded by the largest size numpy can allocate
+            (lambda data: channel_from_family(data, rng_for(0)),
+             {"family": "noiseless", "dim": sys.maxsize + 1},
+             f"channel family 'noiseless' key 'dim' must be at most {sys.maxsize}, "
+             f"got {sys.maxsize + 1}"),
+            # matrix parts nested other than two lists deep, also past numpy's 64 dimensions
+            (decode_matrix, {"re": [1.0], "im": [0.0]}, "re/im parts must be matching 2-d arrays"),
+            (decode_matrix, {"re": [[[1.0]]], "im": [[[0.0]]]},
+             "re/im parts must be matching 2-d arrays"),
+            (decode_matrix, {"re": json.loads("[" * 600 + "1" + "]" * 600), "im": [[0.0]]},
+             "re/im parts must be matching 2-d arrays"),
         ],
     )
     def test_headers_and_entries_are_checked_not_cast(self, decode, data, message):
