@@ -475,13 +475,6 @@ class ScanResult:
     replay: list[dict]
 
 
-_CHECKS = {
-    "superadditivity": superadditivity_margin,
-    "chi-subadditivity": chi_subadditivity_margin,
-    "corollary-max": corollary_bound_check,
-}
-
-
 def scan_random(
     phi_family: dict,
     psi_family: dict,
@@ -500,10 +493,9 @@ def scan_random(
     samples = require_count(samples, "samples", 0)
     for family in (phi_family, psi_family):
         _family_row(family, _FAMILIES, "channel descriptor")
-    if check not in _CHECKS:
-        raise ParameterError(f"unknown check {check!r}; choose from {sorted(_CHECKS)}")
+    if check not in _TRIO_ROWS:
+        raise ParameterError(f"unknown check {check!r}; choose from {sorted(_TRIO_ROWS)}")
     _require_tolerance(tolerance)
-    runner = _CHECKS[check]
 
     def make_item(i: int):
         phi = channel_from_family(phi_family, rng_for(seed, i, 0))
@@ -513,7 +505,7 @@ def scan_random(
         return phi, psi, omega
 
     reports = [
-        runner(*make_item(i), options, tolerance, state_label=f"item-{i}")
+        _trio_check(check, *make_item(i), options, tolerance, f"item-{i}")
         for i in range(samples)
     ]
 

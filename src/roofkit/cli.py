@@ -22,14 +22,12 @@ from dataclasses import asdict, fields
 import numpy as np
 
 from .additivity import (
-    _CHECKS,
+    _TRIO_ROWS,
     FLAGGED,
     TransferRow,
-    chi_subadditivity_margin,
+    _trio_check,
     complementary_transfer_probe,
-    corollary_bound_check,
     scan_random,
-    superadditivity_margin,
     truncation_experiment,
 )
 from .channels import (
@@ -211,10 +209,11 @@ def cmd_chi(args) -> tuple[dict, list]:
     return payload, []
 
 
+# each margin mode and the kind of check it reports, a row of additivity._TRIO_ROWS
 _MARGIN_CMDS = {
-    "margin": superadditivity_margin,
-    "chi": chi_subadditivity_margin,
-    "corollary": corollary_bound_check,
+    "margin": "superadditivity",
+    "chi": "chi-subadditivity",
+    "corollary": "corollary-max",
 }
 
 
@@ -222,7 +221,8 @@ def cmd_margin(args) -> tuple[dict, list]:
     left = _load_channel(args.left, args.seed, 0)
     right = _load_channel(args.right, args.seed, 1)
     rho = _load_state(args)
-    report = _MARGIN_CMDS[args.mode](left, right, rho, _options(args), args.tolerance)
+    kind = _MARGIN_CMDS[args.mode]
+    report = _trio_check(kind, left, right, rho, _options(args), args.tolerance, "omega")
     return asdict(report), [("margins.csv", ADDITIVITY_CSV_FIELDS, additivity_csv_rows([report]))]
 
 
@@ -411,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = _subcommand(modes, "scan", cmd_scan, "margin checks over random draws of two families",
                     "--left", "--right", *_ROOF, "--tolerance")
     p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--check", choices=tuple(_CHECKS), default="superadditivity")
+    p.add_argument("--check", choices=tuple(_TRIO_ROWS), default="superadditivity")
     p = _subcommand(modes, "complement", cmd_complement, "complementary transfer probe",
                     "--left", "--right", *_ROOF, "--tolerance")
     p.add_argument("--samples", type=int, default=20)

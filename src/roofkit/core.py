@@ -226,8 +226,11 @@ def require_hermitian(a, tol: float, what: str) -> np.ndarray:
 
 
 def require_count(value, what: str, least: int = 1, most: int | None = None) -> int:
-    """`value` as an int: an integer as `has_type` reads it (never a bool or 1.5) in [least, most]."""
+    """`value` as an int: an integer as `has_type` reads it (never a bool or 1.5) in [least, most],
+    and never above sys.maxsize, the largest size numpy allocates by."""
     if has_type(value, int) and least <= value and (most is None or value <= most):
+        if value > sys.maxsize:
+            raise ParameterError(f"{what} must be at most {sys.maxsize}, got {value!r}")
         return int(value)
     bounds = f">= {least}" if most is None else f"in [{least}, {most}]"
     raise ParameterError(f"{what} must be an integer {bounds}, got {value!r}")

@@ -109,10 +109,10 @@ def encode_vector(vec) -> dict:
 
 def decode_vector(data: dict) -> np.ndarray:
     values = _typed("vector", data, {"dim": int, "re": list, "im": list})
-    re = np.asarray(values["re"], dtype=float)
-    im = np.asarray(values["im"], dtype=float)
-    if re.ndim != 1 or re.shape != im.shape:
+    re, im = values["re"], values["im"]     # flat lists, checked before numpy's 64-dimension cap
+    if len(re) != len(im) or any(isinstance(x, list) for x in re + im):
         raise ParameterError("re/im parts must be matching 1-d arrays")
+    re, im = np.asarray(re, dtype=float), np.asarray(im, dtype=float)
     if "dim" in values and re.shape[0] != values["dim"]:
         raise DimensionError(f"declared dim {values['dim']} does not match length {re.shape[0]}")
     return re + 1j * im

@@ -317,6 +317,34 @@ class TestAdditivity:
         assert payload["result"]["max_agreement_dev"] <= 5e-3
 
 
+PAIR = ("--left", "dephasing:0.25", "--right", "noiseless:2", "--restarts", "4")
+
+
+@pytest.mark.parametrize(
+    "mode, kind",
+    [("margin", "superadditivity"), ("chi", "chi-subadditivity"), ("corollary", "corollary-max")],
+)
+def test_margin_modes_read_one_trio(capsys, mode, kind):
+    reports = {}
+    for m in ("margin", mode):
+        code, payload, _ = run(capsys, "additivity", m, *PAIR, "--named", "random:4:4:3")
+        assert code == 0
+        reports[m] = payload["result"]
+    report, diag = reports[mode], reports[mode]["diagnostics"]
+    assert report["kind"] == kind
+    roofs = ("roof_joint", "roof_left", "roof_right")
+    assert [diag[k] for k in roofs] == [reports["margin"]["diagnostics"][k] for k in roofs]
+    if mode == "chi":
+        identity = diag["roof_margin"] - diag["entropy_gap"]
+        assert report["margin"] == pytest.approx(identity, abs=1e-12)
+    if mode == "corollary":
+        assert report["margin"] == diag["roof_joint"] - max(diag["roof_left"], diag["roof_right"])
+    code, payload, _ = run(capsys, "additivity", "scan", *PAIR, "--samples", "1", "--check", kind)
+    assert code == 0
+    assert payload["result"]["check"] == kind
+    assert [r["kind"] for r in payload["result"]["reports"]] == [kind]
+
+
 REPORT_KEYS = {
     "kind", "channels", "state", "lhs", "lhs_bound", "rhs", "rhs_bound", "margin",
     "tolerance", "verdict", "refined", "diagnostics",

@@ -311,6 +311,14 @@ def test_counts_must_be_integers_in_range(name, bad):
 
 
 @pytest.mark.parametrize("name", sorted(COUNTS))
+def test_counts_above_maxsize_are_refused(name):
+    value = sys.maxsize + 1
+    bounds = rf"(an integer in \[\d+, \d+\]|at most {sys.maxsize})"
+    with pytest.raises(ParameterError, match=f"must be {bounds}, got {value}$"):
+        COUNTS[name][0](value)
+
+
+@pytest.mark.parametrize("name", sorted(COUNTS))
 def test_integral_floats_and_numpy_integers_count_like_ints(name):
     build = COUNTS[name][0]
     want = _raw(build(2))
@@ -328,6 +336,13 @@ def test_integral_floats_and_numpy_integers_count_like_ints(name):
         (lambda: random_stinespring(5, 2, 2, 1), "input dimension must be an integer in [1, 4], got 5"),
         (lambda: partial_transpose(np.eye(4), (2, 2), 2),
          "factor index must be an integer in [0, 1], got 2"),
+        # every count lies at or below the largest size numpy allocates by
+        (lambda: noiseless(1e300), f"dimension must be at most {sys.maxsize}, got 1e+300"),
+        (lambda: random_pure(10**20, 1),
+         f"dimension must be at most {sys.maxsize}, got {10**20}"),
+        (lambda: random_density(10**19, 1, 0),
+         f"dimension must be at most {sys.maxsize}, got {10**19}"),
+        (lambda: basis_state(10**20, 0), f"dimension must be at most {sys.maxsize}, got {10**20}"),
     ],
 )
 def test_bounded_counts_name_their_range(build, message):

@@ -50,6 +50,14 @@ from roofkit.serialize import (
 )
 
 
+def _nested(depth):
+    """1.0 inside `depth` lists, built in a loop: a literal that deep overflows Python's parser."""
+    nest = 1.0
+    for _ in range(depth):
+        nest = [nest]
+    return nest
+
+
 class TestMatrixRoundTrip:
     def test_square_exact(self):
         rng = np.random.default_rng(1)
@@ -120,6 +128,12 @@ class TestMatrixRoundTrip:
              "re/im parts must be matching 2-d arrays"),
             (decode_matrix, {"re": json.loads("[" * 600 + "1" + "]" * 600), "im": [[0.0]]},
              "re/im parts must be matching 2-d arrays"),
+            # vector parts nested deeper than one list, also past numpy's 64 dimensions
+            (decode_vector, {"re": [[1.0]], "im": [[0.0]]}, "re/im parts must be matching 1-d arrays"),
+            (decode_vector, {"re": _nested(600), "im": [0.0]},
+             "re/im parts must be matching 1-d arrays"),
+            (decode_vector, {"re": [1.0], "im": _nested(600)},
+             "re/im parts must be matching 1-d arrays"),
         ],
     )
     def test_headers_and_entries_are_checked_not_cast(self, decode, data, message):
