@@ -237,6 +237,7 @@ class TruncationStep:
     roof_value: float
     residual_min_eig: float
     entropy_bound: float
+    converged: bool = False         # the rung's roof descent met grad_tol
     skipped: bool = False
 
 
@@ -306,10 +307,10 @@ def truncation_experiment(
         residual = pq @ full_out @ pq / weight - out_n
         res_min = float(np.linalg.eigvalsh((residual + residual.conj().T) / 2.0)[0])
         bound = full_entropy / weight
-        roof_val = ccooe(joint, omega_n, opts).value
+        roof = ccooe(joint, omega_n, opts)
         residual_ok = residual_ok and res_min >= -1e-9
         bound_ok = bound_ok and s_n <= bound + 1e-8
-        steps.append(TruncationStep(n, weight, s_n, roof_val, res_min, bound))
+        steps.append(TruncationStep(n, weight, s_n, roof.value, res_min, bound, roof.converged))
 
     weights = [s.weight for s in steps if not s.skipped]
     monotone = all(b >= a - 1e-12 for a, b in zip(weights, weights[1:]))

@@ -1,7 +1,7 @@
 """Completely positive trace-preserving maps in Kraus form.
 
 A channel holds its Kraus operators as one read-only complex (env, out, in)
-array: the Stinespring isometry V psi = sum_i (K_i psi) (x) |i>, reshaped.
+array: a minimal Stinespring isometry V psi = sum_i (K_i psi) (x) |i>, reshaped.
 Besides the generic container this module builds, each as that one array,
 the constructions the lab works with: tensor products, complementary
 channels, direct-sum mixtures of the identity with another channel,
@@ -43,7 +43,9 @@ KRAUS_CLIP = 1e-12
 
 
 class Channel:
-    """Kraus family {K_i} with sum K_i* K_i = I within 1e-9, copied into one stack."""
+    """Kraus family {K_i} with sum K_i* K_i = I within 1e-9, held in minimal form:
+    independent operators are kept byte for byte; dependent ones become the combinations u* K
+    over the Gram eigenvectors u with eigenvalues above KRAUS_CLIP times the largest: same Choi."""
 
     __slots__ = ("label", "in_dim", "out_dim", "kraus")
 
@@ -62,6 +64,11 @@ class Channel:
         dev = float(np.max(np.abs(iso.conj().T @ iso - np.eye(in_dim))))
         if dev > TP_TOL:
             raise ValidityError(f"not trace preserving: deviation {dev:.3e}")
+        rows = stack.reshape(env_dim, -1)           # Gram eigenvalues: the Choi spectrum
+        vals, vecs = hermitian_eig(rows @ rows.conj().T)
+        rank = int(np.count_nonzero(vals > KRAUS_CLIP * vals[0]))
+        if rank < env_dim:                           # same Choi matrix from rank combinations
+            stack = (vecs[:, :rank].conj().T @ rows).reshape(rank, out_dim, in_dim)
         stack.setflags(write=False)
         self.kraus = stack
         self.in_dim = in_dim
@@ -120,7 +127,7 @@ def choi(channel: Channel) -> np.ndarray:
     """Unnormalized Choi matrix on input (x) output, first factor the input copy.
 
     Tracing out the output factor returns the in_dim identity; the rank equals
-    the number of linearly independent Kraus operators.
+    env_dim, since a channel holds its Kraus operators in minimal form.
     """
     # row i, index a*out + o, carries K_i[o, a]
     vecs = channel.kraus.transpose(0, 2, 1).reshape(channel.env_dim, -1)
@@ -141,15 +148,10 @@ def noiseless(dim: int) -> Channel:
 
 
 def dephasing(q: float) -> Channel:
-    """Qubit phase flip with probability q."""
+    """Qubit phase flip with probability q; at q = 0 or 1 one operator remains."""
     if not 0.0 <= q <= 1.0:
         raise ParameterError(f"flip probability must lie in [0, 1], got {q}")
-    z = np.diag([1.0, -1.0]).astype(complex)
-    ops = []
-    if q < 1.0:
-        ops.append(math.sqrt(1.0 - q) * np.eye(2, dtype=complex))
-    if q > 0.0:
-        ops.append(math.sqrt(q) * z)
+    ops = [math.sqrt(1.0 - q) * np.eye(2), math.sqrt(q) * np.diag([1.0, -1.0])]
     return Channel(ops, label=f"dephasing(q={q:g})")
 
 
@@ -182,7 +184,7 @@ def direct_sum_mixture(q: float, inner: Channel) -> Channel:
 
     The input space is the inner channel's input space; outputs occupy the
     first block (identity copy, weight q) and the second block (inner channel
-    output, weight 1-q).  At q = 1 or q = 0 the empty block is dropped.
+    output, weight 1-q).  At q = 1 or q = 0 Channel drops the empty block's operators.
     """
     if not 0.0 <= q <= 1.0:
         raise ParameterError(f"mixture weight must lie in [0, 1], got {q}")
@@ -190,16 +192,15 @@ def direct_sum_mixture(q: float, inner: Channel) -> Channel:
     stack = np.zeros((1 + inner.env_dim, n + inner.out_dim, n), dtype=complex)
     stack[0, :n] = math.sqrt(q) * np.eye(n)
     stack[1:, n:] = math.sqrt(1.0 - q) * inner.kraus
-    keep = [q > 0.0] + [q < 1.0] * inner.env_dim       # a block of weight 0 is dropped
-    return Channel(stack[keep], label=f"id(+){inner.label}(q={q:g})")
+    return Channel(stack, label=f"id(+){inner.label}(q={q:g})")
 
 
 def measure_prepare(povm: Sequence[np.ndarray], outputs: Sequence[DensityMatrix]) -> Channel:
     """Entanglement-breaking map rho -> sum_i outputs[i] Tr(rho povm[i]).
 
     The POVM is a sequence of effects or one (outcomes, d, d) stack.  Kraus
-    operators come from the spectral decompositions of both families,
-    dropping eigenvalues at or below 1e-12.
+    operators sqrt(s_j m_k) |s_j><m_k| come from both spectral decompositions,
+    clipped at zero; Channel reduces them to the Choi rank (8 to 4 on a qubit).
     """
     if len(povm) != len(outputs) or len(povm) == 0:
         raise ParameterError("need equally many POVM elements and output states")
@@ -219,10 +220,9 @@ def measure_prepare(povm: Sequence[np.ndarray], outputs: Sequence[DensityMatrix]
         if float(mvals[-1]) < -1e-9:
             raise ValidityError(f"POVM element has eigenvalue {mvals[-1]:.3e}")
         svals, svecs = hermitian_eig(sigma.entries)
-        s_keep, m_keep = svals > KRAUS_CLIP, mvals > KRAUS_CLIP
         # operator (j, k), j slowest: sqrt(s_j m_k) |s_j><m_k|
-        outer = svecs[:, s_keep].T[:, None, :, None] * mvecs[:, m_keep].T.conj()[None, :, None, :]
-        coeff = np.sqrt(np.multiply.outer(svals[s_keep], mvals[m_keep]))
+        outer = svecs.T[:, None, :, None] * mvecs.T.conj()[None, :, None, :]
+        coeff = np.sqrt(np.multiply.outer(svals.clip(0.0), mvals.clip(0.0)))
         blocks.append((coeff[:, :, None, None] * outer).reshape(-1, d_out, d_in))
     return Channel(np.concatenate(blocks), label=f"measure-prepare({len(effects)} outcomes)")
 
@@ -413,7 +413,7 @@ def random_phase_channel(spec: RandomPhaseSpec) -> Channel:
     """Schur multiplier channel from the spectral factorization of the multiplier.
 
     The multiplier must be positive semidefinite with unit diagonal within
-    1e-8; eigenvalues at or below 1e-12 are dropped from the Kraus family.
+    1e-8; its eigenvalues are clipped at zero, and Channel keeps the Choi rank.
     """
     b = schur_matrix(spec)
     diag_dev = float(np.max(np.abs(np.diagonal(b) - 1.0)))
@@ -423,11 +423,10 @@ def random_phase_channel(spec: RandomPhaseSpec) -> Channel:
             "multiplier matrix is not a unit-diagonal PSD matrix within 1e-8; "
             "refine the density tabulation or shrink the grid spacing"
         )
-    keep = vals > KRAUS_CLIP
     d = spec.grid_size
-    stack = np.zeros((int(keep.sum()), d, d), dtype=complex)
+    stack = np.zeros((d, d, d), dtype=complex)
     # entry (i, i) of a d x d matrix is entry i * (d + 1) of its flattening
-    stack.reshape(-1, d * d)[:, :: d + 1] = (vecs[:, keep] * np.sqrt(vals[keep])).T
+    stack.reshape(-1, d * d)[:, :: d + 1] = (vecs * np.sqrt(vals.clip(0.0))).T
     return Channel(stack, label=f"phase(a={spec.half_width:g},d={spec.grid_size})")
 
 

@@ -2,7 +2,8 @@
 
 Everything here is computed from first principles with plain numpy so the
 tests can compare library output against a second, unrelated route: the
-closed-form two-qubit entanglement formula, direct quadrature of the phase
+closed-form entanglement formulas for two qubits and for isotropic and Werner
+states in any dimension, direct quadrature of the phase
 channel action, a dense parameter grid for qubit decompositions, and
 exhaustive enumeration for the orbit minimum, and each channel builder's
 Kraus operators from its per-operator formula.  None of these call into
@@ -58,6 +59,42 @@ def werner_state(fidelity: float) -> np.ndarray:
     singlet[2, 0] = -1.0 / math.sqrt(2.0)
     proj = singlet @ singlet.T
     return fidelity * proj + (1.0 - fidelity) * (np.eye(4) - proj) / 3.0
+
+
+def isotropic_state(dim: int, fidelity: float) -> np.ndarray:
+    """F Phi+ + (1 - F)(I - Phi+)/(d^2 - 1), Phi+ the maximally entangled projector."""
+    phi = np.eye(dim).reshape(-1) / math.sqrt(dim)
+    proj = np.outer(phi, phi)
+    return fidelity * proj + (1.0 - fidelity) * (np.eye(dim * dim) - proj) / (dim * dim - 1)
+
+
+def isotropic_eof_nats(dim: int, fidelity: float) -> float:
+    """Terhal-Vollbrecht EoF of the isotropic state, PRL 85, 2625 (2000), for d >= 3.
+
+    0 up to F = 1/d, then h(g) + (1 - g) ln(d - 1) with
+    g = (sqrt F + sqrt((d - 1)(1 - F)))^2 / d up to F = 4(d - 1)/d^2, and
+    above that the straight line d ln(d - 1)/(d - 2) (F - 1) + ln d.
+    """
+    if fidelity <= 1.0 / dim:
+        return 0.0
+    if fidelity <= 4.0 * (dim - 1) / dim**2:
+        g = (math.sqrt(fidelity) + math.sqrt((dim - 1) * (1.0 - fidelity))) ** 2 / dim
+        return binary_entropy_nats(g) + (1.0 - g) * math.log(dim - 1)
+    return dim * math.log(dim - 1) / (dim - 2) * (fidelity - 1.0) + math.log(dim)
+
+
+def qudit_werner_state(dim: int, p: float) -> np.ndarray:
+    """p times the normalized antisymmetric projector plus 1 - p times the symmetric one."""
+    swap = np.eye(dim * dim).reshape((dim,) * 4).transpose(0, 1, 3, 2).reshape(dim * dim, -1)
+    anti, sym = (np.eye(dim * dim) - swap) / 2.0, (np.eye(dim * dim) + swap) / 2.0
+    return p * anti / (dim * (dim - 1) / 2) + (1.0 - p) * sym / (dim * (dim + 1) / 2)
+
+
+def qudit_werner_eof_nats(p: float) -> float:
+    """Vollbrecht-Werner EoF, PRA 64, 062307 (2001): h((1 - sqrt(1 - f^2))/2) for
+    f = Tr(rho SWAP) = 1 - 2p < 0, the same in every dimension."""
+    f = 1.0 - 2.0 * p
+    return binary_entropy_nats(0.5 * (1.0 - math.sqrt(1.0 - f * f))) if f < 0.0 else 0.0
 
 
 def quadrature_phase_output(
@@ -136,6 +173,12 @@ def kraus_sum(kraus, arr: np.ndarray) -> np.ndarray:
     for k in kraus:
         out += (k @ arr) @ k.conj().T
     return out
+
+
+def choi_sum(kraus) -> np.ndarray:
+    """Choi matrix sum_i v_i v_i^dagger, v_i the input-major vectorization of K_i."""
+    vecs = [np.asarray(k, dtype=complex).T.reshape(-1) for k in kraus]
+    return sum(np.outer(v, v.conj()) for v in vecs)
 
 
 def kron_pairs(a, b) -> list[np.ndarray]:

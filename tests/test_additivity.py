@@ -222,6 +222,14 @@ class TestTruncation:
         row = asdict(trace)["steps"][0]
         assert {"rank", "weight", "output_entropy", "roof_value", "residual_min_eig"} <= set(row)
 
+    def test_rungs_report_whether_their_roof_converged(self):
+        # the default RoofOptions(restarts=4, max_iterations=250) stop the
+        # rank-2 rung's roof at the iteration cap; the pure rank-1 rung converges
+        omega = random_density(16, 16, 95)
+        trace = truncation_experiment(omega, self.SHAPE, ranks=(1, 2))
+        assert [s.converged for s in trace.steps] == [True, False]
+        assert asdict(trace)["steps"][1]["converged"] is False
+
 
 class TestContinuityProbe:
     def test_constant_schedule_is_silent(self):

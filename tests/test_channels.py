@@ -1,5 +1,6 @@
 """Channel constructors, complements, phase-noise family, and tail bounds."""
 
+import json
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from roofkit import (
     apply,
     basis_state,
     binary_entropy,
+    channel_from_family,
     choi,
     complementary,
     completely_depolarizing,
@@ -38,6 +40,7 @@ from roofkit import (
     random_phase_channel,
     random_pure,
     random_stinespring,
+    rng_for,
     schur_matrix,
     tail_entropy_bound,
     tail_quantities,
@@ -45,6 +48,7 @@ from roofkit import (
     tensor_channel,
     von_neumann_entropy,
 )
+from roofkit.serialize import _FAMILIES, decode_channel, encode_channel
 
 import oracles
 from oracles import quadrature_phase_output, entropy_nats
@@ -124,6 +128,53 @@ BUILDERS = {
 }
 
 
+def _family(**descriptor):
+    return lambda: channel_from_family(descriptor, rng_for(0))
+
+
+def _listed(ops):
+    return lambda: Channel(ops), lambda: ops
+
+
+def _drawn_outers(dim, outcomes):
+    return lambda: oracles.prepare_outers(*oracles.measure_prepare_draws(dim, outcomes, rng_for(0)))
+
+
+_DEPHASING = [math.sqrt(0.75) * np.eye(2), math.sqrt(0.25) * np.diag([1.0, -1.0])]
+# three operators in the span of two: the rows of a 3 x 2 isometry mix dephasing's pair
+_MIX = np.array([[1.0, 1.0], [1.0, -1.0], [1.0, 0.0]]) / [math.sqrt(3.0), math.sqrt(2.0)]
+_MIXED = [sum(w * k for w, k in zip(row, _DEPHASING)) for row in _MIX]
+
+# a channel per _FAMILIES row, drawn from rng_for(0), and the stack its builder
+# is given, from the per-operator formulas; then Kraus lists with a zero, a
+# repeated and a linearly dependent operator
+MINIMAL_FORM = {
+    "noiseless": (_family(family="noiseless", dim=3), lambda: [np.eye(3)]),
+    "dephasing": (_family(family="dephasing"), lambda: _DEPHASING),
+    "depolarizing": (_family(family="depolarizing", dim=2), lambda: oracles.unit_matrices(2)),
+    "random": (_family(family="random", dim=2), lambda: oracles.isometry_slices(2, 2, 2, rng_for(0))),
+    "measure_prepare": (
+        _family(family="measure_prepare", dim=2, outcomes=2), _drawn_outers(2, 2)
+    ),
+    "phase": (
+        _family(family="phase", a=1.5, d=6),
+        lambda: oracles.multiplier_diagonals(
+            schur_matrix(RandomPhaseSpec(1.5, 6, GaussianDensity(1.0)))
+        ),
+    ),
+    # 5 operators on 2 x 2 matrices span at most 4 dimensions
+    "random:2:2:5": (
+        _family(family="random", dim=2, out=2, env=5),
+        lambda: oracles.isometry_slices(2, 2, 5, rng_for(0)),
+    ),
+    "measure_prepare:3": (_family(family="measure_prepare", dim=3), _drawn_outers(3, 3)),
+    "zero-operator": _listed([np.eye(2), np.zeros((2, 2))]),
+    "repeated-operator": _listed([_DEPHASING[0] / math.sqrt(2.0)] * 2 + _DEPHASING[1:]),
+    "dependent-operators": _listed(_MIXED),
+}
+MINIMAL_FORM_EXTRA = [name for name in MINIMAL_FORM if name not in _FAMILIES]
+
+
 class TestKrausStack:
     def test_caller_arrays_stay_writeable(self):
         ops = [np.eye(2, dtype=complex)]
@@ -134,7 +185,7 @@ class TestKrausStack:
         assert ch.kraus[0, 0, 0] == 1.0
 
     def test_one_contiguous_complex_stack(self):
-        ch = Channel([np.eye(2), np.zeros((2, 2))])
+        ch = Channel([np.eye(2) / math.sqrt(2.0), np.diag([1.0, -1.0]) / math.sqrt(2.0)])
         assert ch.kraus.shape == (2, 2, 2)
         assert ch.kraus.dtype == complex
         assert ch.kraus.flags.c_contiguous
@@ -143,6 +194,9 @@ class TestKrausStack:
     def test_builder_matches_per_operator_formula(self, name):
         build, formula = BUILDERS[name]
         ch, ops = build(), np.array(formula(), dtype=complex)
+        if name == "measure-prepare":       # 10 operators of Choi rank 6: the channel holds 6
+            assert np.abs(choi(ch) - oracles.choi_sum(ops)).max() < 1e-12
+            return
         assert ch.kraus.shape == ops.shape
         assert ch.kraus.tobytes() == ops.tobytes()
 
@@ -161,9 +215,21 @@ class TestKrausStack:
 
     def test_choi_is_the_sum_of_vectorized_outer_products(self):
         ch = random_stinespring(2, 3, 4, 44)
-        vecs = [k.T.reshape(-1) for k in ch.kraus]
-        expected = sum(np.outer(v, v.conj()) for v in vecs)
-        assert np.abs(choi(ch) - expected).max() < 1e-15
+        assert np.abs(choi(ch) - oracles.choi_sum(ch.kraus)).max() < 1e-15
+
+    @pytest.mark.parametrize("name", [*_FAMILIES, *MINIMAL_FORM_EXTRA])
+    def test_channel_holds_the_minimal_form(self, name):
+        build, formula = MINIMAL_FORM[name]
+        ch, ops = build(), np.array(formula(), dtype=complex)
+        given = oracles.choi_sum(ops)
+        rank = int(np.count_nonzero(np.linalg.eigvalsh(given) > 1e-9))
+        assert np.abs(choi(ch) - given).max() < 1e-12
+        assert ch.env_dim == rank
+        if len(ops) == rank:
+            assert ch.kraus.tobytes() == ops.tobytes()
+        back = decode_channel(json.loads(json.dumps(encode_channel(ch))))
+        assert back.kraus.shape == ch.kraus.shape
+        assert back.kraus.tobytes() == ch.kraus.tobytes()
 
 
 class TestApply:

@@ -367,7 +367,7 @@ MARGINS_CSV = "item,lhs,lhs_bound_dir,rhs,rhs_bound_dir,margin,verdict"
              "entropy_bound_ok", "weights_monotone", "final_weight", "final_entropy_gap"},
             "steps",
             {"rank", "weight", "output_entropy", "roof_value", "residual_min_eig",
-             "entropy_bound", "skipped"},
+             "entropy_bound", "converged", "skipped"},
         ),
         (
             ("scan", "--left", "noiseless:2", "--right", "noiseless:2", "--samples", "1"),

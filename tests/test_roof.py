@@ -33,13 +33,22 @@ from roofkit import (
     random_density,
     random_pure,
     random_stinespring,
+    random_unitary,
     rng_for,
     tensor,
     truncation_experiment,
     von_neumann_entropy,
 )
 
-from oracles import brute_force_qubit_roof, entropy_nats, wootters_eof_nats
+from oracles import (
+    brute_force_qubit_roof,
+    entropy_nats,
+    isotropic_eof_nats,
+    isotropic_state,
+    qudit_werner_eof_nats,
+    qudit_werner_state,
+    wootters_eof_nats,
+)
 
 FAST = RoofOptions(restarts=8, seed=0)
 
@@ -299,6 +308,32 @@ def test_wootters_oracle_is_exact_on_pure_states():
         amp = psi.reshape(2, 2)
         marginal = entropy_nats(amp @ amp.conj().T)
         assert wootters_eof_nats(np.outer(psi, psi.conj())) == pytest.approx(marginal, abs=1e-13)
+
+
+# isotropic F = 0.95, and 0.8 at d = 4, lie above 4(d - 1)/d^2, on the straight
+# part of the hull; the antisymmetric Werner state (p = 1) is a flat roof at ln 2,
+# exact whichever tied witness is kept.  d = 4 runs only where a roof takes
+# about a second.
+CLOSED_FORM_ROOFS = [
+    *[(3, "isotropic", f) for f in (0.6, 0.8, 0.95)],
+    *[(3, "werner", p) for p in (0.7, 0.9, 1.0)],
+    *[(4, "isotropic", f) for f in (0.6, 0.8)],
+    *[(4, "werner", p) for p in (0.7, 1.0)],
+]
+
+
+@pytest.mark.parametrize("dim, family, param", CLOSED_FORM_ROOFS,
+                         ids=[f"{fam}-d{d}-{x:g}" for d, fam, x in CLOSED_FORM_ROOFS])
+def test_eigh_path_roofs_meet_closed_forms(dim, family, param):
+    # qudit EoF runs the roof on the eigh kernel, in a random local frame U (x) V
+    if family == "isotropic":
+        state, exact = isotropic_state(dim, param), isotropic_eof_nats(dim, param)
+    else:
+        state, exact = qudit_werner_state(dim, param), qudit_werner_eof_nats(param)
+    frame = tensor(random_unitary(dim, (dim, 1)), random_unitary(dim, (dim, 2)))
+    rho = frame @ state @ frame.conj().T
+    res = eof(DensityMatrix((rho + rho.conj().T) / 2.0), SubsystemShape((dim, dim)), FAST)
+    assert abs(res.value - exact) <= 1e-9
 
 
 class TestChi:
