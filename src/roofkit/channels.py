@@ -42,10 +42,22 @@ TP_TOL = 1e-9
 KRAUS_CLIP = 1e-12
 
 
+def _minimal_rows(rows: np.ndarray) -> np.ndarray:
+    """Rows R' with R'* R' = R* R, one per Gram eigenvalue above KRAUS_CLIP times the largest:
+    R itself if none is lost, else u* R over the top Gram eigenvectors u, or, for more rows than
+    columns (never independent), sqrt(lam) v* over the top eigenpairs of the smaller R* R."""
+    wide = rows.shape[0] > rows.shape[1]
+    vals, vecs = hermitian_eig(rows.conj().T @ rows if wide else rows @ rows.conj().T)
+    top = vecs[:, : int(np.count_nonzero(vals > KRAUS_CLIP * vals[0]))].conj().T
+    if wide:
+        return np.sqrt(vals[: len(top), None]) * top
+    return rows if len(top) == len(rows) else top @ rows
+
+
 class Channel:
-    """Kraus family {K_i} with sum K_i* K_i = I within 1e-9, held in minimal form:
-    independent operators are kept byte for byte; dependent ones become the combinations u* K
-    over the Gram eigenvectors u with eigenvalues above KRAUS_CLIP times the largest: same Choi."""
+    """Kraus family {K_i} with sum K_i* K_i = I within 1e-9, held in minimal form by
+    _minimal_rows: numerically independent operators (Gram eigenvalues above KRAUS_CLIP times
+    the largest) are kept byte for byte, others become as many combinations as the Choi rank."""
 
     __slots__ = ("label", "in_dim", "out_dim", "kraus")
 
@@ -64,11 +76,7 @@ class Channel:
         dev = float(np.max(np.abs(iso.conj().T @ iso - np.eye(in_dim))))
         if dev > TP_TOL:
             raise ValidityError(f"not trace preserving: deviation {dev:.3e}")
-        rows = stack.reshape(env_dim, -1)           # Gram eigenvalues: the Choi spectrum
-        vals, vecs = hermitian_eig(rows @ rows.conj().T)
-        rank = int(np.count_nonzero(vals > KRAUS_CLIP * vals[0]))
-        if rank < env_dim:                           # same Choi matrix from rank combinations
-            stack = (vecs[:, :rank].conj().T @ rows).reshape(rank, out_dim, in_dim)
+        stack = _minimal_rows(stack.reshape(env_dim, -1)).reshape(-1, out_dim, in_dim)
         stack.setflags(write=False)
         self.kraus = stack
         self.in_dim = in_dim
@@ -106,7 +114,8 @@ def output_entropy(channel: Channel, rho: DensityMatrix) -> float:
 
 
 def tensor_channel(a: Channel, b: Channel) -> Channel:
-    """Product channel with pairwise Kronecker Kraus operators, a's index slowest."""
+    """Product channel with pairwise Kronecker Kraus operators, a's index slowest,
+    unless Channel reduces the stack."""
     pairs = a.kraus[:, None, :, None, :, None] * b.kraus[None, :, None, :, None, :]
     shape = (a.env_dim * b.env_dim, a.out_dim * b.out_dim, a.in_dim * b.in_dim)
     return Channel(pairs.reshape(shape), label=f"{a.label}(x){b.label}")
@@ -116,7 +125,8 @@ def complementary(channel: Channel) -> Channel:
     """Complementary channel to the environment of the Stinespring dilation.
 
     With V psi = sum_i (K_i psi) (x) |i>, tracing out the original output
-    leaves the map whose j-th Kraus operator has entries (K_i)_{jk} at (i, k).
+    leaves the map whose j-th Kraus operator has entries (K_i)_{jk} at (i, k),
+    unless Channel reduces the stack.
     The complement of a noiseless channel is the constant map to a point.
     """
     flipped = channel.kraus.transpose(1, 0, 2)     # (out, env, in)
@@ -199,8 +209,9 @@ def measure_prepare(povm: Sequence[np.ndarray], outputs: Sequence[DensityMatrix]
     """Entanglement-breaking map rho -> sum_i outputs[i] Tr(rho povm[i]).
 
     The POVM is a sequence of effects or one (outcomes, d, d) stack.  Kraus
-    operators sqrt(s_j m_k) |s_j><m_k| come from both spectral decompositions,
-    clipped at zero; Channel reduces them to the Choi rank (8 to 4 on a qubit).
+    operators |s_j><m_k| pair the rows of each output's and effect's spectral
+    factor, eigenvalues clipped at zero, each reduced by Channel's rule; Channel
+    then reduces the whole stack to the Choi rank (8 to 4 on a qubit).
     """
     if len(povm) != len(outputs) or len(povm) == 0:
         raise ParameterError("need equally many POVM elements and output states")
@@ -220,10 +231,12 @@ def measure_prepare(povm: Sequence[np.ndarray], outputs: Sequence[DensityMatrix]
         if float(mvals[-1]) < -1e-9:
             raise ValidityError(f"POVM element has eigenvalue {mvals[-1]:.3e}")
         svals, svecs = hermitian_eig(sigma.entries)
-        # operator (j, k), j slowest: sqrt(s_j m_k) |s_j><m_k|
-        outer = svecs.T[:, None, :, None] * mvecs.T.conj()[None, :, None, :]
-        coeff = np.sqrt(np.multiply.outer(svals.clip(0.0), mvals.clip(0.0)))
-        blocks.append((coeff[:, :, None, None] * outer).reshape(-1, d_out, d_in))
+        # rows of F with F* F = m (or sigma), so the stack is not outcomes * d_out * d_in long
+        mrows = _minimal_rows(np.sqrt(mvals.clip(0.0))[:, None] * mvecs.conj().T)
+        srows = _minimal_rows(np.sqrt(svals.clip(0.0))[:, None] * svecs.conj().T)
+        # operator (j, k), j slowest: |s_j><m_k| with s_j = srows[j]* and <m_k| = mrows[k]
+        outer = srows.conj()[:, None, :, None] * mrows[None, :, None, :]
+        blocks.append(outer.reshape(-1, d_out, d_in))
     return Channel(np.concatenate(blocks), label=f"measure-prepare({len(effects)} outcomes)")
 
 

@@ -304,8 +304,7 @@ def csv_text(fieldnames, rows) -> str:
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
     writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
     return buf.getvalue()
 
 
@@ -320,27 +319,13 @@ TRUNCATION_CSV_FIELDS = ("n", "weight", "H_n", "roof_n", "lambda_min")
 
 def additivity_csv_rows(reports) -> list[dict]:
     return [
-        {
-            "item": i,
-            "lhs": r.lhs,
-            "lhs_bound_dir": r.lhs_bound,
-            "rhs": r.rhs,
-            "rhs_bound_dir": r.rhs_bound,
-            "margin": r.margin,
-            "verdict": r.verdict,
-        }
+        dict(zip(ADDITIVITY_CSV_FIELDS, (i, r.lhs, r.lhs_bound, r.rhs, r.rhs_bound, r.margin, r.verdict)))
         for i, r in enumerate(reports)
     ]
 
 
 def truncation_csv_rows(trace) -> list[dict]:
     return [
-        {
-            "n": s.rank,
-            "weight": s.weight,
-            "H_n": s.output_entropy,
-            "roof_n": s.roof_value,
-            "lambda_min": s.residual_min_eig,
-        }
+        dict(zip(TRUNCATION_CSV_FIELDS, (s.rank, s.weight, s.output_entropy, s.roof_value, s.residual_min_eig)))
         for s in trace.steps
     ]

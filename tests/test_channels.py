@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -87,7 +88,27 @@ _PHASE_SPEC = RandomPhaseSpec(1.5, 6, GaussianDensity(0.7))
 _MP_POVM = [np.diag([0.7, 0.2]), np.diag([0.3, 0.8])]
 _MP_OUTPUTS = [random_density(3, 2, 40), random_density(3, 3, 41)]
 
-# each builder and its per-operator formula, from the same inputs
+
+def _family(**descriptor):
+    return lambda: channel_from_family(descriptor, rng_for(0))
+
+
+def _listed(ops):
+    return lambda: Channel(ops), lambda: ops
+
+
+def _drawn_outers(dim, outcomes):
+    return lambda: oracles.prepare_outers(*oracles.measure_prepare_draws(dim, outcomes, rng_for(0)))
+
+
+_DEPHASING = [math.sqrt(0.75) * np.eye(2), math.sqrt(0.25) * np.diag([1.0, -1.0])]
+# three operators in the span of two: the rows of a 3 x 2 isometry mix dephasing's pair
+_MIX = np.array([[1.0, 1.0], [1.0, -1.0], [1.0, 0.0]]) / [math.sqrt(3.0), math.sqrt(2.0)]
+_MIXED = [sum(w * k for w, k in zip(row, _DEPHASING)) for row in _MIX]
+
+# each builder and its per-operator formula, from the same inputs; then a
+# channel per serialize._FAMILIES row, drawn from rng_for(0), and Kraus lists
+# with a zero, a repeated and a linearly dependent operator
 BUILDERS = {
     "tensor": (
         lambda: tensor_channel(random_stinespring(2, 3, 2, 1), dephasing(0.3)),
@@ -105,6 +126,7 @@ BUILDERS = {
         lambda: partial_trace_channel(SubsystemShape((3, 2)), (1,)),
         lambda: oracles.trace_rows((3, 2), (1,)),
     ),
+    # 10 operators of Choi rank 6
     "measure-prepare": (
         lambda: measure_prepare(_MP_POVM, _MP_OUTPUTS),
         lambda: oracles.prepare_outers(_MP_POVM, [s.entries for s in _MP_OUTPUTS]),
@@ -125,38 +147,16 @@ BUILDERS = {
         lambda: direct_sum_mixture(0.3, random_stinespring(2, 3, 2, 3)),
         lambda: oracles.direct_sum_blocks(0.3, random_stinespring(2, 3, 2, 3).kraus, 2),
     ),
-}
-
-
-def _family(**descriptor):
-    return lambda: channel_from_family(descriptor, rng_for(0))
-
-
-def _listed(ops):
-    return lambda: Channel(ops), lambda: ops
-
-
-def _drawn_outers(dim, outcomes):
-    return lambda: oracles.prepare_outers(*oracles.measure_prepare_draws(dim, outcomes, rng_for(0)))
-
-
-_DEPHASING = [math.sqrt(0.75) * np.eye(2), math.sqrt(0.25) * np.diag([1.0, -1.0])]
-# three operators in the span of two: the rows of a 3 x 2 isometry mix dephasing's pair
-_MIX = np.array([[1.0, 1.0], [1.0, -1.0], [1.0, 0.0]]) / [math.sqrt(3.0), math.sqrt(2.0)]
-_MIXED = [sum(w * k for w, k in zip(row, _DEPHASING)) for row in _MIX]
-
-# a channel per _FAMILIES row, drawn from rng_for(0), and the stack its builder
-# is given, from the per-operator formulas; then Kraus lists with a zero, a
-# repeated and a linearly dependent operator
-MINIMAL_FORM = {
-    "noiseless": (_family(family="noiseless", dim=3), lambda: [np.eye(3)]),
-    "dephasing": (_family(family="dephasing"), lambda: _DEPHASING),
-    "depolarizing": (_family(family="depolarizing", dim=2), lambda: oracles.unit_matrices(2)),
-    "random": (_family(family="random", dim=2), lambda: oracles.isometry_slices(2, 2, 2, rng_for(0))),
-    "measure_prepare": (
+    "family:noiseless": (_family(family="noiseless", dim=3), lambda: [np.eye(3)]),
+    "family:dephasing": (_family(family="dephasing"), lambda: _DEPHASING),
+    "family:depolarizing": (_family(family="depolarizing", dim=2), lambda: oracles.unit_matrices(2)),
+    "family:random": (
+        _family(family="random", dim=2), lambda: oracles.isometry_slices(2, 2, 2, rng_for(0))
+    ),
+    "family:measure_prepare": (
         _family(family="measure_prepare", dim=2, outcomes=2), _drawn_outers(2, 2)
     ),
-    "phase": (
+    "family:phase": (
         _family(family="phase", a=1.5, d=6),
         lambda: oracles.multiplier_diagonals(
             schur_matrix(RandomPhaseSpec(1.5, 6, GaussianDensity(1.0)))
@@ -171,8 +171,9 @@ MINIMAL_FORM = {
     "zero-operator": _listed([np.eye(2), np.zeros((2, 2))]),
     "repeated-operator": _listed([_DEPHASING[0] / math.sqrt(2.0)] * 2 + _DEPHASING[1:]),
     "dependent-operators": _listed(_MIXED),
+    # more operators than matrix entries: reduced through the 4 x 4 matrix R* R
+    "repeated-five-times": _listed([np.eye(2) / math.sqrt(5.0)] * 5),
 }
-MINIMAL_FORM_EXTRA = [name for name in MINIMAL_FORM if name not in _FAMILIES]
 
 
 class TestKrausStack:
@@ -190,15 +191,32 @@ class TestKrausStack:
         assert ch.kraus.dtype == complex
         assert ch.kraus.flags.c_contiguous
 
+    def test_builders_cover_every_family(self):
+        assert {f"family:{name}" for name in _FAMILIES} <= set(BUILDERS)
+
     @pytest.mark.parametrize("name", list(BUILDERS))
     def test_builder_matches_per_operator_formula(self, name):
+        # the given stack's Choi matrix, held in Choi-rank operators: the same bytes when the
+        # given operators are independent, and the same values after a JSON round trip (which
+        # loses the sign of a zero real part, so a tensor stack's -0.0 comes back as 0.0)
         build, formula = BUILDERS[name]
         ch, ops = build(), np.array(formula(), dtype=complex)
-        if name == "measure-prepare":       # 10 operators of Choi rank 6: the channel holds 6
-            assert np.abs(choi(ch) - oracles.choi_sum(ops)).max() < 1e-12
-            return
-        assert ch.kraus.shape == ops.shape
-        assert ch.kraus.tobytes() == ops.tobytes()
+        given = oracles.choi_sum(ops)
+        rank = int(np.count_nonzero(np.linalg.eigvalsh(given) > 1e-9))
+        assert np.abs(choi(ch) - given).max() < 1e-12
+        assert ch.env_dim == rank
+        if len(ops) == rank:
+            assert ch.kraus.tobytes() == ops.tobytes()
+        back = decode_channel(json.loads(json.dumps(encode_channel(ch))))
+        assert back.kraus.shape == ch.kraus.shape
+        assert np.array_equal(back.kraus, ch.kraus)
+
+    def test_phase_complement_holds_one_operator_per_grid_point(self):
+        # rank-1 effects and pure outputs: 16 operators, never 16 * 64 * 16 handed to Channel
+        spec = RandomPhaseSpec(1.0, 16, GaussianDensity(1.0))
+        start = time.perf_counter()
+        assert phase_channel_complement_mp(spec).kraus.shape == (16, 64, 16)
+        assert time.perf_counter() - start < 2.0
 
     @pytest.mark.parametrize("name", list(BUILDERS))
     def test_apply_raw_matches_per_operator_sum(self, name):
@@ -216,20 +234,6 @@ class TestKrausStack:
     def test_choi_is_the_sum_of_vectorized_outer_products(self):
         ch = random_stinespring(2, 3, 4, 44)
         assert np.abs(choi(ch) - oracles.choi_sum(ch.kraus)).max() < 1e-15
-
-    @pytest.mark.parametrize("name", [*_FAMILIES, *MINIMAL_FORM_EXTRA])
-    def test_channel_holds_the_minimal_form(self, name):
-        build, formula = MINIMAL_FORM[name]
-        ch, ops = build(), np.array(formula(), dtype=complex)
-        given = oracles.choi_sum(ops)
-        rank = int(np.count_nonzero(np.linalg.eigvalsh(given) > 1e-9))
-        assert np.abs(choi(ch) - given).max() < 1e-12
-        assert ch.env_dim == rank
-        if len(ops) == rank:
-            assert ch.kraus.tobytes() == ops.tobytes()
-        back = decode_channel(json.loads(json.dumps(encode_channel(ch))))
-        assert back.kraus.shape == ch.kraus.shape
-        assert back.kraus.tobytes() == ch.kraus.tobytes()
 
 
 class TestApply:
