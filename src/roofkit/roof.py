@@ -4,7 +4,7 @@ A decomposition of rho with r positive eigenvalues is parametrized by an
 m x r matrix with orthonormal columns: row i mixes the scaled eigenvectors
 of rho into the (unnormalized) member v_i, so every parameter point is a
 valid ensemble with barycenter rho.  Multi-restart descent over that
-manifold, Barzilai-Borwein steps with a nonmonotone line search and polar
+manifold, Barzilai-Borwein steps with a nonmonotone line search and QR
 retraction (Wen & Yin, Math. Program. 142 (2013)), yields certified *upper*
 bounds on the roof; reported optima are never lower bounds.
 
@@ -23,8 +23,9 @@ the member amplitudes and the gradient are stacked matmuls.  Members on a
 2 x 2 side, as in two-qubit EoF and every qubit-output roof, never form their
 outputs: the three entries, the spectrum and dF/dA come in closed form from
 the two amplitude rows, without LAPACK or small matmuls.  Larger sides take
-one `eigh` per output.  The polar retraction comes from an eigensolve of the
-r x r Gram matrix, not an SVD of the m x r point.
+one `eigh` per output.  The QR retraction of a trial comes from one Cholesky
+factor of its r x r Gram matrix (Sato & Aihara, Comput. Optim. Appl. 72
+(2019)), not a QR or SVD of the m x r point.
 """
 
 from __future__ import annotations
@@ -44,8 +45,10 @@ SUPPORT_CUT = 1e-12
 WEIGHT_DROP = 1e-14
 LOG_FLOOR = 1e-12
 ARMIJO = 1e-4
-# Barzilai-Borwein step clamp and the Zhang-Hager nonmonotone weight eta
-BB_MIN, BB_MAX = 1e-10, 1e10
+# the least Barzilai-Borwein step, the longest trial step t ||xi||_F, and the
+# Zhang-Hager nonmonotone weight eta
+BB_MIN = 1e-10
+STEP_MAX = 1e4
 NONMONOTONE = 0.85
 TIE_TOL = 1e-12
 SIZE_CAP = 64
@@ -219,10 +222,13 @@ def _objective(kstack: np.ndarray, g: np.ndarray | None = None):
     A pure member's output and its complementary output (swap the output and
     Kraus axes of the (env, out, in) stack) share their nonzero spectrum, so
     members run on whichever side of the dilation is smaller, with the same
-    value and gradient.
+    value and gradient.  Equal sides take the arrangement whose C-order bytes
+    compare lower, so a stack and its transpose, a channel and its complement,
+    run one arrangement and one descent.
     """
-    if kstack.shape[0] >= kstack.shape[1]:             # (side, other, in), side the smaller
-        kstack = np.ascontiguousarray(kstack.transpose(1, 0, 2))
+    flipped = np.ascontiguousarray(kstack.transpose(1, 0, 2))
+    # (side, other, in), side the smaller, and at equal sides the lower bytes
+    kstack = min(kstack, flipped, key=lambda k: (k.shape[0], k.tobytes()))
     side, other = kstack.shape[:2]
     lift = (kstack if g is None else kstack @ g).reshape(side * other, -1)
     lift_t, lift_c = lift.T, lift.conj()
@@ -254,16 +260,14 @@ def _objective(kstack: np.ndarray, g: np.ndarray | None = None):
     return kernel
 
 
-def _polar(x: np.ndarray) -> np.ndarray:
-    """Polar factor x (x^H x)^(-1/2), from one `eigh` of the r x r Gram matrix.
+def _retract(x: np.ndarray) -> np.ndarray:
+    """Q factor of x = QR with R's diagonal positive: x L^(-H), L L^H = x^H x.
 
-    A candidate X - t xi (xi tangent at X) has Gram I + t^2 xi^H xi, with all
-    eigenvalues >= 1, so this is the SVD polar factor up to rounding.  Square
-    Gaussian starts (ensemble_size == rank) are ill-conditioned: their columns
-    stay orthonormal within 1e-9 (7.6e-11 at worst over 200 36 x 36 draws).
+    A trial X - t xi (xi tangent at X) has Gram I + t^2 xi^H xi, with every
+    eigenvalue in [1, 1 + (t ||xi||_F)^2], so under the STEP_MAX clamp its
+    condition number stays below about 1e8 and the Cholesky factor exists.
     """
-    lam, v = np.linalg.eigh(_h(x) @ x)
-    return x @ ((v / np.sqrt(lam)[..., None, :]) @ _h(v))
+    return x @ _h(np.linalg.inv(np.linalg.cholesky(_h(x) @ x)))
 
 
 def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -290,26 +294,27 @@ class _RunStats:
 
 
 def _lockstep(f, m_mat: np.ndarray, options: RoofOptions) -> _RunStats:
-    """Feasible Barzilai-Borwein descent with polar retraction.
+    """Feasible Barzilai-Borwein descent with QR retraction.
 
     The method of Wen & Yin, Math. Program. 142 (2013), run on a stack of
     starts together.  Every restart keeps its own state: from s = X_k -
     X_{k-1} and y = xi_k - xi_{k-1} (xi the projected gradient) it takes the
     BB1 step <s,s>/|<s,y>| on odd iterations and the BB2 step |<s,y>|/<y,y>
-    on even ones (1 on the first, or when <s,y> = 0), clamped to
-    [BB_MIN, BB_MAX], and halves it until the nonmonotone Armijo test of
-    Zhang & Hager, SIAM J. Optim. 14 (2004), holds against its reference
-    value C.  The slope along -xi is 2 ||xi||^2, since dF = 2 Re<G, dX>.  C
-    starts at the start's value and C_k >= f_k, so no restart ends above its
-    start.  A restart leaves when its gradient norm drops below `grad_tol`,
-    when its step falls to 1e-14 without passing the test, or at the
-    iteration cap.  Norms and inner products are row-wise reductions over
+    on even ones (1 on the first, or when <s,y> = 0), at least BB_MIN and
+    with t ||xi||_F at most STEP_MAX, and halves it until the nonmonotone
+    Armijo test of Zhang & Hager, SIAM J. Optim. 14 (2004), holds against
+    its reference value C.  The slope along -xi is 2 ||xi||^2, since dF =
+    2 Re<G, dX>.  C starts at the start's value and C_k >= f_k, so no
+    restart ends above its start.  A restart leaves when its gradient norm
+    drops below `grad_tol`, when its step falls to 1e-14 without passing the
+    test, or at the iteration cap.  Norms and inner products are row-wise reductions over
     each point, so no restart's arithmetic depends on the others.
 
-    Every backtracking round evaluates the kernel f with gradients, and the
-    iteration keeps the value and gradient of each row that its round
-    accepts, so every trial point has one value and every accepted point is
-    eigensolved once.
+    Every backtracking round retracts its trials with one batched Cholesky
+    and one batched inverse of their r x r Gram matrices (`_retract`), and
+    evaluates the kernel f with gradients; the iteration keeps the value and
+    gradient of each row that its round accepts, so every trial point has one
+    value and every accepted point is eigensolved once.
     """
     value, grad = f(m_mat, grad=True)
     ref, weight = value.copy(), np.ones(len(m_mat))    # Zhang-Hager C_k and Q_k
@@ -328,14 +333,15 @@ def _lockstep(f, m_mat: np.ndarray, options: RoofOptions) -> _RunStats:
             s, y = x - last_x, xi - last_xi
             sy = np.abs(_inner(s, y))
             num, den = (_inner(s, s), sy) if it % 2 else (sy, _inner(y, y))
-            t = np.clip(np.divide(num, den, out=t, where=sy > 0.0), BB_MIN, BB_MAX)
-        grad_norm[live] = np.sqrt(squares)
-        t[grad_norm[live] < options.grad_tol] = 0.0    # converged: no search
+            t = np.maximum(np.divide(num, den, out=t, where=sy > 0.0), BB_MIN)
+        grad_norm[live] = norm = np.sqrt(squares)
+        t = np.minimum(t, STEP_MAX / np.maximum(norm, options.grad_tol))
+        t[norm < options.grad_tol] = 0.0               # converged: no search
         accepted = np.zeros(len(live), dtype=bool)
         following, next_grad = np.empty_like(x), np.empty_like(x)
         search = np.arange(len(live))
         while (search := search[t[search] > 1e-14]).size:
-            cand = _polar(x[search] - t[search, None, None] * xi[search])
+            cand = _retract(x[search] - t[search, None, None] * xi[search])
             cand_value, cand_grad = f(cand, grad=True)
             ok = cand_value <= ref[live[search]] - ARMIJO * t[search] * slope[search]
             hit = search[ok]
@@ -367,8 +373,14 @@ def _resolve_size(options: RoofOptions, rank: int) -> int:
 
 
 def _random_start(rng: np.random.Generator, size: int, rank: int) -> np.ndarray:
+    """`_retract`'s Q factor of a complex Gaussian, from a Householder QR.
+
+    A square Gaussian's Gram matrix can be too ill-conditioned for a Cholesky factor.
+    """
     g = rng.normal(size=(size, rank)) + 1j * rng.normal(size=(size, rank))
-    return _polar(g)
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
 
 
 def _multistart(f, size: int, rank: int, options: RoofOptions) -> tuple[_RunStats, int]:

@@ -82,6 +82,13 @@ def encode_matrix(arr) -> dict:
     return body
 
 
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """The complex array re + i im with both parts' bits, the sign of -0.0 included."""
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
 def decode_matrix(data: dict) -> np.ndarray:
     values = _typed("matrix", data, {"dim": int, "rows": int, "cols": int, "re": list, "im": list})
     rows = values["re"] + values["im"]      # 2-d parts, checked before numpy's 64-dimension cap
@@ -99,7 +106,7 @@ def decode_matrix(data: dict) -> np.ndarray:
         want = re.shape
     if re.shape != want:
         raise DimensionError(f"declared shape {want} does not match entries {re.shape}")
-    return re + 1j * im
+    return _complex(re, im)
 
 
 def encode_vector(vec) -> dict:
@@ -115,7 +122,7 @@ def decode_vector(data: dict) -> np.ndarray:
     re, im = np.asarray(re, dtype=float), np.asarray(im, dtype=float)
     if "dim" in values and re.shape[0] != values["dim"]:
         raise DimensionError(f"declared dim {values['dim']} does not match length {re.shape[0]}")
-    return re + 1j * im
+    return _complex(re, im)
 
 
 def encode_state(rho: DensityMatrix) -> dict:

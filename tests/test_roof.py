@@ -36,6 +36,7 @@ from roofkit import (
     random_unitary,
     rng_for,
     tensor,
+    tensor_channel,
     truncation_experiment,
     von_neumann_entropy,
 )
@@ -564,7 +565,7 @@ def _two_call_lockstep(value_fn, grad_fn, m_mat, options):
     values from the gradient call the two descents match bit for bit.
     """
     from roofkit.roof import (
-        ARMIJO, BB_MAX, BB_MIN, NONMONOTONE, _inner, _polar, _RunStats, _tangent,
+        ARMIJO, BB_MIN, NONMONOTONE, STEP_MAX, _inner, _retract, _RunStats, _tangent,
     )
 
     value, grad = grad_fn(m_mat)
@@ -582,13 +583,14 @@ def _two_call_lockstep(value_fn, grad_fn, m_mat, options):
             s, y = x - last_x, xi - last_xi
             sy = np.abs(_inner(s, y))
             num, den = (_inner(s, s), sy) if it % 2 else (sy, _inner(y, y))
-            t = np.clip(np.divide(num, den, out=t, where=sy > 0.0), BB_MIN, BB_MAX)
-        grad_norm[live] = np.sqrt(squares)
-        t[grad_norm[live] < options.grad_tol] = 0.0
+            t = np.maximum(np.divide(num, den, out=t, where=sy > 0.0), BB_MIN)
+        grad_norm[live] = norm = np.sqrt(squares)
+        t = np.minimum(t, STEP_MAX / np.maximum(norm, options.grad_tol))
+        t[norm < options.grad_tol] = 0.0
         accepted, following = np.zeros(len(live), dtype=bool), np.empty_like(x)
         search = np.arange(len(live))
         while (search := search[t[search] > 1e-14]).size:
-            cand = _polar(x[search] - t[search, None, None] * xi[search])
+            cand = _retract(x[search] - t[search, None, None] * xi[search])
             ok = value_fn(cand) <= ref[live[search]] - ARMIJO * t[search] * slope[search]
             following[search[ok]] = cand[ok]
             accepted[search[ok]] = True
@@ -637,9 +639,9 @@ def test_fused_trials_match_the_two_call_descent(objective):
 @pytest.mark.parametrize("objective", OBJECTIVES)
 def test_one_gradient_call_per_iteration_without_backtracks(objective, monkeypatch):
     # each iteration projects the gradient once (T), and each of its
-    # backtracking rounds is one _polar (P) and one kernel call with the
+    # backtracking rounds is one _retract (R) and one kernel call with the
     # gradient (G); a value-only call (V) never happens, so an iteration whose
-    # rows all pass at their first trial is "TPG"
+    # rows all pass at their first trial is "TRG"
     import re
 
     from roofkit import roof
@@ -652,30 +654,30 @@ def test_one_gradient_call_per_iteration_without_backtracks(objective, monkeypat
         lambda m_mat: rounds.append(len(m_mat)) or f(m_mat), lambda m: f(m, grad=True),
         starts, options,
     )
-    events, polar, tangent = [], roof._polar, roof._tangent
+    events, retract, tangent = [], roof._retract, roof._tangent
 
     def record_tangent(x, grad):
         events.append("T")
         return tangent(x, grad)
 
-    def record_polar(x):
-        events.append("P")
-        return polar(x)
+    def record_retract(x):
+        events.append("R")
+        return retract(x)
 
     def record_f(m_mat, grad=False):
         events.append("G" if grad else "V")
         return f(m_mat, grad)
 
     monkeypatch.setattr(roof, "_tangent", record_tangent)
-    monkeypatch.setattr(roof, "_polar", record_polar)
+    monkeypatch.setattr(roof, "_retract", record_retract)
     runs = roof._lockstep(record_f, starts, options)
     trace = "".join(events)
-    assert re.fullmatch(r"G(?:T(?:PG)*)*", trace), trace
+    assert re.fullmatch(r"G(?:T(?:RG)*)*", trace), trace
     assert trace.count("T") == runs.iterations.max()
-    assert "TPGT" in trace                              # an iteration without backtracks
-    assert re.search(r"T(?:PG){2}", trace)              # and one that backtracked
+    assert "TRGT" in trace                              # an iteration without backtracks
+    assert re.search(r"T(?:RG){2}", trace)              # and one that backtracked
     # one kernel call per line-search round of the two-call descent
-    assert trace.count("PG") == len(rounds)
+    assert trace.count("RG") == len(rounds)
 
 
 def _eigh_spectral(a):
@@ -779,9 +781,11 @@ def test_qubit_side_kernel_matches_matmul_reference(objective):
         assert np.abs(grad - expected_grad).max() <= 1e-12
 
 
-def _svd_polar(x):
-    u, _, vh = np.linalg.svd(x, full_matrices=False)
-    return u @ vh
+def _householder_q(x):
+    """The Q factor of x = QR with R's diagonal positive, from LAPACK's Householder QR."""
+    q, r = np.linalg.qr(x)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
 
 
 def _gaussian(rng, size, rank):
@@ -789,38 +793,92 @@ def _gaussian(rng, size, rank):
 
 
 @pytest.mark.parametrize("size, rank", [(3, 1), (4, 2), (9, 3), (36, 6), (64, 36)])
-def test_gram_polar_matches_svd_polar_on_tangent_steps(size, rank):
+def test_cholesky_qr_matches_householder_q_on_tangent_steps(size, rank):
     # X - t xi has Gram I + t^2 xi^H xi: well conditioned for any step
-    from roofkit.roof import _polar, _tangent
+    from roofkit.roof import _retract, _tangent
 
     rng = np.random.default_rng((92, size, rank))
     for _ in range(3):
-        x = _svd_polar(_gaussian(rng, size, rank))
+        x = _householder_q(_gaussian(rng, size, rank))
         xi = _tangent(x, _gaussian(rng, size, rank))
         xi /= np.linalg.norm(xi)
         for step in np.logspace(-3, 3, 13):
             cand = x - step * xi
-            assert np.abs(_polar(cand) - _svd_polar(cand)).max() <= 1e-13, step
+            assert np.abs(_retract(cand) - _householder_q(cand)).max() <= 1e-13, step
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3, 4, 6, 36])
-def test_gram_polar_matches_svd_polar_on_seeded_starts(rank):
-    from roofkit.roof import SIZE_CAP, _random_start
+def test_seeded_starts_are_the_cholesky_qr_of_their_gaussian(rank):
+    from roofkit.roof import SIZE_CAP, _random_start, _retract
 
     size = min(rank * rank, SIZE_CAP)
     for i in range(8):
-        expected = _svd_polar(_gaussian(rng_for(93, i), size, rank))
+        expected = _retract(_gaussian(rng_for(93, i), size, rank))
         assert np.abs(_random_start(rng_for(93, i), size, rank) - expected).max() <= 1e-13
 
 
 def test_square_starts_stay_orthonormal_within_1e9():
-    # ensemble_size == rank gives square Gaussian starts, the Gram route's
-    # one ill-conditioned input
+    # ensemble_size == rank gives square Gaussian starts, whose Gram matrix
+    # can be too ill-conditioned for the Cholesky route
     from roofkit.roof import _random_start
 
     for i in range(200):
         x = _random_start(rng_for(94, i), 36, 36)
         assert np.abs(x.conj().T @ x - np.eye(36)).max() <= 1e-9, i
+
+
+def test_forced_huge_trial_is_clamped(monkeypatch):
+    # t = 1e10 along a rank-1 tangent of a (64, 36) point: the Gram matrix
+    # I + t^2 xi^H xi has no Cholesky factor in double precision, and its eigh
+    # has negative eigenvalues.  The clamp t ||xi||_F <= STEP_MAX retracts
+    # the trial at step length STEP_MAX instead.
+    from roofkit import roof
+    from roofkit.roof import _h
+
+    f = roof._objective(
+        random_stinespring(36, 4, 9, 141).kraus,
+        roof._support_factor(random_density(36, 36, 142))[0],
+    )
+    rng = np.random.default_rng(143)
+    u, v = _gaussian(rng, 64, 1), _gaussian(rng, 36, 1)
+
+    def rank_one_tangent(x, grad):
+        xi = (u - x @ (_h(x) @ u)) @ _h(v)           # x^H xi = 0
+        xi /= np.linalg.norm(xi, axis=(-2, -1), keepdims=True)
+        # a descent direction, so that the search accepts a step
+        return xi * np.sign(roof._inner(xi, grad))[:, None, None]
+
+    grams, retract = [], roof._retract
+
+    def recorded(x):
+        grams.append(np.linalg.eigvalsh(_h(x) @ x).max(axis=-1))
+        return retract(x)
+
+    monkeypatch.setattr(roof, "BB_MIN", 1e10)
+    monkeypatch.setattr(roof, "_tangent", rank_one_tangent)
+    monkeypatch.setattr(roof, "_retract", recorded)
+    starts = np.stack([roof._random_start(rng_for(144, i), 64, 36) for i in range(2)])
+    runs = roof._lockstep(f, starts, RoofOptions(max_iterations=3))
+    assert np.isclose(np.concatenate(grams).max(), 1.0 + roof.STEP_MAX ** 2, rtol=1e-6)
+    assert np.all(np.isfinite(runs.value))
+    assert np.all(runs.iterations == 3)                 # iterations 1 and 2 accepted a point
+    gram = _h(runs.m_mat) @ runs.m_mat
+    assert np.abs(gram - np.eye(36)).max() <= 1e-8
+
+
+def test_line_search_calls_no_eigensolver_outside_the_kernel(monkeypatch):
+    # on a qubit side the kernel is closed form, so the whole descent is eigensolver-free
+    from roofkit.roof import _lockstep, _random_start
+
+    f, size, rank = _stack_case("roof", 145)
+    starts = np.stack([_random_start(rng_for(146, i), size, rank) for i in range(8)])
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the line search called an eigensolver, an SVD or a QR")
+
+    for name in ("eig", "eigh", "eigvals", "eigvalsh", "svd", "qr"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    assert np.all(_lockstep(f, starts, RoofOptions(max_iterations=50)).iterations >= 1)
 
 
 @pytest.mark.parametrize("objective", OBJECTIVES)
@@ -836,7 +894,7 @@ def test_lockstep_end_points_are_orthonormal(objective):
 
 
 def test_roof_paths_call_no_einsum_or_svd(monkeypatch, descents):
-    # the kernel runs on stacked matmuls and the retraction on a Gram eigh
+    # the kernel runs on stacked matmuls and the retraction on a Gram Cholesky
     def forbidden(*args, **kwargs):
         raise AssertionError("the roof optimizer called np.einsum or np.linalg.svd")
 
@@ -1018,12 +1076,23 @@ def test_roof_matches_complement_on_every_side(dims, rank):
     rho = random_density(dims[0], rank, (132, *dims))
     ours = ccooe(channel, rho, FAST)
     theirs = ccooe(complementary(channel), rho, FAST)
+    # both channels run one arrangement of one Kraus stack, env = out included
     assert ours.best_restart == theirs.best_restart
     assert ours.iterations == theirs.iterations
-    if dims[2] < dims[1]:
-        # env < out: both channels run on one Kraus stack.  With env = out each
-        # eigensolves the other's arrangement of it, so the descents differ by
-        # rounding: the gradient norms differ, and on other seeds a 3-3-3
-        # channel at full rank can even end on another best restart
-        assert ours.gradient_norm == theirs.gradient_norm
+    assert ours.gradient_norm == theirs.gradient_norm
     assert ours.value == pytest.approx(theirs.value, abs=1e-12)
+
+
+def test_equal_sides_descend_as_the_complement_does():
+    # a product channel with env = out = 4, whose two arrangements of the Kraus
+    # stack once gave descents that parted by up to 8.3e-8 on these states
+    channel = tensor_channel(dephasing(0.25), random_stinespring(2, 2, 2, 111))
+    mirror = complementary(channel)
+    assert mirror.kraus.tobytes() == channel.kraus.transpose(1, 0, 2).tobytes()
+    for i in range(16):
+        rho = random_density(4, 4, (70, i))
+        ours, theirs = ccooe(channel, rho, FAST), ccooe(mirror, rho, FAST)
+        assert ours.best_restart == theirs.best_restart, i
+        assert ours.iterations == theirs.iterations, i
+        assert ours.gradient_norm == theirs.gradient_norm, i
+        assert ours.value == pytest.approx(theirs.value, abs=1e-12), i

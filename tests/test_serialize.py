@@ -151,6 +151,15 @@ class TestMatrixRoundTrip:
         back = decode_vector(json.loads(json.dumps(encode_vector(vec))))
         assert np.array_equal(back, vec)
 
+    def test_negative_zeros_round_trip(self):
+        # re + 1j * im would turn a -0.0 real part into 0.0
+        vec = np.array([complex(-0.0, -0.0), complex(-0.0, 1.0), complex(1.0, -0.0)])
+        mat = np.stack([vec, vec[::-1]])
+        back = decode_vector(json.loads(json.dumps(encode_vector(vec))))
+        assert back.tobytes() == vec.tobytes()
+        back = decode_matrix(json.loads(json.dumps(encode_matrix(mat))))
+        assert back.tobytes() == mat.tobytes()
+
 
 class TestStateAndChannel:
     def test_state_round_trip(self):
