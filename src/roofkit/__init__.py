@@ -12,13 +12,11 @@ from .additivity import (
     ScanResult,
     TransferProbe,
     TruncationTrace,
-    chi_subadditivity_margin,
     complementary_transfer_probe,
     continuity_probe,
-    corollary_bound_check,
+    margin_check,
     min_output_margin,
     scan_random,
-    superadditivity_margin,
     truncation_experiment,
 )
 from .channels import (

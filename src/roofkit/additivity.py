@@ -136,8 +136,35 @@ _TRIO_ROWS = {
 }
 
 
-def _trio_check(kind, phi, psi, omega, options, tolerance, state_label, observe=lambda r: {}):
-    """One check on one trio; `observe` maps its RoofResults to extra diagnostics."""
+def _require_kind(kind) -> None:
+    if kind not in _TRIO_ROWS:
+        raise ParameterError(f"unknown check {kind!r}; choose from {sorted(_TRIO_ROWS)}")
+
+
+def margin_check(
+    kind: str,
+    phi: Channel,
+    psi: Channel,
+    omega: DensityMatrix,
+    options: RoofOptions | None = None,
+    tolerance: float = DEFAULT_TOLERANCE,
+    state_label: str = "omega",
+    observe=lambda roofs: {},
+) -> AdditivityReport:
+    """Check one inequality of `_TRIO_ROWS` on the trio of omega and its marginals.
+
+    "superadditivity": roof(joint) >= roof(left) + roof(right); both sides are
+    optimizer upper bounds, so a negative margin is evidence of a convergence
+    gap before it is evidence of anything else.
+    "chi-subadditivity": chi(left) + chi(right) >= chi(joint); the chi values
+    reuse the same roof runs, so margin(chi) = margin(roof) - (S(joint out) -
+    S(left out) - S(right out)) holds exactly, and the roof margin is kept in
+    the diagnostics.
+    "corollary-max": roof(joint) >= max of the two marginal roofs.
+    `observe` maps the trio's RoofResults to extra diagnostics.
+    """
+    _require_kind(kind)
+
     def build(opts: RoofOptions) -> AdditivityReport:
         roofs, entropy = _roof_trio(phi, psi, omega, opts)
         roof = {k: r.value for k, r in roofs.items()}
@@ -151,58 +178,6 @@ def _trio_check(kind, phi, psi, omega, options, tolerance, state_label, observe=
         )
 
     return _settle(build, options, tolerance)
-
-
-def superadditivity_margin(
-    phi: Channel,
-    psi: Channel,
-    omega: DensityMatrix,
-    options: RoofOptions | None = None,
-    tolerance: float = DEFAULT_TOLERANCE,
-    state_label: str = "omega",
-) -> AdditivityReport:
-    """Check roof(joint) >= roof(left marginal) + roof(right marginal).
-
-    Both sides are optimizer upper bounds, so a negative margin is evidence
-    of a convergence gap before it is evidence of anything else.
-    """
-    return _trio_check(
-        "superadditivity", phi, psi, omega, options, tolerance, state_label
-    )
-
-
-def chi_subadditivity_margin(
-    phi: Channel,
-    psi: Channel,
-    omega: DensityMatrix,
-    options: RoofOptions | None = None,
-    tolerance: float = DEFAULT_TOLERANCE,
-    state_label: str = "omega",
-) -> AdditivityReport:
-    """Check chi(left) + chi(right) >= chi(joint) at the given input.
-
-    The chi values reuse the same roof runs as the superadditivity check, so
-    margin(chi) = margin(roof) - (S(joint out) - S(left out) - S(right out))
-    holds as an exact arithmetic identity; the roof margin is kept in the
-    diagnostics.
-    """
-    return _trio_check(
-        "chi-subadditivity", phi, psi, omega, options, tolerance, state_label
-    )
-
-
-def corollary_bound_check(
-    phi: Channel,
-    psi: Channel,
-    omega: DensityMatrix,
-    options: RoofOptions | None = None,
-    tolerance: float = DEFAULT_TOLERANCE,
-    state_label: str = "omega",
-) -> AdditivityReport:
-    """Check roof(joint) >= max of the two marginal roofs."""
-    return _trio_check(
-        "corollary-max", phi, psi, omega, options, tolerance, state_label
-    )
 
 
 def min_output_margin(
@@ -442,7 +417,7 @@ def complementary_transfer_probe(
     for i in range(samples):
         dim = phi.in_dim * psi.in_dim
         omega = random_density(dim, dim, (seed, i))
-        report = _trio_check(
+        report = margin_check(
             "superadditivity", phi, psi, omega, options, tolerance, f"sample-{i}", observe
         )
         flagged += report.verdict == FLAGGED
@@ -494,8 +469,7 @@ def scan_random(
     samples = require_count(samples, "samples", 0)
     for family in (phi_family, psi_family):
         _family_row(family, _FAMILIES, "channel descriptor")
-    if check not in _TRIO_ROWS:
-        raise ParameterError(f"unknown check {check!r}; choose from {sorted(_TRIO_ROWS)}")
+    _require_kind(check)
     _require_tolerance(tolerance)
 
     def make_item(i: int):
@@ -506,7 +480,7 @@ def scan_random(
         return phi, psi, omega
 
     reports = [
-        _trio_check(check, *make_item(i), options, tolerance, f"item-{i}")
+        margin_check(check, *make_item(i), options, tolerance, f"item-{i}")
         for i in range(samples)
     ]
 

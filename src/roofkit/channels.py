@@ -72,6 +72,8 @@ class Channel:
         if stack.ndim != 3:
             raise DimensionError("Kraus operators must share one rectangular shape")
         env_dim, out_dim, in_dim = stack.shape
+        if out_dim == 0 or in_dim == 0:
+            raise DimensionError(f"Kraus operators must be at least 1 x 1, got {stack.shape[1:]}")
         iso = stack.reshape(env_dim * out_dim, in_dim)
         dev = float(np.max(np.abs(iso.conj().T @ iso - np.eye(in_dim))))
         if dev > TP_TOL:
@@ -269,8 +271,8 @@ class GaussianDensity:
     std: float
 
     def __post_init__(self):
-        if not self.std > 0.0:
-            raise ParameterError(f"standard deviation must be positive, got {self.std}")
+        if not 0.0 < self.std < math.inf:
+            raise ParameterError(f"standard deviation must be positive and finite, got {self.std}")
 
     def pdf(self, t: float) -> float:
         s = self.std
@@ -315,8 +317,8 @@ class UniformDensity:
     half_width: float
 
     def __post_init__(self):
-        if not self.half_width > 0.0:
-            raise ParameterError(f"half width must be positive, got {self.half_width}")
+        if not 0.0 < self.half_width < math.inf:
+            raise ParameterError(f"half width must be positive and finite, got {self.half_width}")
 
     def pdf(self, t: float) -> float:
         return 1.0 / (2.0 * self.half_width) if abs(t) < self.half_width else 0.0
@@ -360,6 +362,8 @@ class TabulatedDensity:
             raise ParameterError("points, values and weights must be 1-d and equally long")
         if vals.size == 0:
             raise ParameterError("empty tabulation")
+        if not all(np.isfinite(arr).all() for arr in (pts, vals, wts)):
+            raise ParameterError("points, values and weights must be finite")
         if float(vals.min()) < 0.0 or float(wts.min()) <= 0.0:
             raise ParameterError("density values must be >= 0 and weights > 0")
         mass = float(wts @ vals)
@@ -405,8 +409,8 @@ class RandomPhaseSpec:
     density: GaussianDensity | UniformDensity | TabulatedDensity
 
     def __post_init__(self):
-        if not self.half_width > 0.0:
-            raise ParameterError(f"half width must be positive, got {self.half_width}")
+        if not 0.0 < self.half_width < math.inf:
+            raise ParameterError(f"half width must be positive and finite, got {self.half_width}")
         object.__setattr__(self, "grid_size", require_count(self.grid_size, "grid size"))
 
     def grid(self) -> np.ndarray:
@@ -449,8 +453,8 @@ def _complement_profiles(
     t_points = require_count(t_points, "t-grid size")
     if t_half_width is None:
         t_half_width = spec.half_width + spec.density.profile_reach()
-    if not t_half_width > 0.0:
-        raise ParameterError(f"t-grid half width must be positive, got {t_half_width}")
+    if not 0.0 < t_half_width < math.inf:
+        raise ParameterError(f"t-grid half width must be positive and finite, got {t_half_width}")
     t = -t_half_width + (np.arange(t_points) + 0.5) * (2.0 * t_half_width / t_points)
     prof = np.asarray(spec.density.profile(t[:, None] - spec.grid()[None, :]), dtype=complex)
     norms = np.linalg.norm(prof, axis=0)
@@ -499,8 +503,8 @@ def tail_quantities(density, d: float) -> tuple[float, float, float]:
     p log p there, and gamma(d) the unit-lattice sum of density values from
     +-d outward; gamma(d) <= alpha(d-1) for unimodal densities.
     """
-    if not d > 0.0:
-        raise ParameterError(f"cutoff must be positive, got {d}")
+    if not 0.0 < d < math.inf:
+        raise ParameterError(f"cutoff must be positive and finite, got {d}")
     return (
         float(density.tail_mass(d)),
         float(density.tail_log_mass(d)),
@@ -514,8 +518,8 @@ def tail_entropy_bound(density, d: float, entropy_cap: float, out_entropy: float
     Evaluates alpha(d)/(1-alpha(d)) * H + h(alpha(d)) + alpha(d-1) * C
     + beta(d-1) for an output entropy H and a log-dimension cap C.
     """
-    if not d >= 1.0:
-        raise ParameterError(f"cutoff must be at least 1, got {d}")
+    if not 1.0 <= d < math.inf:
+        raise ParameterError(f"cutoff must be at least 1 and finite, got {d}")
     if entropy_cap < 0.0 or out_entropy < 0.0:
         raise ParameterError("entropy arguments must be nonnegative")
     alpha = float(density.tail_mass(d))

@@ -25,8 +25,8 @@ from .additivity import (
     _TRIO_ROWS,
     FLAGGED,
     TransferRow,
-    _trio_check,
     complementary_transfer_probe,
+    margin_check,
     scan_random,
     truncation_experiment,
 )
@@ -222,7 +222,7 @@ def cmd_margin(args) -> tuple[dict, list]:
     right = _load_channel(args.right, args.seed, 1)
     rho = _load_state(args)
     kind = _MARGIN_CMDS[args.mode]
-    report = _trio_check(kind, left, right, rho, _options(args), args.tolerance, "omega")
+    report = margin_check(kind, left, right, rho, _options(args), args.tolerance, "omega")
     return asdict(report), [("margins.csv", ADDITIVITY_CSV_FIELDS, additivity_csv_rows([report]))]
 
 

@@ -219,6 +219,8 @@ def require_hermitian(a, tol: float, what: str) -> np.ndarray:
     arr = require_finite(a, what)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionError(f"{what} must be a square matrix, got shape {arr.shape}")
+    if arr.size == 0:
+        raise DimensionError(f"{what} must be at least 1 x 1, got shape {arr.shape}")
     dev = float(np.max(np.abs(arr - arr.conj().T)))
     if dev > tol:
         raise ValidityError(f"{what} is not Hermitian within {tol:g} (deviation {dev:.3e})")

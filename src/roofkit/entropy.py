@@ -27,6 +27,9 @@ ENERGY_TOL = 1e-10
 def spectrum_entropy(vals: np.ndarray) -> float:
     """-sum(w log w) over a clipped nonnegative spectrum."""
     w = np.asarray(vals, dtype=float)
+    # NaN fails the clip test and the w > 0 filter, so it would be dropped unseen
+    if not np.isfinite(w).all():
+        raise ValidityError("spectrum has non-finite entries")
     if w.size and float(w.min()) < -EIG_CLIP:
         raise ValidityError(f"eigenvalue {w.min():.3e} below -{EIG_CLIP:g}")
     w = w[w > 0.0]

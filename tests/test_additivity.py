@@ -18,13 +18,12 @@ from roofkit import (
     TabulatedDensity,
     UniformDensity,
     channel_from_family,
-    chi_subadditivity_margin,
     completely_depolarizing,
     complementary,
     complementary_transfer_probe,
     continuity_probe,
-    corollary_bound_check,
     dephasing,
+    margin_check,
     measure_prepare,
     min_output_margin,
     noiseless,
@@ -33,7 +32,6 @@ from roofkit import (
     random_stinespring,
     rng_for,
     scan_random,
-    superadditivity_margin,
     tensor,
     truncation_experiment,
 )
@@ -55,15 +53,16 @@ BELL = DensityMatrix(
 
 class TestSuperadditivity:
     def test_noiseless_pair_has_zero_margin(self):
-        report = superadditivity_margin(noiseless(2), noiseless(2), random_density(4, 4, 1), FAST)
+        omega = random_density(4, 4, 1)
+        report = margin_check("superadditivity", noiseless(2), noiseless(2), omega, FAST)
         assert report.lhs == pytest.approx(0.0, abs=1e-9)
         assert report.rhs == pytest.approx(0.0, abs=1e-9)
         assert abs(report.margin) < 1e-9
         assert report.verdict == "consistent"
 
     def test_depolarizing_with_noiseless_on_bell(self):
-        report = superadditivity_margin(
-            completely_depolarizing(2), noiseless(2), BELL, FAST
+        report = margin_check(
+            "superadditivity", completely_depolarizing(2), noiseless(2), BELL, FAST
         )
         assert report.lhs == pytest.approx(2.0 * math.log(2.0), abs=1e-8)
         assert report.rhs == pytest.approx(math.log(2.0), abs=1e-8)
@@ -77,19 +76,21 @@ class TestSuperadditivity:
         psi = random_stinespring(2, 2, 2, 63)
         for seed in range(5):
             omega = random_density(4, 4, (seed, 64))
-            report = superadditivity_margin(eb, psi, omega, FAST)
+            report = margin_check("superadditivity", eb, psi, omega, FAST)
             assert report.margin >= -1e-3
             assert report.verdict == "consistent"
 
     def test_margin_recomputes_from_sides(self):
-        report = superadditivity_margin(
-            dephasing(0.3), noiseless(2), random_density(4, 3, 65), FAST
+        report = margin_check(
+            "superadditivity", dephasing(0.3), noiseless(2), random_density(4, 3, 65), FAST
         )
         assert abs(report.margin - (report.lhs - report.rhs)) <= 1e-12
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
-            superadditivity_margin(noiseless(2), noiseless(2), random_density(6, 6, 2), FAST)
+            margin_check(
+                "superadditivity", noiseless(2), noiseless(2), random_density(6, 6, 2), FAST
+            )
 
 
 class TestChiSubadditivity:
@@ -99,7 +100,7 @@ class TestChiSubadditivity:
         ch_b = random_stinespring(2, 2, 2, 71)
         for seed in range(3):
             omega = random_density(4, 4, (seed, 72))
-            chi_rep = chi_subadditivity_margin(ch_a, ch_b, omega, FAST)
+            chi_rep = margin_check("chi-subadditivity", ch_a, ch_b, omega, FAST)
             gap = chi_rep.diagnostics["entropy_gap"]
             roof_margin = chi_rep.diagnostics["roof_margin"]
             assert chi_rep.margin == pytest.approx(roof_margin - gap, abs=1e-9)
@@ -111,7 +112,7 @@ class TestChiSubadditivity:
         a = random_density(2, 2, 75)
         b = random_density(2, 2, 76)
         omega = DensityMatrix(tensor(a.entries, b.entries))
-        chi_rep = chi_subadditivity_margin(ch_a, ch_b, omega, FAST)
+        chi_rep = margin_check("chi-subadditivity", ch_a, ch_b, omega, FAST)
         assert chi_rep.diagnostics["entropy_gap"] == pytest.approx(0.0, abs=1e-8)
         assert chi_rep.margin == pytest.approx(chi_rep.diagnostics["roof_margin"], abs=1e-8)
 
@@ -120,27 +121,28 @@ class TestChiSubadditivity:
         ch_b = random_stinespring(2, 2, 2, 78)
         for seed in range(5):
             omega = random_density(4, 4, (seed, 79))
-            report = chi_subadditivity_margin(ch_a, ch_b, omega, FAST)
+            report = margin_check("chi-subadditivity", ch_a, ch_b, omega, FAST)
             assert report.diagnostics["chi"]["left"] == pytest.approx(0.0, abs=1e-6)
             assert report.margin >= -5e-3
 
     def test_bound_directions_are_lower(self):
-        report = chi_subadditivity_margin(
-            dephasing(0.3), noiseless(2), random_density(4, 4, 80), FAST
+        report = margin_check(
+            "chi-subadditivity", dephasing(0.3), noiseless(2), random_density(4, 4, 80), FAST
         )
         assert report.lhs_bound == "lower" and report.rhs_bound == "lower"
 
 
 class TestCorollaryBound:
     def test_noiseless_pair(self):
-        report = corollary_bound_check(noiseless(2), noiseless(2), random_density(4, 4, 3), FAST)
+        omega = random_density(4, 4, 3)
+        report = margin_check("corollary-max", noiseless(2), noiseless(2), omega, FAST)
         assert report.verdict == "consistent"
         assert abs(report.margin) < 1e-9
 
     def test_dephasing_with_noiseless(self):
         for seed in range(5):
             omega = random_density(4, 4, (seed, 81))
-            report = corollary_bound_check(dephasing(0.4), noiseless(2), omega, FAST)
+            report = margin_check("corollary-max", dephasing(0.4), noiseless(2), omega, FAST)
             assert report.margin >= -1e-3
 
     def test_min_output_version(self):
@@ -153,16 +155,17 @@ class TestVerdictSemantics:
     def test_negative_tolerance_forces_flagged(self):
         # margin 0 sits below -tolerance when tolerance < 0; after refinement
         # the verdict must escalate
-        report = superadditivity_margin(
-            noiseless(2), noiseless(2), random_density(4, 4, 5), FAST, tolerance=-1.0
+        omega = random_density(4, 4, 5)
+        report = margin_check(
+            "superadditivity", noiseless(2), noiseless(2), omega, FAST, tolerance=-1.0
         )
         assert report.verdict == "flagged"
         assert report.refined
         assert "before_refinement" in report.diagnostics
 
     def test_report_round_trips_to_dict(self):
-        report = superadditivity_margin(
-            noiseless(2), noiseless(2), random_density(4, 4, 6), FAST
+        report = margin_check(
+            "superadditivity", noiseless(2), noiseless(2), random_density(4, 4, 6), FAST
         )
         data = asdict(report)
         assert data["kind"] == report.kind
@@ -284,8 +287,8 @@ class TestComplementaryTransfer:
         phi_hat, psi_hat = complementary(phi), complementary(psi)
         for i, row in enumerate(probe.rows):
             omega = random_density(4, 4, (7, i))
-            direct = superadditivity_margin(phi, psi, omega, FAST)
-            mirrored = superadditivity_margin(phi_hat, psi_hat, omega, FAST)
+            direct = margin_check("superadditivity", phi, psi, omega, FAST)
+            mirrored = margin_check("superadditivity", phi_hat, psi_hat, omega, FAST)
             assert row.margin == direct.margin
             assert row.roof_left == direct.diagnostics["roof_left"]
             assert row.margin_complement == pytest.approx(mirrored.margin, abs=1e-12)
@@ -485,17 +488,28 @@ class TestFamilyTable:
 
 
 def test_checks_share_one_trio():
+    from roofkit.additivity import _TRIO_ROWS
+
     phi, psi = dephasing(0.3), random_stinespring(2, 2, 2, 93)
     omega = random_density(4, 4, 94)
-    reports = [
-        check(phi, psi, omega, FAST)
-        for check in (superadditivity_margin, chi_subadditivity_margin, corollary_bound_check)
-    ]
+    reports = {kind: margin_check(kind, phi, psi, omega, FAST) for kind in _TRIO_ROWS}
     keys = ("roof_joint", "roof_left", "roof_right")
-    trio = [reports[0].diagnostics[k] for k in keys]
-    for report in reports:
+    trio = [reports["superadditivity"].diagnostics[k] for k in keys]
+    for kind, report in reports.items():
+        assert report.kind == kind
         assert [report.diagnostics[k] for k in keys] == trio
         assert report.margin == report.lhs - report.rhs
-    corollary = reports[2]
+    corollary = reports["corollary-max"]
     assert (corollary.lhs_bound, corollary.rhs_bound) == ("upper", "upper")
     assert corollary.lhs == trio[0] and corollary.rhs == max(trio[1], trio[2])
+
+
+def test_margin_check_refuses_an_unknown_kind_before_any_roof(monkeypatch):
+    from roofkit import additivity
+
+    def descend(*args):
+        raise AssertionError("a roof descended for an unknown kind")
+
+    monkeypatch.setattr(additivity, "ccooe", descend)
+    with pytest.raises(ParameterError, match=r"unknown check 'bogus'; choose from \['chi-"):
+        margin_check("bogus", dephasing(0.3), noiseless(2), random_density(4, 4, 95), FAST)

@@ -78,6 +78,12 @@ class TestChannelValidation:
         with pytest.raises(ParameterError):
             Channel([])
 
+    @pytest.mark.parametrize("shape", [(1, 2, 0), (1, 0, 2), (2, 0, 0)])
+    def test_rejects_zero_size_kraus_operators(self, shape):
+        # numpy's max has no identity on the empty trace-preservation residual
+        with pytest.raises(DimensionError, match="Kraus operators must be at least 1 x 1"):
+            Channel(np.zeros(shape))
+
     def test_dims_and_stack(self):
         ch = random_stinespring(2, 3, 4, 7)
         assert (ch.in_dim, ch.out_dim, ch.env_dim) == (2, 3, 4)
@@ -517,6 +523,17 @@ class TestDensities:
         with pytest.raises(ParameterError):
             UniformDensity(-1.0)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_positive_parameters_must_be_finite(self, bad):
+        # an infinite width used to reach numpy as inf * 0 and the tails as an OverflowError
+        for build in (GaussianDensity, UniformDensity,
+                      lambda w: RandomPhaseSpec(w, 3, GaussianDensity(1.0))):
+            with pytest.raises(ParameterError, match="must be positive and finite"):
+                build(bad)
+        spec = RandomPhaseSpec(1.0, 3, GaussianDensity(1.0))
+        with pytest.raises(ParameterError, match="t-grid half width must be positive and finite"):
+            phase_channel_complement_mp(spec, t_half_width=bad)
+
     def test_tabulated_matches_weighted_sum(self):
         pts = np.array([-1.0, 0.0, 1.0])
         vals = np.array([0.25, 0.5, 0.25])
@@ -534,6 +551,15 @@ class TestDensities:
             TabulatedDensity(pts, np.array([0.5, -0.5]), np.ones(2))
         with pytest.raises(ParameterError):
             TabulatedDensity(pts, np.array([0.1, 0.1]), np.ones(2))
+
+    @pytest.mark.parametrize("column", range(3))
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_tabulated_entries_must_be_finite(self, column, bad):
+        # a NaN mass fails every comparison, so it used to be accepted
+        table = [[0.0], [1.0], [1.0]]
+        table[column] = [bad]
+        with pytest.raises(ParameterError, match="points, values and weights must be finite"):
+            TabulatedDensity(*table)
 
     def test_tabulated_has_no_tail_data(self):
         dens = TabulatedDensity(np.array([-1.0, 0.0, 1.0]), np.array([0.25, 0.5, 0.25]), np.ones(3))
@@ -689,3 +715,8 @@ class TestTails:
             tail_entropy_bound(dens, 4.0, -1.0, 1.0)
         with pytest.raises(ParameterError):
             tail_quantities(dens, 0.0)
+        # an infinite cutoff gave beta = inf * 0 = NaN, reported as null
+        with pytest.raises(ParameterError, match="cutoff must be positive and finite, got inf"):
+            tail_quantities(dens, math.inf)
+        with pytest.raises(ParameterError, match="cutoff must be at least 1 and finite, got inf"):
+            tail_entropy_bound(dens, math.inf, 1.0, 1.0)

@@ -94,6 +94,9 @@ NAMED_ERRORS = {
         "--sweep '3:5:9' does not match the form LO:HI",
     ("phase-channel", "--spec", '{"a": 1.0, "d": 4}', "--tails", "1,x"):
         "--tails '1,x' does not match the form C1,C2,...",
+    # an infinite cutoff exited 0 with null beta and entropy bound
+    ("phase-channel", "--spec", '{"a": 1.0, "d": 4}', "--tails", "2,inf"):
+        "error: cutoff must be positive and finite, got inf\n",
     # an empty range printed an empty sweep
     ("phase-channel", "--spec", '{"a": 1.0, "d": 4}', "--sweep", "5:3"):
         "--sweep '5:3' has LO above HI",
@@ -121,6 +124,9 @@ NAMED_ERRORS = {
         "channel key 'kraus' must be of type list, got 3",
     ("ccooe", "--channel", '{"kraus": [3]}', "--named", "mixed:2"):
         "channel key 'kraus': matrix must be a JSON object (a dict), got 3",
+    # zero-size operators used to reach numpy's max, which has no identity on them
+    ("ccooe", "--channel", '{"kraus": [{"re": [[]], "im": [[]]}]}', "--named", "mixed:2"):
+        "error: Kraus operators must be at least 1 x 1, got (1, 0)\n",
     ("ccooe", "--channel", "{three}", "--named", "mixed:2"):
         "channel descriptor must be a JSON object (a dict), got 3",
     ("entropy", "--state", '{"re": [[1, 0], [0]], "im": [[0, 0], [0, 0]]}'):
@@ -157,6 +163,16 @@ PHASE_SPEC_ERRORS = {
         "channel family 'phase' key 'density': "
         "density family 'gaussian' takes no key 'mean'; its keys are ['std']",
     f'"a": {BIG}, "d": 2': f"channel family 'phase' key 'a' must be of type float, got {BIG}",
+    # JSON Infinity passes the float type check; it used to reach numpy as inf * 0
+    '"a": Infinity, "d": 3': "half width must be positive and finite, got inf",
+    '"a": 1.0, "d": 3, "density": {"family": "gaussian", "std": Infinity}':
+        "channel family 'phase' key 'density': "
+        "standard deviation must be positive and finite, got inf",
+    '"a": 1.0, "d": 3, "density": {"family": "uniform", "half_width": Infinity}':
+        "channel family 'phase' key 'density': half width must be positive and finite, got inf",
+    '"a": 1.0, "d": 3, "density": {"family": "custom", "points": [0.0], "values": [NaN], '
+    '"weights": [1.0]}':
+        "channel family 'phase' key 'density': points, values and weights must be finite",
 }
 for body, message in PHASE_SPEC_ERRORS.items():
     NAMED_ERRORS[("phase-channel", "--spec", f"{{{body}}}")] = f"error: {message}\n"

@@ -481,6 +481,13 @@ class TestRequireHermitian:
         with pytest.raises(DimensionError, match="matrix must be a square matrix"):
             require_hermitian(np.ones((2, 3)), 1e-8, "matrix")
 
+    def test_zero_size_raises_dimension_error(self):
+        # numpy's max has no identity on an empty array
+        with pytest.raises(DimensionError, match=r"at least 1 x 1, got shape \(0, 0\)"):
+            require_hermitian(np.zeros((0, 0)), 1e-8, "matrix")
+        with pytest.raises(DimensionError, match="density matrix must be at least 1 x 1"):
+            DensityMatrix(np.zeros((0, 0)))
+
 
 class TestHasType:
     @pytest.mark.parametrize(

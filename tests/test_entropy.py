@@ -176,6 +176,12 @@ class TestSpectrumEntropy:
             von_neumann_entropy(rho), abs=1e-12
         )
 
+    @pytest.mark.parametrize("vals", [[math.nan, 1.0], [math.inf], [-math.inf, 1.0]])
+    def test_rejects_non_finite_spectra(self, vals):
+        # NaN used to drop out of the positive filter and give 0.0; inf gave -inf
+        with pytest.raises(ValidityError, match="spectrum has non-finite entries"):
+            spectrum_entropy(vals)
+
 
 class TestGibbs:
     H2 = np.diag([0.0, 1.0])

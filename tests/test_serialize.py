@@ -324,10 +324,11 @@ class TestCsv:
         assert csv_text(("a", "b"), rows) == "a,b\n1,x\n2,y\n"
 
     def test_additivity_rows_shape(self):
-        from roofkit import superadditivity_margin, random_density as rd
+        from roofkit import margin_check, random_density as rd
 
-        report = superadditivity_margin(
-            noiseless(2), noiseless(2), rd(4, 4, 17), RoofOptions(restarts=4, seed=0)
+        report = margin_check(
+            "superadditivity", noiseless(2), noiseless(2), rd(4, 4, 17),
+            RoofOptions(restarts=4, seed=0),
         )
         rows = additivity_csv_rows([report])
         assert list(rows[0]) == list(ADDITIVITY_CSV_FIELDS)
