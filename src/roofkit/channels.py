@@ -275,8 +275,9 @@ class GaussianDensity:
             raise ParameterError(f"standard deviation must be positive and finite, got {self.std}")
 
     def pdf(self, t: float) -> float:
-        s = self.std
-        return math.exp(-(t * t) / (2 * s * s)) / (s * math.sqrt(2 * math.pi))
+        # t / s, not s * s, which underflows to 0 for a tiny std
+        z = t / self.std
+        return math.exp(-z * z / 2.0) / (self.std * math.sqrt(2 * math.pi))
 
     def characteristic(self, u: np.ndarray) -> np.ndarray:
         return np.exp(-(self.std**2) * np.asarray(u, dtype=float) ** 2 / 2.0)
@@ -296,9 +297,11 @@ class GaussianDensity:
         s = self.std
         y = d / s
         phi_y = math.exp(-y * y / 2.0) / math.sqrt(2 * math.pi)
-        second_moment = s * s * (2.0 * y * phi_y + math.erfc(y / SQRT2))
+        # the tail's second moment over 2 s^2, formed without s^2, which
+        # underflows for a tiny std; y phi(y) is 0 wherever phi(y) underflows
+        half_moment = (y * phi_y if phi_y else 0.0) + math.erfc(y / SQRT2) / 2.0
         alpha = self.tail_mass(d)
-        return abs(-second_moment / (2 * s * s) - math.log(s * math.sqrt(2 * math.pi)) * alpha)
+        return abs(-half_moment - math.log(s * math.sqrt(2 * math.pi)) * alpha)
 
     def lattice_tail(self, d: float) -> float:
         total, m = 0.0, 0
@@ -520,7 +523,7 @@ def tail_entropy_bound(density, d: float, entropy_cap: float, out_entropy: float
     """
     if not 1.0 <= d < math.inf:
         raise ParameterError(f"cutoff must be at least 1 and finite, got {d}")
-    if entropy_cap < 0.0 or out_entropy < 0.0:
+    if not (entropy_cap >= 0.0 and out_entropy >= 0.0):    # NaN fails this too
         raise ParameterError("entropy arguments must be nonnegative")
     alpha = float(density.tail_mass(d))
     if alpha >= 1.0:

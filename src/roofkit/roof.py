@@ -46,11 +46,13 @@ WEIGHT_DROP = 1e-14
 LOG_FLOOR = 1e-12
 ARMIJO = 1e-4
 # the least Barzilai-Borwein step, the longest trial step t ||xi||_F, and the
-# Zhang-Hager nonmonotone weight eta
+# Zhang-Hager nonmonotone weight eta; at 0.99 the reference forgets after about
+# 100 iterations, not 7, and eta < 1 keeps Zhang-Hager's convergence
 BB_MIN = 1e-10
 STEP_MAX = 1e4
-NONMONOTONE = 0.85
+NONMONOTONE = 0.99
 TIE_TOL = 1e-12
+AGREE_TOL = 1e-6
 SIZE_CAP = 64
 
 
@@ -304,11 +306,15 @@ def _lockstep(f, m_mat: np.ndarray, options: RoofOptions) -> _RunStats:
     with t ||xi||_F at most STEP_MAX, and halves it until the nonmonotone
     Armijo test of Zhang & Hager, SIAM J. Optim. 14 (2004), holds against
     its reference value C.  The slope along -xi is 2 ||xi||^2, since dF =
-    2 Re<G, dX>.  C starts at the start's value and C_k >= f_k, so no
-    restart ends above its start.  A restart leaves when its gradient norm
-    drops below `grad_tol`, when its step falls to 1e-14 without passing the
-    test, or at the iteration cap.  Norms and inner products are row-wise reductions over
-    each point, so no restart's arithmetic depends on the others.
+    2 Re<G, dX>.  C starts at the start's value and f_k <= C_k <= f_0, so no
+    restart ends above its start.  BB steps are nonmonotone by design, so C
+    keeps a long memory (NONMONOTONE = 0.99): an overshoot that raises f
+    for a few iterations passes the test rather than costing a backtracking
+    round, and rounds are what a small roof pays for.  A restart leaves when
+    its gradient norm drops below `grad_tol`, when its step falls to 1e-14
+    without passing the test, or at the iteration cap.  Norms and inner
+    products are row-wise reductions over each point, so no restart's
+    arithmetic depends on the others.
 
     Every backtracking round retracts its trials with one batched Cholesky
     and one batched inverse of their r x r Gram matrices (`_retract`), and
@@ -413,6 +419,8 @@ class RoofResult:
     gradient_norm: float
     iterations: int
     converged: bool
+    # restarts ending within AGREE_TOL of the best, the best included
+    restarts_agreeing: int
 
 
 def ccooe(channel: Channel, rho: DensityMatrix, options: RoofOptions | None = None) -> RoofResult:
@@ -438,6 +446,7 @@ def ccooe(channel: Channel, rho: DensityMatrix, options: RoofOptions | None = No
         gradient_norm=float(runs.grad_norm[best]),
         iterations=int(runs.iterations[best]),
         converged=bool(runs.converged[best]),
+        restarts_agreeing=int((runs.value <= runs.value[best] + AGREE_TOL).sum()),
     )
 
 

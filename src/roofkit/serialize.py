@@ -276,6 +276,7 @@ def encode_roof_result(result: RoofResult) -> dict:
             "best_restart": result.best_restart,
             "gradient_norm": result.gradient_norm,
             "iterations": result.iterations,
+            "restarts_agreeing": result.restarts_agreeing,
         },
     }
 

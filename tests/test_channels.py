@@ -720,3 +720,16 @@ class TestTails:
             tail_quantities(dens, math.inf)
         with pytest.raises(ParameterError, match="cutoff must be at least 1 and finite, got inf"):
             tail_entropy_bound(dens, math.inf, 1.0, 1.0)
+        # NaN fails a `< 0.0` test and came back as a NaN bound
+        with pytest.raises(ParameterError, match="entropy arguments must be nonnegative"):
+            tail_entropy_bound(dens, 3.0, math.nan, 1.0)
+        with pytest.raises(ParameterError, match="entropy arguments must be nonnegative"):
+            tail_entropy_bound(dens, 3.0, 1.0, math.nan)
+
+    @pytest.mark.parametrize("std", [1e-300, 1e-308, 5e-324])
+    def test_tiny_std_tails_are_finite(self, std):
+        # s * s underflowed to 0 and the second moment divided by it
+        dens = GaussianDensity(std)
+        assert tail_quantities(dens, 2.0) == (0.0, 0.0, 0.0)
+        assert tail_entropy_bound(dens, 2.0, 1.0, 1.0) == 0.0
+        assert math.isfinite(dens.tail_log_mass(0.0))

@@ -235,6 +235,27 @@ class TestRoofCommands:
         assert code == 0
         assert payload["result"]["value_nats"] == pytest.approx(math.log(2.0), abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "argv, extra",
+        [
+            (("eof", "--dims", "2x2", "--named", "bell"), set()),
+            (("ccooe", "--channel", "noiseless:2", "--named", "mixed:2"), {"channel"}),
+        ],
+        ids=["eof", "ccooe"],
+    )
+    def test_roof_report_layout(self, capsys, argv, extra):
+        code, payload, _ = run(capsys, *argv, "--restarts", "2")
+        assert code == 0
+        result = payload["result"]
+        assert set(result) == {
+            "value_nats", "upper_bound", "ensemble", "restarts_used", "converged", "diagnostics",
+        } | extra
+        assert set(result["diagnostics"]) == {
+            "best_restart", "gradient_norm", "iterations", "restarts_agreeing",
+        }
+        # a pure state and a noiseless channel leave every restart at the optimum
+        assert result["diagnostics"]["restarts_agreeing"] == 2
+
     def test_chi_both_methods(self, capsys):
         code, roof_payload, _ = run(
             capsys, "chi", "--channel", "dephasing:0.25", "--named", "mixed:2",
@@ -454,6 +475,14 @@ class TestPhaseChannel:
         assert all(b <= a + 1e-15 for a, b in zip(bounds, bounds[1:]))
         alphas = [r["alpha"] for r in rows]
         assert all(b <= a for a, b in zip(alphas, alphas[1:]))
+
+    def test_tiny_std_tails(self, capsys):
+        # the Gaussian's tail terms divided by std * std, which underflows to 0
+        spec = '{"a": 1.0, "d": 3, "density": {"family": "gaussian", "std": 1e-300}}'
+        code, payload, _ = run(capsys, "phase-channel", "--spec", spec, "--tails", "2")
+        assert code == 0
+        row, = payload["result"]["tails"]
+        assert (row["alpha"], row["beta"], row["gamma"], row["entropy_bound"]) == (0.0,) * 4
 
     def test_cross_check(self, capsys):
         code, payload, _ = run(

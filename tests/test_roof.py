@@ -172,6 +172,17 @@ class TestCcooe:
             assert res.value <= grid + 1e-6
             assert res.value >= grid - 1e-3
 
+    def test_restarts_agreeing(self):
+        # a pure state has one decomposition, so every restart agrees
+        psi = random_pure(4, 3).density()
+        assert eof(psi, SubsystemShape((2, 2)), FAST).restarts_agreeing == FAST.restarts
+        # one iteration leaves each restart near its own start
+        rho = random_density(4, 4, 7)
+        capped = eof(rho, SubsystemShape((2, 2)), RoofOptions(restarts=8, max_iterations=1))
+        assert capped.restarts_agreeing == 1
+        full = eof(rho, SubsystemShape((2, 2)), RoofOptions(restarts=8))
+        assert 1 < full.restarts_agreeing <= 8
+
     def test_monotone_in_ensemble_size(self):
         cases = []
         for i in range(20):
@@ -678,6 +689,33 @@ def test_one_gradient_call_per_iteration_without_backtracks(objective, monkeypat
     assert re.search(r"T(?:RG){2}", trace)              # and one that backtracked
     # one kernel call per line-search round of the two-call descent
     assert trace.count("RG") == len(rounds)
+
+
+def test_line_search_rarely_backtracks_on_two_qubit_eof(monkeypatch):
+    # every backtracking round is one more kernel call in its iteration, and
+    # on a two-qubit roof a call costs the same whatever its row count; with
+    # the Zhang-Hager weight at 0.85 this panel takes 1.64 calls per
+    # iteration, at 0.99 it takes 1.03
+    from roofkit import roof
+
+    calls, iterations, lockstep = [0], [0], roof._lockstep
+
+    def counted(f, m_mat, options):
+        def kernel(m, grad=False):
+            calls[0] += 1
+            return f(m, grad)
+
+        runs = lockstep(kernel, m_mat, options)
+        calls[0] -= 1                                   # the starts' evaluation
+        iterations[0] += int(runs.iterations.max())
+        return runs
+
+    monkeypatch.setattr(roof, "_lockstep", counted)
+    for seed in range(3):
+        for rank in (2, 3, 4):
+            eof(random_density(4, rank, (seed, rank)), SubsystemShape((2, 2)),
+                RoofOptions(restarts=24))
+    assert calls[0] / iterations[0] < 1.3, (calls[0], iterations[0])
 
 
 def _eigh_spectral(a):

@@ -273,7 +273,12 @@ class TestEnsembleAndRoofResult:
         assert data["restarts_used"] == res.restarts_used
         assert isinstance(data["converged"], bool)
         assert set(data["ensemble"]) == {"weights", "states"}
-        assert data["diagnostics"]["iterations"] == res.iterations
+        assert data["diagnostics"] == {
+            "best_restart": res.best_restart,
+            "gradient_norm": res.gradient_norm,
+            "iterations": res.iterations,
+            "restarts_agreeing": res.restarts_agreeing,
+        }
 
 
 class TestDumpsAndFiles:
