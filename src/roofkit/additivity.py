@@ -26,12 +26,12 @@ from .channels import (
 from .core import (
     DensityMatrix,
     SubsystemShape,
-    has_type,
     marginals,
     mixed_with,
     partial_trace,
     random_density,
     require_count,
+    require_real,
     rng_for,
     tensor,
     top_eigenbasis,
@@ -73,17 +73,12 @@ class AdditivityReport:
         self.margin = self.lhs - self.rhs
 
 
-def _require_tolerance(tolerance: float) -> None:
-    # NaN fails every margin comparison, so it would flag every check, and
-    # reports write non-finite numbers as null
-    if not math.isfinite(tolerance):
-        raise ParameterError(f"tolerance must be finite, got {tolerance!r}")
-
-
 def _settle(build, options: RoofOptions | None, tolerance: float) -> AdditivityReport:
     """The report `build` makes at the options, with its verdict; a margin below
     -tolerance that could show a violation is rebuilt once with doubled restarts."""
-    _require_tolerance(tolerance)
+    # NaN fails every margin comparison, so it would flag every check, and
+    # reports write non-finite numbers as null
+    tolerance = require_real(tolerance, "tolerance")
     options = options or RoofOptions()
     report = build(options)
     # a lower bound on the left against an upper bound on the right can never
@@ -93,6 +88,7 @@ def _settle(build, options: RoofOptions | None, tolerance: float) -> AdditivityR
         report.refined = True
         before = {"lhs": first.lhs, "rhs": first.rhs, "margin": first.margin}
         report.diagnostics["before_refinement"] = before
+    report.tolerance = tolerance    # the float the verdict reads, not 0 or np.float64(0.5)
     if report.margin >= -tolerance:
         report.verdict = CONSISTENT
     elif report.refined:
@@ -248,16 +244,10 @@ def truncation_experiment(
     if shape.factors != 4:
         raise ParameterError(f"need a four-factor shape, got {shape.factor_dims}")
     shape.require_total(omega.dim)
-    ranks = tuple(ranks)
-    positive = all(has_type(n, int) and n >= 1 for n in ranks)
-    if not ranks or not positive or any(a >= b for a, b in zip(ranks, ranks[1:])):
-        raise ParameterError(f"ranks must be strictly ascending positive integers, got {ranks}")
-    ranks = tuple(int(n) for n in ranks)
-    if ranks[-1] > max(shape.factor_dims):
-        raise ParameterError(
-            f"rank {ranks[-1]} exceeds every factor dimension {shape.factor_dims}"
-        )
     dims = shape.factor_dims
+    ranks = tuple(require_count(n, "rank", 1, max(dims)) for n in ranks)
+    if not ranks or any(a >= b for a, b in zip(ranks, ranks[1:])):
+        raise ParameterError(f"ranks must be non-empty and strictly ascending, got {ranks}")
     joint = partial_trace_channel(shape, (0, 2))
     full_out = trace_out(omega.entries, dims, (0, 2))
     full_entropy = spectrum_entropy(np.linalg.eigvalsh(full_out))
@@ -470,7 +460,7 @@ def scan_random(
     for family in (phi_family, psi_family):
         _family_row(family, _FAMILIES, "channel descriptor")
     _require_kind(check)
-    _require_tolerance(tolerance)
+    tolerance = require_real(tolerance, "tolerance")
 
     def make_item(i: int):
         phi = channel_from_family(phi_family, rng_for(seed, i, 0))

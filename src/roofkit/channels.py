@@ -27,6 +27,7 @@ from .core import (
     require_finite,
     require_hermitian,
     require_keep,
+    require_real,
     rng_for,
 )
 from .entropy import binary_entropy, spectrum_entropy
@@ -161,8 +162,7 @@ def noiseless(dim: int) -> Channel:
 
 def dephasing(q: float) -> Channel:
     """Qubit phase flip with probability q; at q = 0 or 1 one operator remains."""
-    if not 0.0 <= q <= 1.0:
-        raise ParameterError(f"flip probability must lie in [0, 1], got {q}")
+    q = require_real(q, "flip probability", 0.0, 1.0)
     ops = [math.sqrt(1.0 - q) * np.eye(2), math.sqrt(q) * np.diag([1.0, -1.0])]
     return Channel(ops, label=f"dephasing(q={q:g})")
 
@@ -198,8 +198,7 @@ def direct_sum_mixture(q: float, inner: Channel) -> Channel:
     first block (identity copy, weight q) and the second block (inner channel
     output, weight 1-q).  At q = 1 or q = 0 Channel drops the empty block's operators.
     """
-    if not 0.0 <= q <= 1.0:
-        raise ParameterError(f"mixture weight must lie in [0, 1], got {q}")
+    q = require_real(q, "mixture weight", 0.0, 1.0)
     n = inner.in_dim
     stack = np.zeros((1 + inner.env_dim, n + inner.out_dim, n), dtype=complex)
     stack[0, :n] = math.sqrt(q) * np.eye(n)
@@ -271,8 +270,7 @@ class GaussianDensity:
     std: float
 
     def __post_init__(self):
-        if not 0.0 < self.std < math.inf:
-            raise ParameterError(f"standard deviation must be positive and finite, got {self.std}")
+        object.__setattr__(self, "std", require_real(self.std, "standard deviation", 0.0, strict=True))
 
     def pdf(self, t: float) -> float:
         # t / s, not s * s, which underflows to 0 for a tiny std
@@ -280,12 +278,13 @@ class GaussianDensity:
         return math.exp(-z * z / 2.0) / (self.std * math.sqrt(2 * math.pi))
 
     def characteristic(self, u: np.ndarray) -> np.ndarray:
-        return np.exp(-(self.std**2) * np.asarray(u, dtype=float) ** 2 / 2.0)
+        # (s u)^2, not s^2 u^2: for a tiny std s^2 underflows to 0 and u^2 overflows
+        return np.exp(-((self.std * np.asarray(u, dtype=float)) ** 2) / 2.0)
 
     def profile(self, u: np.ndarray) -> np.ndarray:
         # inverse transform of sqrt(pdf); shifted copies reproduce the
         # characteristic-function overlaps exactly in the fine-grid limit
-        return np.exp(-(self.std**2) * np.asarray(u, dtype=float) ** 2)
+        return np.exp(-((self.std * np.asarray(u, dtype=float)) ** 2))
 
     def profile_reach(self) -> float:
         return 4.0 / self.std
@@ -320,8 +319,7 @@ class UniformDensity:
     half_width: float
 
     def __post_init__(self):
-        if not 0.0 < self.half_width < math.inf:
-            raise ParameterError(f"half width must be positive and finite, got {self.half_width}")
+        object.__setattr__(self, "half_width", require_real(self.half_width, "half width", 0.0, strict=True))
 
     def pdf(self, t: float) -> float:
         return 1.0 / (2.0 * self.half_width) if abs(t) < self.half_width else 0.0
@@ -366,7 +364,7 @@ class TabulatedDensity:
         if vals.size == 0:
             raise ParameterError("empty tabulation")
         if not all(np.isfinite(arr).all() for arr in (pts, vals, wts)):
-            raise ParameterError("points, values and weights must be finite")
+            raise ParameterError("points, values and weights have non-finite entries")
         if float(vals.min()) < 0.0 or float(wts.min()) <= 0.0:
             raise ParameterError("density values must be >= 0 and weights > 0")
         mass = float(wts @ vals)
@@ -412,8 +410,7 @@ class RandomPhaseSpec:
     density: GaussianDensity | UniformDensity | TabulatedDensity
 
     def __post_init__(self):
-        if not 0.0 < self.half_width < math.inf:
-            raise ParameterError(f"half width must be positive and finite, got {self.half_width}")
+        object.__setattr__(self, "half_width", require_real(self.half_width, "half width", 0.0, strict=True))
         object.__setattr__(self, "grid_size", require_count(self.grid_size, "grid size"))
 
     def grid(self) -> np.ndarray:
@@ -456,8 +453,7 @@ def _complement_profiles(
     t_points = require_count(t_points, "t-grid size")
     if t_half_width is None:
         t_half_width = spec.half_width + spec.density.profile_reach()
-    if not 0.0 < t_half_width < math.inf:
-        raise ParameterError(f"t-grid half width must be positive and finite, got {t_half_width}")
+    t_half_width = require_real(t_half_width, "t-grid half width", 0.0, strict=True)
     t = -t_half_width + (np.arange(t_points) + 0.5) * (2.0 * t_half_width / t_points)
     prof = np.asarray(spec.density.profile(t[:, None] - spec.grid()[None, :]), dtype=complex)
     norms = np.linalg.norm(prof, axis=0)
@@ -506,8 +502,7 @@ def tail_quantities(density, d: float) -> tuple[float, float, float]:
     p log p there, and gamma(d) the unit-lattice sum of density values from
     +-d outward; gamma(d) <= alpha(d-1) for unimodal densities.
     """
-    if not 0.0 < d < math.inf:
-        raise ParameterError(f"cutoff must be positive and finite, got {d}")
+    d = require_real(d, "cutoff", 0.0, strict=True)
     return (
         float(density.tail_mass(d)),
         float(density.tail_log_mass(d)),
@@ -521,10 +516,9 @@ def tail_entropy_bound(density, d: float, entropy_cap: float, out_entropy: float
     Evaluates alpha(d)/(1-alpha(d)) * H + h(alpha(d)) + alpha(d-1) * C
     + beta(d-1) for an output entropy H and a log-dimension cap C.
     """
-    if not 1.0 <= d < math.inf:
-        raise ParameterError(f"cutoff must be at least 1 and finite, got {d}")
-    if not (entropy_cap >= 0.0 and out_entropy >= 0.0):    # NaN fails this too
-        raise ParameterError("entropy arguments must be nonnegative")
+    d = require_real(d, "cutoff", 1.0)
+    entropy_cap = require_real(entropy_cap, "entropy cap", 0.0)
+    out_entropy = require_real(out_entropy, "output entropy", 0.0)
     alpha = float(density.tail_mass(d))
     if alpha >= 1.0:
         raise ParameterError(f"tail mass {alpha} leaves nothing inside the cutoff")

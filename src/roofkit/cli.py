@@ -23,6 +23,7 @@ import numpy as np
 
 from .additivity import (
     _TRIO_ROWS,
+    DEFAULT_TOLERANCE,
     FLAGGED,
     TransferRow,
     complementary_transfer_probe,
@@ -262,6 +263,16 @@ def cmd_complement(args) -> tuple[dict, list]:
     return payload, [("complement.csv", [f.name for f in fields(TransferRow)], payload["rows"])]
 
 
+def _pure_entropies(channel: Channel, samples: int, *stream: int) -> tuple[float, float]:
+    """Max and mean output entropy over `samples` random pure inputs, input i drawn
+    from the stream (*stream, i)."""
+    vals = [
+        output_entropy(channel, random_pure(channel.in_dim, (*stream, i)).density())
+        for i in range(samples)
+    ]
+    return max(vals), float(sum(vals) / len(vals))
+
+
 def cmd_phase_channel(args) -> tuple[dict, list]:
     samples = require_count(args.samples, "--samples")
     spec = decode_phase_spec(_json(args.spec))
@@ -269,18 +280,15 @@ def cmd_phase_channel(args) -> tuple[dict, list]:
     b = schur_matrix(spec)
     bvals = np.linalg.eigvalsh(b)
     mixed = DensityMatrix(np.eye(spec.grid_size) / spec.grid_size)
-    entropies = [
-        output_entropy(channel, random_pure(spec.grid_size, (args.seed, i)).density())
-        for i in range(samples)
-    ]
+    top, mean = _pure_entropies(channel, samples, args.seed)
     payload = {
         "a": spec.half_width,
         "d": spec.grid_size,
         "schur_min_eigenvalue": float(bvals[0]),
         "schur_diag_dev": float(np.max(np.abs(np.diag(b) - 1.0))),
         "output_entropy_mixed": output_entropy(channel, mixed),
-        "empirical_entropy_bound": max(entropies),
-        "mean_pure_entropy": float(sum(entropies) / len(entropies)),
+        "empirical_entropy_bound": top,
+        "mean_pure_entropy": mean,
     }
     tables = []
     if args.sweep:
@@ -289,17 +297,9 @@ def cmd_phase_channel(args) -> tuple[dict, list]:
             raise ParameterError(f"--sweep {args.sweep!r} has LO above HI")
         rows = []
         for d in range(lo, hi + 1):
-            sub = RandomPhaseSpec(spec.half_width, d, spec.density)
-            ch = random_phase_channel(sub)
-            vals = [
-                output_entropy(ch, random_pure(d, (args.seed, d, i)).density())
-                for i in range(samples)
-            ]
-            rows.append({
-                "d": d,
-                "max_entropy": max(vals),
-                "mean_entropy": float(sum(vals) / len(vals)),
-            })
+            ch = random_phase_channel(RandomPhaseSpec(spec.half_width, d, spec.density))
+            top, mean = _pure_entropies(ch, samples, args.seed, d)
+            rows.append({"d": d, "max_entropy": top, "mean_entropy": mean})
         payload["sweep"] = rows
         tables.append(("phase_sweep.csv", ("d", "max_entropy", "mean_entropy"), rows))
     if args.tails:
@@ -355,9 +355,9 @@ class _Parser(argparse.ArgumentParser):
 _SHARED = {
     "--state": {"help": "state JSON file"},
     "--named": {"help": "named state, e.g. mixed:4 or bell"},
-    "--seed": {"type": int, "default": 0},
-    "--restarts": {"type": int, "default": 24},
-    "--tolerance": {"type": float, "default": 1e-3},
+    "--seed": {"type": int, "default": RoofOptions.seed},
+    "--restarts": {"type": int, "default": RoofOptions.restarts},
+    "--tolerance": {"type": float, "default": DEFAULT_TOLERANCE},
     "--bits": {"action": "store_true", "help": "add bit-valued display fields"},
     "--left": {"required": True, "help": "channel file or family"},
     "--right": {"required": True, "help": "channel file or family"},

@@ -8,6 +8,7 @@ deliberately small (total dimensions up to a few dozen).
 
 from __future__ import annotations
 
+import math
 import numbers
 import sys
 from dataclasses import dataclass
@@ -36,16 +37,14 @@ def rng_for(seed, *stream: int) -> np.random.Generator:
 
     `seed` may be an int, a tuple of ints, or an existing Generator (which is
     passed through and must not be combined with stream indices).  Seeds and
-    stream indices must be integers >= 0 as `has_type` reads them: never bools or 1.5.
+    stream indices are counts >= 0 as `require_count` reads them: never bools or 1.5.
     """
     if isinstance(seed, np.random.Generator):
         if stream:
             raise ParameterError("cannot extend an existing generator with stream indices")
         return seed
     key = (tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)) + stream
-    if not all(has_type(s, int) and s >= 0 for s in key):
-        raise ParameterError(f"seed and stream indices must be non-negative integers, got {key}")
-    return np.random.default_rng(tuple(int(s) for s in key))
+    return np.random.default_rng(tuple(require_count(s, "seed or stream index", 0) for s in key))
 
 
 def has_type(value, want: type) -> bool:
@@ -131,10 +130,10 @@ class SubsystemShape:
     factor_dims: tuple[int, ...]
 
     def __post_init__(self):
-        dims = tuple(self.factor_dims)
-        if not dims or not all(has_type(d, int) and d >= 1 for d in dims):
-            raise ParameterError(f"factor dimensions must be positive integers, got {dims}")
-        object.__setattr__(self, "factor_dims", tuple(int(d) for d in dims))
+        dims = tuple(require_count(d, "factor dimension") for d in self.factor_dims)
+        if not dims:
+            raise ParameterError("a shape needs at least one factor dimension")
+        object.__setattr__(self, "factor_dims", dims)
 
     @property
     def total(self) -> int:
@@ -238,13 +237,23 @@ def require_count(value, what: str, least: int = 1, most: int | None = None) -> 
     raise ParameterError(f"{what} must be an integer {bounds}, got {value!r}")
 
 
+def require_real(value, what: str, low: float = -math.inf, high: float = math.inf,
+                 strict: bool = False) -> float:
+    """`value` as a finite float: a real as `has_type` reads it (never a bool, a string or None)
+    in [low, high], or in (low, high) when `strict`; NaN and +-inf lie in no interval."""
+    if has_type(value, float) and math.isfinite(value):
+        if low < value < high or (not strict and low <= value <= high):
+            return float(value)
+    left = "(" if strict or low == -math.inf else "["
+    right = ")" if strict or high == math.inf else "]"
+    raise ParameterError(f"{what} must lie in {left}{low:g}, {high:g}{right}, got {value!r}")
+
+
 def require_keep(keep: Sequence[int], n: int) -> tuple[int, ...]:
-    """Kept-factor indices, checked to be non-empty, strictly increasing and below n."""
-    keep = tuple(keep)
+    """Kept-factor indices, each in [0, n - 1], checked to be non-empty and strictly increasing."""
+    keep = tuple(require_count(i, "keep index", 0, n - 1) for i in keep)
     if not keep or list(keep) != sorted(set(keep)):
         raise ParameterError(f"keep indices must be non-empty and strictly increasing, got {keep}")
-    if keep[0] < 0 or keep[-1] >= n:
-        raise ParameterError(f"keep indices {keep} out of range for {n} factors")
     return keep
 
 
@@ -360,8 +369,7 @@ def top_eigenbasis(rho: DensityMatrix, count: int) -> np.ndarray:
 
 def mixed_with(rho: DensityMatrix, sigma: DensityMatrix, t: float) -> DensityMatrix:
     """Convex combination (1-t) rho + t sigma."""
-    if not 0.0 <= t <= 1.0:
-        raise ParameterError(f"mixing weight must lie in [0, 1], got {t}")
+    t = require_real(t, "mixing weight", 0.0, 1.0)
     if rho.dim != sigma.dim:
         raise DimensionError("states live on different spaces")
     return DensityMatrix((1.0 - t) * rho.entries + t * sigma.entries)

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityMatrix, hermitian_eig, require_hermitian
-from .errors import DimensionError, InfeasibleError, ParameterError, ValidityError
+from .core import DensityMatrix, hermitian_eig, require_hermitian, require_real
+from .errors import DimensionError, InfeasibleError, ValidityError
 
 # eigenvalues in [-EIG_CLIP, 0) count as roundoff zeros; anything lower is rejected
 EIG_CLIP = 1e-10
@@ -25,7 +25,7 @@ ENERGY_TOL = 1e-10
 
 
 def spectrum_entropy(vals: np.ndarray) -> float:
-    """-sum(w log w) over a clipped nonnegative spectrum."""
+    """-sum(w log w) over a spectrum clipped at zero."""
     w = np.asarray(vals, dtype=float)
     # NaN fails the clip test and the w > 0 filter, so it would be dropped unseen
     if not np.isfinite(w).all():
@@ -79,8 +79,7 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 def binary_entropy(p: float) -> float:
     """h(p) = -p log p - (1-p) log(1-p), zero at both endpoints."""
-    if not 0.0 <= p <= 1.0:
-        raise ParameterError(f"probability must lie in [0, 1], got {p}")
+    p = require_real(p, "probability", 0.0, 1.0)
     if p == 0.0 or p == 1.0:
         return 0.0
     return float(-p * math.log(p) - (1.0 - p) * math.log(1.0 - p))
@@ -88,8 +87,7 @@ def binary_entropy(p: float) -> float:
 
 def power_trace(rho: DensityMatrix, exponent: float) -> float:
     """Tr rho^exponent for exponent in (0, 1); equals 1 exactly on pure states."""
-    if not 0.0 < exponent < 1.0:
-        raise ParameterError(f"exponent must lie in (0, 1), got {exponent}")
+    exponent = require_real(exponent, "exponent", 0.0, 1.0, strict=True)
     # eigenvalue noise at ~1e-16 would contribute ~1e-8 after a square root
     w = np.linalg.eigvalsh(rho.entries)
     w = np.where(w > 1e-12, w, 0.0)
@@ -107,11 +105,8 @@ class EnergyConstraint:
         arr = require_hermitian(self.hamiltonian, 1e-10, "hamiltonian")
         arr.setflags(write=False)
         object.__setattr__(self, "hamiltonian", arr)
-        level = float(self.level)
         # NaN fails every comparison in gibbs_state and would pass as feasible
-        if not math.isfinite(level):
-            raise ValidityError(f"energy level must be finite, got {level!r}")
-        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "level", require_real(self.level, "energy level"))
 
 
 def _thermal_weights(energies: np.ndarray, beta: float) -> np.ndarray:

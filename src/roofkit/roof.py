@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channels import Channel, apply, output_entropy, partial_trace_channel
-from .core import DensityMatrix, PureState, SubsystemShape, hermitian_eig, require_count, rng_for
+from .core import DensityMatrix, PureState, SubsystemShape, hermitian_eig, require_count, require_real, rng_for
 from .entropy import relative_entropy
 from .errors import DimensionError, ParameterError, ValidityError
 
@@ -74,8 +74,7 @@ class RoofOptions:
                 continue
             object.__setattr__(self, name, require_count(value, name, least))
         # an infinite tolerance would report every unmoved start as converged
-        if not 0.0 < self.grad_tol < math.inf:
-            raise ParameterError("gradient tolerance must be positive and finite")
+        object.__setattr__(self, "grad_tol", require_real(self.grad_tol, "grad_tol", 0.0, strict=True))
 
     def refined(self) -> "RoofOptions":
         """Same schedule extended to twice as many restarts."""

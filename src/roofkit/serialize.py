@@ -14,7 +14,6 @@ import csv
 import io
 import json
 import math
-import sys
 
 import numpy as np
 
@@ -31,7 +30,7 @@ from .channels import (
     random_phase_channel,
     random_stinespring,
 )
-from .core import DensityMatrix, PureState, has_type
+from .core import DensityMatrix, PureState, has_type, require_count
 from .errors import DimensionError, ParameterError
 from .roof import Ensemble, RoofResult
 
@@ -41,7 +40,7 @@ VERSION = "0.1.0"
 def _typed(what: str, data, keys: dict, needs=()) -> dict:
     """data's values, each checked against its type in `keys` and read by it: the one rule
     of every descriptor.  data must be a JSON object, keys outside `keys` or missing from
-    `needs` are errors, and int keys (dimensions, counts, grid sizes) lie in [1, sys.maxsize].
+    `needs` are errors, and int keys (dimensions, counts, grid sizes) are read by `require_count`.
     A key typed by a decoder holds a nested JSON object, and one typed [decoder] a JSON
     list of them; their errors get the key's name."""
     if not has_type(data, dict):
@@ -60,9 +59,8 @@ def _typed(what: str, data, keys: dict, needs=()) -> dict:
         fits = not isinstance(kind, type) or (isinstance(value, list) if listed else has_type(value, kind))
         if not fits:
             raise ParameterError(f"{what} key {key!r} must be of type {kind.__name__}, got {value!r}")
-        if want is int and not 1 <= value <= sys.maxsize:   # numpy sizes arrays by int keys
-            bound = "at least 1" if value < 1 else f"at most {sys.maxsize}"
-            raise ParameterError(f"{what} key {key!r} must be {bound}, got {value!r}")
+        if want is int:     # numpy sizes arrays by int keys
+            value = require_count(value, f"{what} key {key!r}")
         try:
             values[key] = [want[0](item) for item in value] if listed else want(value)
         except ParameterError as exc:   # only decoders raise it

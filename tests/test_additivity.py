@@ -216,7 +216,7 @@ class TestTruncation:
             truncation_experiment(omega, self.SHAPE, ranks=(1, 1, 2))
         # int() ran rungs 1 and 2 for these
         for ranks in [(1.5, 2), (True, 2)]:
-            with pytest.raises(ParameterError, match="strictly ascending positive integers"):
+            with pytest.raises(ParameterError, match=r"rank must be an integer in \[1, 2\]"):
                 truncation_experiment(omega, self.SHAPE, ranks=ranks)
 
     def test_rows_expose_plot_columns(self):
@@ -331,7 +331,7 @@ class TestScanRandom:
     @pytest.mark.parametrize(
         "kwargs, message",
         [({"check": "bogus"}, "unknown check 'bogus'"),
-         ({"tolerance": math.nan}, "tolerance must be finite")],
+         ({"tolerance": math.nan}, r"tolerance must lie in \(-inf, inf\)")],
     )
     def test_empty_batch_still_checks_check_and_tolerance(self, kwargs, message):
         # an empty batch used to return before reading either

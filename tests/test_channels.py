@@ -528,10 +528,10 @@ class TestDensities:
         # an infinite width used to reach numpy as inf * 0 and the tails as an OverflowError
         for build in (GaussianDensity, UniformDensity,
                       lambda w: RandomPhaseSpec(w, 3, GaussianDensity(1.0))):
-            with pytest.raises(ParameterError, match="must be positive and finite"):
+            with pytest.raises(ParameterError, match=r"must lie in \(0, inf\)"):
                 build(bad)
         spec = RandomPhaseSpec(1.0, 3, GaussianDensity(1.0))
-        with pytest.raises(ParameterError, match="t-grid half width must be positive and finite"):
+        with pytest.raises(ParameterError, match=r"t-grid half width must lie in \(0, inf\)"):
             phase_channel_complement_mp(spec, t_half_width=bad)
 
     def test_tabulated_matches_weighted_sum(self):
@@ -558,7 +558,7 @@ class TestDensities:
         # a NaN mass fails every comparison, so it used to be accepted
         table = [[0.0], [1.0], [1.0]]
         table[column] = [bad]
-        with pytest.raises(ParameterError, match="points, values and weights must be finite"):
+        with pytest.raises(ParameterError, match="points, values and weights have non-finite entries"):
             TabulatedDensity(*table)
 
     def test_tabulated_has_no_tail_data(self):
@@ -716,20 +716,32 @@ class TestTails:
         with pytest.raises(ParameterError):
             tail_quantities(dens, 0.0)
         # an infinite cutoff gave beta = inf * 0 = NaN, reported as null
-        with pytest.raises(ParameterError, match="cutoff must be positive and finite, got inf"):
+        with pytest.raises(ParameterError, match=r"cutoff must lie in \(0, inf\), got inf"):
             tail_quantities(dens, math.inf)
-        with pytest.raises(ParameterError, match="cutoff must be at least 1 and finite, got inf"):
+        with pytest.raises(ParameterError, match=r"cutoff must lie in \[1, inf\), got inf"):
             tail_entropy_bound(dens, math.inf, 1.0, 1.0)
         # NaN fails a `< 0.0` test and came back as a NaN bound
-        with pytest.raises(ParameterError, match="entropy arguments must be nonnegative"):
+        with pytest.raises(ParameterError, match=r"entropy cap must lie in \[0, inf\)"):
             tail_entropy_bound(dens, 3.0, math.nan, 1.0)
-        with pytest.raises(ParameterError, match="entropy arguments must be nonnegative"):
+        with pytest.raises(ParameterError, match=r"output entropy must lie in \[0, inf\)"):
             tail_entropy_bound(dens, 3.0, 1.0, math.nan)
 
-    @pytest.mark.parametrize("std", [1e-300, 1e-308, 5e-324])
-    def test_tiny_std_tails_are_finite(self, std):
+    # the last column: whether the profile reach 4 / std, and so the default t-grid, is finite
+    @pytest.mark.parametrize(
+        "std, finite_reach", [(1e-300, True), (1e-308, False), (5e-324, False)]
+    )
+    def test_tiny_std_tails_are_finite(self, std, finite_reach):
         # s * s underflowed to 0 and the second moment divided by it
         dens = GaussianDensity(std)
         assert tail_quantities(dens, 2.0) == (0.0, 0.0, 0.0)
         assert tail_entropy_bound(dens, 2.0, 1.0, 1.0) == 0.0
         assert math.isfinite(dens.tail_log_mass(0.0))
+        # the profile formed s^2 u^2, 0 * inf on the t-grid, with RuntimeWarnings (errors here)
+        # and a NaN deviation; (s u)^2 stays finite
+        spec = RandomPhaseSpec(1.0, 3, dens)
+        if finite_reach:
+            assert phase_complement_gram_deviation(spec, t_points=16) < 1e-12
+        else:
+            message = r"^t-grid half width must lie in \(0, inf\), got inf$"
+            with pytest.raises(ParameterError, match=message):
+                phase_complement_gram_deviation(spec, t_points=16)

@@ -35,9 +35,9 @@ NAMED_ERRORS = {
     ("eof", "--dims", "2x2", "--named", "bell", "--seed", "-1"):
         "seed must be an integer >= 0, got -1",
     ("ccooe", "--channel", "random:2:2:3", "--named", "mixed:2", "--seed", "-1"):
-        "seed and stream indices must be non-negative",
+        "seed or stream index must be an integer >= 0",
     ("phase-channel", "--spec", '{"a": 1.0, "d": 4}', "--seed", "-1"):
-        "seed and stream indices must be non-negative",
+        "seed or stream index must be an integer >= 0",
     # short forms with more values than their family has keys, or none at all
     ("ccooe", "--channel", "noiseless:2:7", "--named", "mixed:2"):
         "channel family 'noiseless' takes the values ['dim']",
@@ -71,17 +71,17 @@ NAMED_ERRORS = {
     ("ccooe", "--channel", "noiseless:2", "--named", "diag:nan,1"):
         "density matrix has non-finite entries",
     ("additivity", "margin", "--left", "dephasing:0.25", "--right", "noiseless:2",
-     "--named", "mixed:4", "--tolerance", "nan"): "tolerance must be finite, got nan",
+     "--named", "mixed:4", "--tolerance", "nan"): "tolerance must lie in (-inf, inf), got nan",
     # integer family keys below 1
     ("ccooe", "--channel", "measure_prepare:2:0", "--named", "mixed:2"):
-        "channel family 'measure_prepare' key 'outcomes' must be at least 1, got 0",
+        "channel family 'measure_prepare' key 'outcomes' must be an integer >= 1, got 0",
     ("ccooe", "--channel", "measure_prepare:0", "--named", "mixed:2"):
-        "channel family 'measure_prepare' key 'dim' must be at least 1, got 0",
+        "channel family 'measure_prepare' key 'dim' must be an integer >= 1, got 0",
     ("ccooe", "--channel", '{"family": "random", "dim": 2, "env": 0}', "--named", "mixed:2"):
-        "channel family 'random' key 'env' must be at least 1, got 0",
+        "channel family 'random' key 'env' must be an integer >= 1, got 0",
     # a NaN level failed every comparison in gibbs_state and exited 0
     ("gibbs", "--hamiltonian", '{"re": [[0, 0], [0, 1]], "im": [[0, 0], [0, 0]]}',
-     "--level", "nan"): "energy level must be finite, got nan",
+     "--level", "nan"): "energy level must lie in (-inf, inf), got nan",
     # flag values that are not numbers of the flag's form
     ("eof", "--dims", "2x", "--named", "bell"): "--dims '2x' does not match the form D1xD2...",
     ("additivity", "truncate", "--dims", "2x2x2x2", "--ranks", "1,,2", "--named", "mixed:16"):
@@ -96,7 +96,7 @@ NAMED_ERRORS = {
         "--tails '1,x' does not match the form C1,C2,...",
     # an infinite cutoff exited 0 with null beta and entropy bound
     ("phase-channel", "--spec", '{"a": 1.0, "d": 4}', "--tails", "2,inf"):
-        "error: cutoff must be positive and finite, got inf\n",
+        "error: cutoff must lie in (0, inf), got inf\n",
     # an empty range printed an empty sweep
     ("phase-channel", "--spec", '{"a": 1.0, "d": 4}', "--sweep", "5:3"):
         "--sweep '5:3' has LO above HI",
@@ -164,15 +164,15 @@ PHASE_SPEC_ERRORS = {
         "density family 'gaussian' takes no key 'mean'; its keys are ['std']",
     f'"a": {BIG}, "d": 2': f"channel family 'phase' key 'a' must be of type float, got {BIG}",
     # JSON Infinity passes the float type check; it used to reach numpy as inf * 0
-    '"a": Infinity, "d": 3': "half width must be positive and finite, got inf",
+    '"a": Infinity, "d": 3': "half width must lie in (0, inf), got inf",
     '"a": 1.0, "d": 3, "density": {"family": "gaussian", "std": Infinity}':
         "channel family 'phase' key 'density': "
-        "standard deviation must be positive and finite, got inf",
+        "standard deviation must lie in (0, inf), got inf",
     '"a": 1.0, "d": 3, "density": {"family": "uniform", "half_width": Infinity}':
-        "channel family 'phase' key 'density': half width must be positive and finite, got inf",
+        "channel family 'phase' key 'density': half width must lie in (0, inf), got inf",
     '"a": 1.0, "d": 3, "density": {"family": "custom", "points": [0.0], "values": [NaN], '
     '"weights": [1.0]}':
-        "channel family 'phase' key 'density': points, values and weights must be finite",
+        "channel family 'phase' key 'density': points, values and weights have non-finite entries",
 }
 for body, message in PHASE_SPEC_ERRORS.items():
     NAMED_ERRORS[("phase-channel", "--spec", f"{{{body}}}")] = f"error: {message}\n"

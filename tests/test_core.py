@@ -1,5 +1,6 @@
 """State containers, tensor helpers, and truncation primitives."""
 
+import math
 import re
 import sys
 
@@ -18,23 +19,29 @@ from roofkit import (
     RoofOptions,
     SubsystemShape,
     TruncationProjector,
+    UniformDensity,
     ValidityError,
     basis_state,
+    binary_entropy,
     cli,
     complementary_transfer_probe,
     completely_depolarizing,
     continuity_probe,
     dephasing,
+    direct_sum_mixture,
     extended_entropy,
     is_psd,
+    margin_check,
     measure_prepare,
     min_orbit_energy,
     marginals,
     mixed_with,
     noiseless,
     partial_trace,
+    partial_trace_channel,
     partial_transpose,
     phase_channel_complement_mp,
+    power_trace,
     purify,
     random_density,
     random_phase_channel,
@@ -43,13 +50,16 @@ from roofkit import (
     random_unitary,
     rng_for,
     scan_random,
+    tail_entropy_bound,
+    tail_quantities,
     tensor,
     top_eigenbasis,
     trace_norm,
     trace_out,
     truncate_state,
+    truncation_experiment,
 )
-from roofkit.core import has_type, hermitian_eig, require_hermitian
+from roofkit.core import has_type, hermitian_eig, require_hermitian, require_keep
 
 
 class TestDensityMatrix:
@@ -117,8 +127,10 @@ class TestSubsystemShape:
         with pytest.raises(ParameterError):
             SubsystemShape((2, 0))
         for dims in [(2.5, 2), (True, 2), ("2", 2)]:
-            with pytest.raises(ParameterError, match="positive integers"):
+            with pytest.raises(ParameterError, match="factor dimension must be an integer >= 1"):
                 SubsystemShape(dims)
+        with pytest.raises(ParameterError, match="a shape needs at least one factor dimension"):
+            SubsystemShape(())
 
     def test_integral_float_factors_become_ints(self):
         dims = SubsystemShape((2.0, np.int64(3))).factor_dims
@@ -239,8 +251,8 @@ SEEDED = {
 @pytest.mark.parametrize("seed", [1.5, True, (0, 1.5)], ids=["float", "bool", "float-in-tuple"])
 def test_seeds_must_be_integers(name, seed):
     # int() used to truncate 1.5 and True to the stream of seed 1
-    key = seed if isinstance(seed, tuple) else (seed,)
-    message = f"seed and stream indices must be non-negative integers, got {key}"
+    bad = seed[1] if isinstance(seed, tuple) else seed
+    message = f"seed or stream index must be an integer >= 0, got {bad!r}"
     with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
         SEEDED[name](seed)
 
@@ -292,6 +304,13 @@ COUNTS = {
     "scan_random.samples": (lambda n: scan_random(
         {"family": "noiseless", "dim": 2}, {"family": "dephasing", "q": 0.25}, n, options=FAST), 0),
     "phase-channel.--samples": (_phase_channel_report, 1),
+    "SubsystemShape.factor_dims": (lambda n: SubsystemShape((n, 2)), 1),
+    # an integral float index such as (1.0,) failed in numpy's transpose
+    "partial_trace_channel.keep":
+        (lambda n: partial_trace_channel(SubsystemShape((2, 2, 2)), (n,)).kraus, 0),
+    "truncation_experiment.ranks": (lambda n: truncation_experiment(
+        random_density(16, 16, 1), SubsystemShape((2, 2, 2, 2)), (n,), FAST), 1),
+    "rng_for.stream": (lambda n: rng_for(0, n).random(), 0),
 }
 
 
@@ -343,11 +362,91 @@ def test_integral_floats_and_numpy_integers_count_like_ints(name):
         (lambda: random_density(10**19, 1, 0),
          f"dimension must be at most {sys.maxsize}, got {10**19}"),
         (lambda: basis_state(10**20, 0), f"dimension must be at most {sys.maxsize}, got {10**20}"),
+        (lambda: SubsystemShape((10**20, 2)),
+         f"factor dimension must be at most {sys.maxsize}, got {10**20}"),
+        # a fractional index passed the range test and the sort, and failed later in numpy
+        (lambda: require_keep((0.5,), 2), "keep index must be an integer in [0, 1], got 0.5"),
+        (lambda: partial_trace_channel(SubsystemShape((2, 2)), (0.5,)),
+         "keep index must be an integer in [0, 1], got 0.5"),
+        (lambda: truncation_experiment(random_density(16, 16, 1), SubsystemShape((2,) * 4), (3,)),
+         "rank must be an integer in [1, 2], got 3"),
     ],
 )
 def test_bounded_counts_name_their_range(build, message):
     with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
         build()
+
+
+GAUSSIAN_SPEC = RandomPhaseSpec(1.0, 2, GaussianDensity(1.0))
+NOISELESS = {"family": "noiseless", "dim": 2}
+
+# every real argument, as (what it builds from the value, the name its error gives,
+# its interval, a value just outside it); each reads it through require_real
+REALS = {
+    "dephasing.q": (lambda x: dephasing(x).kraus, "flip probability", "[0, 1]",
+                    math.nextafter(1.0, 2.0)),
+    "direct_sum_mixture.q": (lambda x: direct_sum_mixture(x, noiseless(2)).kraus,
+                             "mixture weight", "[0, 1]", -5e-324),
+    "mixed_with.t": (lambda x: mixed_with(random_density(2, 2, 1), random_density(2, 2, 2), x),
+                     "mixing weight", "[0, 1]", math.nextafter(1.0, 2.0)),
+    "binary_entropy.p": (binary_entropy, "probability", "[0, 1]", -5e-324),
+    "power_trace.exponent": (lambda x: power_trace(random_density(2, 2, 1), x),
+                             "exponent", "(0, 1)", 1.0),
+    "GaussianDensity.std": (GaussianDensity, "standard deviation", "(0, inf)", 0.0),
+    "UniformDensity.half_width": (UniformDensity, "half width", "(0, inf)", 0.0),
+    "RandomPhaseSpec.half_width": (lambda x: RandomPhaseSpec(x, 2, GaussianDensity(1.0)),
+                                   "half width", "(0, inf)", 0.0),
+    "phase_channel_complement_mp.t_half_width":
+        (lambda x: phase_channel_complement_mp(GAUSSIAN_SPEC, t_half_width=x).kraus,
+         "t-grid half width", "(0, inf)", 0.0),
+    "tail_quantities.d": (lambda x: tail_quantities(GaussianDensity(1.0), x),
+                          "cutoff", "(0, inf)", 0.0),
+    "tail_entropy_bound.d": (lambda x: tail_entropy_bound(GaussianDensity(1.0), x, 1.0, 1.0),
+                             "cutoff", "[1, inf)", math.nextafter(1.0, 0.0)),
+    # at a cutoff of 40 the tail mass is 0, so an infinite argument came back as 0 * inf = NaN
+    "tail_entropy_bound.entropy_cap":
+        (lambda x: tail_entropy_bound(GaussianDensity(1.0), 40.0, x, 1.0),
+         "entropy cap", "[0, inf)", -5e-324),
+    "tail_entropy_bound.out_entropy":
+        (lambda x: tail_entropy_bound(GaussianDensity(1.0), 40.0, 1.0, x),
+         "output entropy", "[0, inf)", -5e-324),
+    "RoofOptions.grad_tol": (lambda x: RoofOptions(grad_tol=x), "grad_tol", "(0, inf)", 0.0),
+    "margin_check.tolerance": (lambda x: margin_check(
+        "superadditivity", dephasing(0.25), noiseless(2), random_density(4, 4, 1), FAST, x),
+        "tolerance", "(-inf, inf)", -math.inf),
+    "scan_random.tolerance": (lambda x: scan_random(NOISELESS, NOISELESS, 0, tolerance=x),
+                              "tolerance", "(-inf, inf)", -math.inf),
+    "EnergyConstraint.level": (lambda x: EnergyConstraint(np.diag([0.0, 1.0]), x),
+                               "energy level", "(-inf, inf)", -math.inf),
+}
+REAL_INPUTS = {"bool": True, "string": "1", "None": None, "nan": math.nan, "inf": math.inf}
+
+
+@pytest.mark.parametrize(
+    "name, bad",
+    [
+        (name, bad)
+        for name in sorted(REALS)
+        for bad in (*REAL_INPUTS, "outside")
+        # None asks for the default t-grid width, the profile's reach past the grid
+        if (name, bad) != ("phase_channel_complement_mp.t_half_width", "None")
+    ],
+)
+def test_reals_must_be_finite_reals_in_their_interval(name, bad):
+    build, what, interval, outside = REALS[name]
+    value = REAL_INPUTS.get(bad, outside)
+    message = f"{what} must lie in {interval}, got {value!r}"
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        build(value)
+
+
+@pytest.mark.parametrize("name", sorted(REALS))
+def test_integers_and_numpy_floats_read_like_floats(name):
+    build, _, interval, _ = REALS[name]
+    inside = 0.5 if interval == "(0, 1)" else 1     # an int wherever the interval holds one
+    want = _raw(build(float(inside)))
+    assert _raw(build(inside)) == want
+    assert _raw(build(np.float64(inside))) == want
 
 
 class TestPsdAndNorms:

@@ -235,7 +235,8 @@ class TestGibbs:
 
     @pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf])
     def test_non_finite_level_rejected(self, level):
-        with pytest.raises(ValidityError, match=f"energy level must be finite, got {level!r}"):
+        message = rf"energy level must lie in \(-inf, inf\), got {level!r}"
+        with pytest.raises(ParameterError, match=message):
             EnergyConstraint(self.H2, level)
 
     def test_dominates_energy_constrained_states(self):

@@ -234,7 +234,7 @@ class TestCcooe:
         with pytest.raises(ParameterError):
             RoofOptions(grad_tol=0.0)
         for tol in (math.nan, math.inf):
-            with pytest.raises(ParameterError, match="positive and finite"):
+            with pytest.raises(ParameterError, match=r"grad_tol must lie in \(0, inf\)"):
                 RoofOptions(grad_tol=tol)
 
     @pytest.mark.parametrize(
