@@ -10,9 +10,7 @@ from .additivity import (
     AdditivityReport,
     ContinuityProbe,
     ScanResult,
-    TransferProbe,
     TruncationTrace,
-    complementary_transfer_probe,
     continuity_probe,
     margin_check,
     min_output_margin,

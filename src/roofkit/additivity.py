@@ -16,13 +16,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .channels import (
-    Channel,
-    complementary,
-    output_entropy,
-    partial_trace_channel,
-    tensor_channel,
-)
+from .channels import Channel, output_entropy, partial_trace_channel, tensor_channel
 from .core import (
     DensityMatrix,
     SubsystemShape,
@@ -42,7 +36,7 @@ from .core import (
 )
 from .entropy import spectrum_entropy
 from .errors import DegenerateTruncationError, ParameterError
-from .roof import RoofOptions, average_output_entropy, ccooe, min_output_entropy
+from .roof import RoofOptions, ccooe, min_output_entropy
 from .serialize import _FAMILIES, _family_row, channel_from_family
 
 CONSISTENT = "consistent"
@@ -145,7 +139,6 @@ def margin_check(
     options: RoofOptions | None = None,
     tolerance: float = DEFAULT_TOLERANCE,
     state_label: str = "omega",
-    observe=lambda roofs: {},
 ) -> AdditivityReport:
     """Check one inequality of `_TRIO_ROWS` on the trio of omega and its marginals.
 
@@ -157,7 +150,6 @@ def margin_check(
     S(left out) - S(right out)) holds exactly, and the roof margin is kept in
     the diagnostics.
     "corollary-max": roof(joint) >= max of the two marginal roofs.
-    `observe` maps the trio's RoofResults to extra diagnostics.
     """
     _require_kind(kind)
 
@@ -170,7 +162,7 @@ def margin_check(
         diag["restarts"] = roofs["joint"].restarts_used
         return AdditivityReport(
             kind, (phi.label, psi.label), state_label, lhs, lhs_bound, rhs, rhs_bound,
-            tolerance, diagnostics={**diag, **extra, **observe(roofs)},
+            tolerance, diagnostics={**diag, **extra},
         )
 
     return _settle(build, options, tolerance)
@@ -234,7 +226,7 @@ def truncation_experiment(
 ) -> TruncationTrace:
     """Truncate a four-factor state factorwise and track the proof quantities.
 
-    The state lives on factors (H, L, K, N); the observed channel traces out
+    The state lives on factors (H, L, K, N); the channel under study traces out
     L and N.  For each requested rank the top eigenvectors of every factor
     marginal form the truncation projector; the compressed renormalized state
     must stay dominated by the compressed full output (residual PSD within
@@ -294,7 +286,7 @@ def truncation_experiment(
     )
 
 
-# --- continuity and complement probes ----------------------------------------
+# --- continuity probe -------------------------------------------------------
 
 
 @dataclass
@@ -361,71 +353,6 @@ def continuity_probe(
         roof_trend_ok=_median_trend_ok([r.roof_dev for r in rows]),
         final_entropy_dev=rows[-1].entropy_dev,
         final_roof_dev=rows[-1].roof_dev,
-    )
-
-
-@dataclass
-class TransferRow:
-    item: int
-    margin: float
-    margin_complement: float
-    roof_left: float
-    roof_left_complement: float
-    agreement_dev: float
-
-
-@dataclass
-class TransferProbe:
-    rows: list[TransferRow]
-    max_agreement_dev: float
-    flagged: int
-
-
-def complementary_transfer_probe(
-    phi: Channel,
-    psi: Channel,
-    samples: int = 20,
-    seed: int = 0,
-    options: RoofOptions | None = None,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> TransferProbe:
-    """Superadditivity margins for a channel pair, read also through its complements.
-
-    A pure input's output and its complementary output share their nonzero
-    spectrum, so each sample runs one trio and reads its witness ensembles
-    under the complements too.  `agreement_dev` compares the two readings of
-    the left-marginal roof; `flagged` counts flagged samples.
-    """
-    samples = require_count(samples, "samples")
-    phi_hat, psi_hat = complementary(phi), complementary(psi)
-    hats = {"joint": tensor_channel(phi_hat, psi_hat), "left": phi_hat, "right": psi_hat}
-
-    def observe(roofs):
-        return {f"hat_{k}": average_output_entropy(hats[k], r.ensemble) for k, r in roofs.items()}
-
-    rows, flagged = [], 0
-    for i in range(samples):
-        dim = phi.in_dim * psi.in_dim
-        omega = random_density(dim, dim, (seed, i))
-        report = margin_check(
-            "superadditivity", phi, psi, omega, options, tolerance, f"sample-{i}", observe
-        )
-        flagged += report.verdict == FLAGGED
-        diag = report.diagnostics
-        rows.append(
-            TransferRow(
-                item=i,
-                margin=report.margin,
-                margin_complement=diag["hat_joint"] - (diag["hat_left"] + diag["hat_right"]),
-                roof_left=diag["roof_left"],
-                roof_left_complement=diag["hat_left"],
-                agreement_dev=abs(diag["roof_left"] - diag["hat_left"]),
-            )
-        )
-    return TransferProbe(
-        rows=rows,
-        max_agreement_dev=max(r.agreement_dev for r in rows),
-        flagged=flagged,
     )
 
 

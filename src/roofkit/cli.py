@@ -17,7 +17,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, fields
+from dataclasses import asdict
 
 import numpy as np
 
@@ -25,8 +25,6 @@ from .additivity import (
     _TRIO_ROWS,
     DEFAULT_TOLERANCE,
     FLAGGED,
-    TransferRow,
-    complementary_transfer_probe,
     margin_check,
     scan_random,
     truncation_experiment,
@@ -253,16 +251,6 @@ def cmd_scan(args) -> tuple[dict, list]:
     return payload, [("margins.csv", ADDITIVITY_CSV_FIELDS, additivity_csv_rows(result.reports))]
 
 
-def cmd_complement(args) -> tuple[dict, list]:
-    left = _load_channel(args.left, args.seed, 0)
-    right = _load_channel(args.right, args.seed, 1)
-    probe = complementary_transfer_probe(
-        left, right, args.samples, args.seed, _options(args), args.tolerance
-    )
-    payload = asdict(probe)
-    return payload, [("complement.csv", [f.name for f in fields(TransferRow)], payload["rows"])]
-
-
 def _pure_entropies(channel: Channel, samples: int, *stream: int) -> tuple[float, float]:
     """Max and mean output entropy over `samples` random pure inputs, input i drawn
     from the stream (*stream, i)."""
@@ -338,7 +326,7 @@ def _writes_tables(args) -> bool:
     """Whether the command's handler returns CSV tables, known before it runs."""
     if args.func is cmd_phase_channel:
         return bool(args.sweep or args.tails)
-    return args.func in (cmd_margin, cmd_truncate, cmd_scan, cmd_complement)
+    return args.func in (cmd_margin, cmd_truncate, cmd_scan)
 
 
 # --- parser -------------------------------------------------------------------
@@ -412,9 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "--left", "--right", *_ROOF, "--tolerance")
     p.add_argument("--samples", type=int, default=20)
     p.add_argument("--check", choices=tuple(_TRIO_ROWS), default="superadditivity")
-    p = _subcommand(modes, "complement", cmd_complement, "complementary transfer probe",
-                    "--left", "--right", *_ROOF, "--tolerance")
-    p.add_argument("--samples", type=int, default=20)
 
     p = _subcommand(sub, "phase-channel", cmd_phase_channel,
                     "discretized random-phase channel probes", "--seed")

@@ -259,7 +259,7 @@ def require_keep(keep: Sequence[int], n: int) -> tuple[int, ...]:
 
 def trace_out(arr: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
     """Partial trace of a raw matrix over the factors not listed in `keep`."""
-    dims = tuple(int(d) for d in dims)
+    dims = SubsystemShape(tuple(dims)).factor_dims
     n = len(dims)
     keep = require_keep(keep, n)
     if arr.shape != (prod(dims), prod(dims)):
@@ -280,7 +280,7 @@ def partial_trace(omega: DensityMatrix, shape: SubsystemShape, keep: Sequence[in
 
 def partial_transpose(arr: np.ndarray, dims: Sequence[int], sys: int) -> np.ndarray:
     """Transpose of one tensor factor of a raw matrix."""
-    dims = tuple(int(d) for d in dims)
+    dims = SubsystemShape(tuple(dims)).factor_dims
     n = len(dims)
     sys = require_count(sys, "factor index", 0, n - 1)
     if arr.shape != (prod(dims), prod(dims)):

@@ -37,7 +37,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channels import Channel, apply, output_entropy, partial_trace_channel
-from .core import DensityMatrix, PureState, SubsystemShape, hermitian_eig, require_count, require_real, rng_for
+from .core import (
+    DensityMatrix,
+    PureState,
+    SubsystemShape,
+    hermitian_eig,
+    require_count,
+    require_finite,
+    require_real,
+    rng_for,
+)
 from .entropy import relative_entropy
 from .errors import DimensionError, ParameterError, ValidityError
 
@@ -121,10 +130,10 @@ def ensemble_from_mixing(rho: DensityMatrix, mixing) -> Ensemble:
     """Decomposition of rho induced by a tall matrix with orthonormal columns.
 
     Member i is the normalization of sum_j M_ij sqrt(lambda_j) e_j; members
-    with weight at or below 1e-14 are dropped.  Column orthonormality is
-    required within 1e-6.
+    with weight at or below 1e-14 are dropped.  The entries must be finite
+    and the columns orthonormal within 1e-6.
     """
-    m_arr = np.asarray(mixing, dtype=complex)
+    m_arr = require_finite(mixing, "mixing matrix")
     if m_arr.ndim != 2:
         raise ParameterError(f"mixing matrix must be 2-d, got shape {m_arr.shape}")
     g, r = _support_factor(rho)

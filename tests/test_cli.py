@@ -345,14 +345,6 @@ class TestAdditivity:
         assert payload["result"]["min_margin"] > -1e-9
         assert len(payload["result"]["reports"]) == 2
 
-    def test_complement_probe(self, capsys):
-        code, payload, _ = run(
-            capsys, "additivity", "complement", "--left", "dephasing:0.25",
-            "--right", "noiseless:2", "--samples", "2", "--restarts", "4",
-        )
-        assert code == 0
-        assert payload["result"]["max_agreement_dev"] <= 5e-3
-
 
 PAIR = ("--left", "dephasing:0.25", "--right", "noiseless:2", "--restarts", "4")
 
@@ -411,16 +403,6 @@ MARGINS_CSV = "item,lhs,lhs_bound_dir,rhs,rhs_bound_dir,margin,verdict"
             "margins.csv", MARGINS_CSV,
             {"samples", "check", "reports", "min_margin", "mean_margin", "flagged", "replay"},
             "reports", REPORT_KEYS,
-        ),
-        (
-            ("complement", "--left", "dephasing:0.25", "--right", "noiseless:2",
-             "--samples", "1"),
-            "complement.csv",
-            "item,margin,margin_complement,roof_left,roof_left_complement,agreement_dev",
-            {"rows", "max_agreement_dev", "flagged"},
-            "rows",
-            {"item", "margin", "margin_complement", "roof_left", "roof_left_complement",
-             "agreement_dev"},
         ),
     ],
 )
@@ -825,7 +807,6 @@ PAIR = ("--left", "noiseless:2", "--right", "noiseless:2")
          ("--left", "noiseless:2")),
         (("additivity", "truncate", "--dims", "2x2x2x2", "--named", "mixed:16"),
          ("--tolerance", "0.1")),
-        (("additivity", "complement", *PAIR), ("--check", "superadditivity")),
         (("phase-channel", "--spec", '{"a": 1.0, "d": 4}'), ("--bits",)),
         (("phase-channel", "--spec", '{"a": 1.0, "d": 4}'), ("--restarts", "2")),
     ],
@@ -838,10 +819,9 @@ def test_command_rejects_a_flag_it_does_not_read(capsys, argv, flag):
     assert err.startswith(f"error: unrecognized arguments: {flag[0]}")
 
 
-@pytest.mark.parametrize("mode", ["scan", "complement"])
-def test_flagged_scan_and_complement_exit_two(capsys, mode):
+def test_flagged_scan_exits_two(capsys):
     code, payload, _ = run(
-        capsys, "additivity", mode, "--left", "dephasing:0.25", "--right", "random:2",
+        capsys, "additivity", "scan", "--left", "dephasing:0.25", "--right", "random:2",
         "--samples", "1", "--restarts", "1", "--tolerance", "-1",
     )
     assert code == 2

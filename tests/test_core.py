@@ -24,7 +24,6 @@ from roofkit import (
     basis_state,
     binary_entropy,
     cli,
-    complementary_transfer_probe,
     completely_depolarizing,
     continuity_probe,
     dephasing,
@@ -284,6 +283,8 @@ COUNTS = {
     "basis_state.index": (lambda n: basis_state(3, n).amplitudes, 0),
     "partial_transpose.sys":
         (lambda n: partial_transpose(random_density(8, 8, 1).entries, (2, 2, 2), n), 0),
+    "trace_out.dims": (lambda n: trace_out(np.eye(4) / 4, (n, 2), (1,)), 1),
+    "partial_transpose.dims": (lambda n: partial_transpose(np.eye(4) / 4, (n, 2), 0), 1),
     "noiseless.dim": (lambda n: noiseless(n).kraus, 1),
     "completely_depolarizing.dim": (lambda n: completely_depolarizing(n).kraus, 1),
     "random_stinespring.in_dim": (lambda n: random_stinespring(n, 2, 2, 1).kraus, 1),
@@ -299,8 +300,6 @@ COUNTS = {
     "RoofOptions.seed": (lambda n: RoofOptions(seed=n), 0),
     "continuity_probe.steps":
         (lambda n: continuity_probe(dephasing(0.25), random_density(2, 2, 1), n, options=FAST), 1),
-    "complementary_transfer_probe.samples":
-        (lambda n: complementary_transfer_probe(dephasing(0.25), noiseless(2), n, options=FAST), 1),
     "scan_random.samples": (lambda n: scan_random(
         {"family": "noiseless", "dim": 2}, {"family": "dephasing", "q": 0.25}, n, options=FAST), 0),
     "phase-channel.--samples": (_phase_channel_report, 1),

@@ -96,6 +96,13 @@ class TestEnsembleFromMixing:
         with pytest.raises(ParameterError):
             ensemble_from_mixing(rho, np.eye(2)[:, :1])
 
+    def test_rejects_non_finite_entries(self):
+        # NaN fails the orthonormality comparison, and its members would be
+        # dropped as weightless: the rest missed rho by 0.177
+        rho = random_density(2, 2, 1)
+        with pytest.raises(ValidityError, match="^mixing matrix has non-finite entries$"):
+            ensemble_from_mixing(rho, np.array([[1.0, 0.0], [math.nan, 1.0]]))
+
 
 class TestEnsemble:
     def test_weight_validation(self):
