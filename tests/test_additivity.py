@@ -280,6 +280,28 @@ class TestComplementMargins:
                 direct.diagnostics["roof_left"], abs=1e-12
             )
 
+    def test_noiseless_complements_have_zero_margin(self):
+        # the complement of a noiseless channel has a one-dimensional output,
+        # so all three roofs vanish, as they do for the noiseless pair itself
+        hat = complementary(noiseless(2))
+        assert hat.out_dim == 1
+        report = margin_check("superadditivity", hat, hat, random_density(4, 4, 3), FAST)
+        for key in ("roof_joint", "roof_left", "roof_right"):
+            assert report.diagnostics[key] == pytest.approx(0.0, abs=1e-9)
+        assert abs(report.margin) < 1e-9
+        assert report.verdict == "consistent"
+
+    def test_dephasing_pair_is_consistent_on_both_sides(self):
+        phi, psi = self.PAIRS["dephasing-random222"]
+        phi_hat, psi_hat = complementary(phi), complementary(psi)
+        for i in range(5):
+            omega = random_density(4, 4, (8, i))
+            direct = margin_check("superadditivity", phi, psi, omega, FAST)
+            mirrored = margin_check("superadditivity", phi_hat, psi_hat, omega, FAST)
+            assert abs(mirrored.margin - direct.margin) <= 5e-3
+            assert direct.margin >= -5e-3 and mirrored.margin >= -5e-3
+            assert direct.verdict == mirrored.verdict == "consistent"
+
 
 class TestScanRandom:
     NOISELESS = {"family": "noiseless", "dim": 2}
