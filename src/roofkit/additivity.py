@@ -342,8 +342,10 @@ def continuity_probe(
         rows.append(
             ProbeRow(
                 index=n,
-                distance=trace_norm(rho_n.entries - rho0.entries),
+                # first, so a state of another dimension raises output_entropy's
+                # DimensionError before trace_norm subtracts it from rho0
                 entropy_dev=abs(output_entropy(channel, rho_n) - base_entropy),
+                distance=trace_norm(rho_n.entries - rho0.entries),
                 roof_dev=abs(ccooe(channel, rho_n, options).value - base_roof),
             )
         )

@@ -47,15 +47,11 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
 def extended_entropy(a) -> float:
     """H(A) = -Tr A log A + Tr A log Tr A for positive semidefinite A."""
     w = np.linalg.eigvalsh(require_hermitian(a, 1e-8, "entropy input"))
-    if float(w.min()) < -EIG_CLIP:
-        raise ValidityError(f"negative eigenvalue {w.min():.3e} below -{EIG_CLIP:g}")
-    w = np.clip(w, 0.0, None)
-    t = float(w.sum())
+    entropy = spectrum_entropy(w)
+    t = float(np.clip(w, 0.0, None).sum())
     if t <= ZERO_TRACE:
         return 0.0
-    pos = w[w > 0.0]
-    val = float(-(pos * np.log(pos)).sum() + t * math.log(t))
-    return max(val, 0.0)
+    return max(entropy + t * math.log(t), 0.0)
 
 
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:

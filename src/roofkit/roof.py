@@ -214,7 +214,7 @@ def _qubit_spectral(a00: np.ndarray, a11: np.ndarray, a10: np.ndarray):
 
 
 def _objective(kstack: np.ndarray, g: np.ndarray | None = None):
-    """The spectral kernel on channel outputs, as one function f(M, grad=False).
+    """The spectral kernel on channel outputs, as one function f(M) -> (F, G).
 
     Row i of a manifold point M mixes the support columns g into the
     unnormalized member g @ M[i]; on the unit sphere St(d, 1) the point's
@@ -226,8 +226,7 @@ def _objective(kstack: np.ndarray, g: np.ndarray | None = None):
     is formed elementwise from `_qubit_spectral`'s three coefficients; larger
     sides form A and dF/dA W as stacked matmuls around `_spectral`.  f takes
     one point or a stack of points, with any leading shape, and returns one
-    value per point, and with `grad` also the gradient of each; both come
-    from one pass, so a point has one value however it is asked for.
+    value per point and the gradient of each, both from one pass.
 
     A pure member's output and its complementary output (swap the output and
     Kraus axes of the (env, out, in) stack) share their nonzero spectrum, so
@@ -243,7 +242,7 @@ def _objective(kstack: np.ndarray, g: np.ndarray | None = None):
     lift = (kstack if g is None else kstack @ g).reshape(side * other, -1)
     lift_t, lift_c = lift.T, lift.conj()
 
-    def kernel(m_mat, grad=False):
+    def kernel(m_mat):
         rows = (1, m_mat.shape[-2]) if g is None else m_mat.shape[-2:]
         w = m_mat.reshape(-1, *rows) @ lift_t          # (B, m, side * other)
         w = w.reshape(*w.shape[:2], side, other)
@@ -263,8 +262,6 @@ def _objective(kstack: np.ndarray, g: np.ndarray | None = None):
             value, d = _spectral(w @ _h(w))
             dw = d @ w
         value = value.reshape(m_mat.shape[:-2])[()]
-        if not grad:
-            return value
         return value, (dw.reshape(*w.shape[:2], -1) @ lift_c).reshape(m_mat.shape)
 
     return kernel
@@ -330,7 +327,7 @@ def _lockstep(f, m_mat: np.ndarray, options: RoofOptions) -> _RunStats:
     gradient of each row that its round accepts, so every trial point has one
     value and every accepted point is eigensolved once.
     """
-    value, grad = f(m_mat, grad=True)
+    value, grad = f(m_mat)
     ref, weight = value.copy(), np.ones(len(m_mat))    # Zhang-Hager C_k and Q_k
     end, grad_norm = m_mat.copy(), np.full(len(m_mat), math.inf)
     iterations = np.zeros(len(m_mat), dtype=int)
@@ -356,7 +353,7 @@ def _lockstep(f, m_mat: np.ndarray, options: RoofOptions) -> _RunStats:
         search = np.arange(len(live))
         while (search := search[t[search] > 1e-14]).size:
             cand = _retract(x[search] - t[search, None, None] * xi[search])
-            cand_value, cand_grad = f(cand, grad=True)
+            cand_value, cand_grad = f(cand)
             ok = cand_value <= ref[live[search]] - ARMIJO * t[search] * slope[search]
             hit = search[ok]
             following[hit], next_grad[hit], value[live[hit]] = cand[ok], cand_grad[ok], cand_value[ok]

@@ -96,14 +96,10 @@ def decode_matrix(data: dict) -> np.ndarray:
     im = np.asarray(values["im"], dtype=float)
     if re.ndim != 2 or re.shape != im.shape:
         raise ParameterError("re/im parts must be matching 2-d arrays")
-    if "dim" in values:
-        want = (values["dim"],) * 2
-    elif "rows" in values or "cols" in values:
-        want = (values["rows"], values["cols"])
-    else:
-        want = re.shape
-    if re.shape != want:
-        raise DimensionError(f"declared shape {want} does not match entries {re.shape}")
+    # each header key is checked against the entries, so keys that disagree are refused
+    for key, axes in (("dim", (0, 1)), ("rows", (0,)), ("cols", (1,))):
+        if key in values and any(re.shape[axis] != values[key] for axis in axes):
+            raise DimensionError(f"declared {key} {values[key]} does not match entries {re.shape}")
     return _complex(re, im)
 
 

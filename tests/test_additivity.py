@@ -244,6 +244,14 @@ class TestContinuityProbe:
             assert row.entropy_dev == pytest.approx(0.0, abs=1e-12)
             assert row.roof_dev == pytest.approx(0.0, abs=1e-9)
 
+    def test_schedule_of_another_dimension_is_refused(self):
+        # a qutrit sequence towards a qubit rho0 is a typed error, not numpy's broadcast error
+        with pytest.raises(DimensionError, match="state dimension 3 != channel input 2"):
+            continuity_probe(
+                dephasing(0.25), random_density(2, 2, 101), steps=2,
+                schedule=lambda n: random_density(3, 3, n), options=FAST,
+            )
+
     def test_noiseless_roof_column_vanishes(self):
         probe = continuity_probe(noiseless(2), random_density(2, 2, 102), steps=6, options=FAST)
         for row in probe.rows:

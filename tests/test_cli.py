@@ -118,6 +118,13 @@ NAMED_ERRORS = {
     ("ccooe", "--channel", '{"kraus": [{"dim": 2, "rows": 2, "re": [[1, 0], [0, 1]], '
      '"im": [[0, 0], [0, 0]], "scale": 2}]}', "--named", "mixed:2"):
         "channel key 'kraus': matrix takes no key 'scale'",
+    # header keys that disagree: dim used to win over rows and cols
+    ("entropy", "--state",
+     '{"dim": 2, "rows": 3, "cols": 5, "re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]]}'):
+        "error: declared rows 3 does not match entries (2, 2)\n",
+    ("ccooe", "--channel", '{"kraus": [{"dim": 2, "cols": 3, "re": [[1, 0], [0, 1]], '
+     '"im": [[0, 0], [0, 0]]}]}', "--named", "mixed:2"):
+        "error: declared cols 3 does not match entries (2, 2)\n",
     # a Kraus value that is not a list of matrix objects, a top level that is not an
     # object, and ragged entries are named, not left to Python or numpy
     ("ccooe", "--channel", '{"kraus": 3}', "--named", "mixed:2"):
@@ -461,8 +468,8 @@ class TestPhaseChannel:
     def test_tiny_std_tails(self, capsys):
         # the Gaussian's tail terms divided by std * std, which underflows to 0
         spec = '{"a": 1.0, "d": 3, "density": {"family": "gaussian", "std": 1e-300}}'
-        code, payload, _ = run(capsys, "phase-channel", "--spec", spec, "--tails", "2")
-        assert code == 0
+        code, payload, err = run(capsys, "phase-channel", "--spec", spec, "--tails", "2")
+        assert (code, err) == (0, "")
         row, = payload["result"]["tails"]
         assert (row["alpha"], row["beta"], row["gamma"], row["entropy_bound"]) == (0.0,) * 4
 
@@ -556,7 +563,7 @@ class TestFailureModes:
         code, payload, err = run(capsys, *(str(paths.get(a, a)) for a in argv))
         assert code == 1
         assert payload is None
-        assert err.startswith("error:")
+        assert err.startswith("error:") and err.count("\n") == 1     # one line, no traceback
         assert NAMED_ERRORS.get(argv, "error:") in err
         assert not out.exists()
 
@@ -723,9 +730,12 @@ class TestDeterminism:
          "--format csv writes files: give --out DIR"),
         (("entropy", "--named", "mixed:2", "--format", "both"),
          "--format both writes files: give --out DIR"),
+        # the complement probe's mode is gone, so a script that still calls it fails loudly
+        (("additivity", "complement", "--left", "dephasing:0.25", "--right", "noiseless:2",
+          "--samples", "1", "--restarts", "1"), "argument mode: invalid choice: 'complement'"),
     ],
     ids=["unknown-flag", "non-int-restarts", "bad-mode", "missing-right", "no-subcommand",
-         "state-and-named", "no-state", "csv-without-out", "both-without-out"],
+         "state-and-named", "no-state", "csv-without-out", "both-without-out", "removed-mode"],
 )
 def test_usage_error_exits_one(capsys, tmp_path, argv, message):
     # 2 is the exit code of a flagged verdict, so usage errors exit 1 like other bad input
@@ -734,7 +744,7 @@ def test_usage_error_exits_one(capsys, tmp_path, argv, message):
     code, payload, err = run(capsys, *(str(state) if a == "{state}" else a for a in argv))
     assert code == 1
     assert payload is None
-    assert err.startswith("error:") and message in err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

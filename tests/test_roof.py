@@ -522,10 +522,9 @@ def test_gradient_matches_central_differences(case):
         f = _objective(kstack, g)
         m_mat = _random_start(rng, rank * rank, rank)
     direction = rng.normal(size=m_mat.shape) + 1j * rng.normal(size=m_mat.shape)
-    value, grad = f(m_mat, grad=True)
-    assert value == f(m_mat)
+    value, grad = f(m_mat)
     h = 1e-5
-    central = (f(m_mat + h * direction) - f(m_mat - h * direction)) / (2 * h)
+    central = (f(m_mat + h * direction)[0] - f(m_mat - h * direction)[0]) / (2 * h)
     assert central == pytest.approx(2.0 * np.vdot(grad, direction).real, rel=1e-6)
 
 
@@ -548,11 +547,11 @@ def test_no_restart_ends_above_its_start(objective):
 
     f, size, rank = _stack_case(objective, 82)
     starts = np.stack([_random_start(rng_for(84, i), size, rank) for i in range(8)])
-    start_values = f(starts)
+    start_values = f(starts)[0]
     for cap in (1, 2, 3, 5, 10, 30, 500):
         runs = _lockstep(f, starts, RoofOptions(max_iterations=cap))
         assert np.all(runs.value <= start_values), cap
-        np.testing.assert_allclose(runs.value, f(runs.m_mat), rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(runs.value, f(runs.m_mat)[0], rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("objective", OBJECTIVES)
@@ -563,14 +562,12 @@ def test_batched_kernel_matches_points(objective):
     rng = np.random.default_rng(71)
     f, size, rank = _stack_case(objective, 72)
     stack = np.stack([_random_start(rng, size, rank) for _ in range(5)])
-    values = f(stack)
-    grad_values, grads = f(stack, grad=True)
-    assert values.shape == grad_values.shape == (5,)
+    values, grads = f(stack)
+    assert values.shape == (5,)
     assert grads.shape == stack.shape
     for i, point in enumerate(stack):
-        value, grad = f(point, grad=True)
-        assert values[i] == f(point)
-        assert grad_values[i] == value
+        value, grad = f(point)
+        assert values[i] == value
         assert np.array_equal(grads[i], grad)
 
 
@@ -637,11 +634,11 @@ def test_fused_trials_match_the_two_call_descent(objective):
 
     def value_only(m_mat):
         calls.append("V")
-        return f(m_mat, grad=True)[0]
+        return f(m_mat)[0]
 
     def value_and_grad(m_mat):
         calls.append("G")
-        return f(m_mat, grad=True)
+        return f(m_mat)
 
     for cap in (1, 3, 10, 500):
         options = RoofOptions(max_iterations=cap)
@@ -657,9 +654,8 @@ def test_fused_trials_match_the_two_call_descent(objective):
 @pytest.mark.parametrize("objective", OBJECTIVES)
 def test_one_gradient_call_per_iteration_without_backtracks(objective, monkeypatch):
     # each iteration projects the gradient once (T), and each of its
-    # backtracking rounds is one _retract (R) and one kernel call with the
-    # gradient (G); a value-only call (V) never happens, so an iteration whose
-    # rows all pass at their first trial is "TRG"
+    # backtracking rounds is one _retract (R) and one kernel call (G), so an
+    # iteration whose rows all pass at their first trial is "TRG"
     import re
 
     from roofkit import roof
@@ -669,7 +665,7 @@ def test_one_gradient_call_per_iteration_without_backtracks(objective, monkeypat
     options = RoofOptions(max_iterations=500)
     rounds = []
     _two_call_lockstep(
-        lambda m_mat: rounds.append(len(m_mat)) or f(m_mat), lambda m: f(m, grad=True),
+        lambda m_mat: rounds.append(len(m_mat)) or f(m_mat)[0], f,
         starts, options,
     )
     events, retract, tangent = [], roof._retract, roof._tangent
@@ -682,9 +678,9 @@ def test_one_gradient_call_per_iteration_without_backtracks(objective, monkeypat
         events.append("R")
         return retract(x)
 
-    def record_f(m_mat, grad=False):
-        events.append("G" if grad else "V")
-        return f(m_mat, grad)
+    def record_f(m_mat):
+        events.append("G")
+        return f(m_mat)
 
     monkeypatch.setattr(roof, "_tangent", record_tangent)
     monkeypatch.setattr(roof, "_retract", record_retract)
@@ -708,9 +704,9 @@ def test_line_search_rarely_backtracks_on_two_qubit_eof(monkeypatch):
     calls, iterations, lockstep = [0], [0], roof._lockstep
 
     def counted(f, m_mat, options):
-        def kernel(m, grad=False):
+        def kernel(m):
             calls[0] += 1
-            return f(m, grad)
+            return f(m)
 
         runs = lockstep(kernel, m_mat, options)
         calls[0] -= 1                                   # the starts' evaluation
@@ -820,7 +816,7 @@ def test_qubit_side_kernel_matches_matmul_reference(objective):
     starts = np.stack([_random_start(rng_for(163, i), size, rank) for i in range(8)])
     ends = _lockstep(f, starts, RoofOptions(max_iterations=500)).m_mat
     for points in (starts, ends):
-        value, grad = f(points, grad=True)
+        value, grad = f(points)
         expected_value, expected_grad = _matmul_kernel(kstack, g)(points)
         assert np.abs(value - expected_value).max() <= 2e-13
         assert np.abs(grad - expected_grad).max() <= 1e-12
@@ -1097,8 +1093,7 @@ def test_kernel_side_is_the_smaller_one_for_pure_members(monkeypatch):
         (roof._objective(kstack.transpose(1, 0, 2), g), mixing),
     ]:
         f(m_mat)
-        f(m_mat, grad=True)
-    assert sides == [("closed form", 2)] * 6
+    assert sides == [("closed form", 2)] * 3
 
 
 @pytest.mark.parametrize(

@@ -86,6 +86,27 @@ class TestMatrixRoundTrip:
             decode_matrix(data)
 
     @pytest.mark.parametrize(
+        "header, message",
+        [
+            # dim used to win over rows and cols that disagreed with it
+            ({"dim": 2, "rows": 3, "cols": 5}, "declared rows 3 does not match entries (2, 2)"),
+            ({"dim": 2, "rows": 2, "cols": 3}, "declared cols 3 does not match entries (2, 2)"),
+            ({"dim": 3, "rows": 2, "cols": 2}, "declared dim 3 does not match entries (2, 2)"),
+            # rows without cols used to fail with KeyError 'cols'
+            ({"rows": 3}, "declared rows 3 does not match entries (2, 2)"),
+        ],
+    )
+    def test_every_header_key_must_match_the_entries(self, header, message):
+        data = {**header, "re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]]}
+        with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
+            decode_matrix(data)
+
+    @pytest.mark.parametrize("header", [{"dim": 2, "rows": 2, "cols": 2}, {"rows": 2}, {"cols": 2}])
+    def test_header_keys_that_agree_decode(self, header):
+        data = {**header, "re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]]}
+        assert np.array_equal(decode_matrix(data), np.diag([1.0, 0.0]))
+
+    @pytest.mark.parametrize(
         "decode, data, message",
         [
             (decode_matrix, {"rows": 2, "cols": True, "re": [[1.0]], "im": [[0.0]]},
