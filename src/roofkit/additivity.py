@@ -37,7 +37,7 @@ from .core import (
 from .entropy import spectrum_entropy
 from .errors import DegenerateTruncationError, ParameterError
 from .roof import RoofOptions, ccooe, min_output_entropy
-from .serialize import _FAMILIES, _family_row, channel_from_family
+from .serialize import channel_from_family, check_family
 
 CONSISTENT = "consistent"
 INCONCLUSIVE = "inconclusive"
@@ -387,7 +387,7 @@ def scan_random(
     """
     samples = require_count(samples, "samples", 0)
     for family in (phi_family, psi_family):
-        _family_row(family, _FAMILIES, "channel descriptor")
+        check_family(family)
     _require_kind(check)
     tolerance = require_real(tolerance, "tolerance")
 

@@ -261,6 +261,7 @@ def partial_trace_channel(shape: SubsystemShape, keep: Sequence[int]) -> Channel
 
 SQRT2 = math.sqrt(2.0)
 TERM_FLOOR = 1e-14
+WIDE_STD = 100.0
 
 
 @dataclass(frozen=True)
@@ -278,13 +279,16 @@ class GaussianDensity:
         return math.exp(-z * z / 2.0) / (self.std * math.sqrt(2 * math.pi))
 
     def characteristic(self, u: np.ndarray) -> np.ndarray:
-        # (s u)^2, not s^2 u^2: for a tiny std s^2 underflows to 0 and u^2 overflows
-        return np.exp(-((self.std * np.asarray(u, dtype=float)) ** 2) / 2.0)
+        # (s u)^2, not s^2 u^2: for a tiny std s^2 underflows to 0 and u^2 overflows;
+        # where (s u)^2 overflows to inf, exp gives the 0 it would underflow to
+        with np.errstate(over="ignore"):
+            return np.exp(-((self.std * np.asarray(u, dtype=float)) ** 2) / 2.0)
 
     def profile(self, u: np.ndarray) -> np.ndarray:
         # inverse transform of sqrt(pdf); shifted copies reproduce the
         # characteristic-function overlaps exactly in the fine-grid limit
-        return np.exp(-((self.std * np.asarray(u, dtype=float)) ** 2))
+        with np.errstate(over="ignore"):    # as in characteristic
+            return np.exp(-((self.std * np.asarray(u, dtype=float)) ** 2))
 
     def profile_reach(self) -> float:
         return 4.0 / self.std
@@ -303,6 +307,14 @@ class GaussianDensity:
         return abs(-half_moment - math.log(s * math.sqrt(2 * math.pi)) * alpha)
 
     def lattice_tail(self, d: float) -> float:
+        s = self.std
+        if s > WIDE_STD:
+            # Euler-Maclaurin: the erfc integral, then p(d) with its p' and p''' terms in y = d / s,
+            # within 1e-16 once std > WIDE_STD; past y = 39 p(d) is 0, and the cap keeps y^3 finite
+            y = min(d / s, 40.0)
+            corrections = y / s * (1.0 / 6.0 + (3.0 - y * y) / (360.0 * s * s))
+            return self.tail_mass(d) + self.pdf(d) * (1.0 + corrections)
+        # term by term: at most about 8 std terms lie above TERM_FLOOR
         total, m = 0.0, 0
         while True:
             term = self.pdf(d + m) + self.pdf(-d - m)
@@ -325,8 +337,9 @@ class UniformDensity:
         return 1.0 / (2.0 * self.half_width) if abs(t) < self.half_width else 0.0
 
     def characteristic(self, u: np.ndarray) -> np.ndarray:
-        w = self.half_width
-        return np.sinc(w * np.asarray(u, dtype=float) / math.pi)
+        # w u / pi is clipped to 1e300, where sinc is below 1e-300, not left to overflow to inf
+        with np.errstate(over="ignore"):
+            return np.sinc(np.clip(self.half_width * np.asarray(u, dtype=float) / math.pi, -1e300, 1e300))
 
     profile = characteristic
 
@@ -410,7 +423,9 @@ class RandomPhaseSpec:
     density: GaussianDensity | UniformDensity | TabulatedDensity
 
     def __post_init__(self):
-        object.__setattr__(self, "half_width", require_real(self.half_width, "half width", 0.0, strict=True))
+        # the grid spans 2 half_width, which must be finite
+        half_width = require_real(self.half_width, "half width", 0.0, np.finfo(float).max / 2.0, strict=True)
+        object.__setattr__(self, "half_width", half_width)
         object.__setattr__(self, "grid_size", require_count(self.grid_size, "grid size"))
 
     def grid(self) -> np.ndarray:
@@ -475,11 +490,9 @@ def phase_channel_complement_mp(
     """
     prof = _complement_profiles(spec, t_points, t_half_width)
     d = spec.grid_size
-    povm = [np.diag(e) for e in np.eye(d)]
-    outputs = [DensityMatrix(np.outer(p, p.conj())) for p in prof.T]
-    ch = measure_prepare(povm, outputs)
-    ch.label = f"phase-complement(a={spec.half_width:g},d={d})"
-    return ch
+    # operator i is |p_i><i|; its rows are orthonormal, so Channel keeps them as they are
+    stack = prof.T[:, :, None] * np.eye(d)[:, None, :]
+    return Channel(stack, label=f"phase-complement(a={spec.half_width:g},d={d})")
 
 
 def phase_complement_gram_deviation(

@@ -39,21 +39,11 @@ from .channels import (
     tail_entropy_bound,
     tail_quantities,
 )
-from .core import (
-    DensityMatrix,
-    PureState,
-    SubsystemShape,
-    has_type,
-    random_density,
-    random_pure,
-    require_count,
-    rng_for,
-)
+from .core import DensityMatrix, SubsystemShape, has_type, random_pure, require_count, rng_for
 from .entropy import EnergyConstraint, gibbs_state, von_neumann_entropy
 from .errors import ParameterError, RoofkitError
 from .roof import RoofOptions, ccooe, chi_direct, chi_from_roof, eof
 from .serialize import (
-    _FAMILIES,
     ADDITIVITY_CSV_FIELDS,
     TRUNCATION_CSV_FIELDS,
     VERSION,
@@ -65,6 +55,8 @@ from .serialize import (
     decode_state,
     dumps,
     encode_roof_result,
+    family_descriptor,
+    named_state,
     read_json,
     truncation_csv_rows,
     write_csv,
@@ -72,42 +64,6 @@ from .serialize import (
 )
 
 LN2 = math.log(2.0)
-
-
-def _mixed(dim: int) -> DensityMatrix:
-    if dim < 1:     # _named_state reads this as a value not of the form
-        raise ValueError(f"dimension {dim} is below 1")
-    return DensityMatrix(np.eye(dim) / dim)
-
-
-# each named state's short form, values in brackets optional, and its builder,
-# called with the form's values: integers, except that a form's comma list
-# (diag's probabilities) comes as its text
-_NAMED = {
-    "mixed": ("mixed:D", _mixed),
-    "pure": ("pure:D[:SEED]", lambda d, seed=0: random_pure(d, seed).density()),
-    "random": (
-        "random:D[:RANK[:SEED]]",
-        lambda d, rank=None, seed=0: random_density(d, d if rank is None else rank, seed),
-    ),
-    "bell": ("bell", lambda: PureState(np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2)).density()),
-    "plus": ("plus", lambda: PureState(np.array([1.0, 1.0]) / math.sqrt(2)).density()),
-    "diag": ("diag:P1,P2,...", lambda p: DensityMatrix(np.diag([float(x) for x in p.split(",")]))),
-}
-
-
-def _named_state(text: str) -> DensityMatrix:
-    kind, *values = text.split(":")
-    if kind not in _NAMED:
-        raise ParameterError(f"unknown named state {text!r}")
-    form, build = _NAMED[kind]
-    mismatch = f"named state {text!r} does not match the form {form}"
-    if not form.split("[")[0].count(":") <= len(values) <= form.count(":"):
-        raise ParameterError(mismatch)
-    try:    # a value that is not a number of its form
-        return build(*(v if "," in form else int(v) for v in values))
-    except ValueError:
-        raise ParameterError(mismatch) from None
 
 
 def _json(text: str):
@@ -120,31 +76,17 @@ def _json(text: str):
 
 
 def _load_state(args) -> DensityMatrix:
-    if args.state:
-        return decode_state(_json(args.state))
-    return _named_state(args.named)
+    return decode_state(_json(args.state)) if args.state else named_state(args.named)
 
 
-def _family_dict(text: str) -> dict:
+def _channel_dict(text: str):
+    """A channel flag's JSON value, inline or in a file, else the descriptor its short form names."""
     text = text.strip()
-    if text.startswith("{") or os.path.isfile(text):
-        return _json(text)
-    # short form family:v1:v2...; the values fill the family's keys in order
-    kind, *values = text.split(":")
-    if kind not in _FAMILIES or not {int, float}.issuperset(_FAMILIES[kind][0].values()):
-        raise ParameterError(f"no channel short form {text!r}; give a JSON descriptor")
-    keys = _FAMILIES[kind][0]
-    mismatch = f"channel family {kind!r} takes the values {list(keys)}, not {text!r}"
-    if len(values) > len(keys):
-        raise ParameterError(mismatch)
-    try:    # each value must be a number of its key's type
-        return {"family": kind, **{k: t(v) for (k, t), v in zip(keys.items(), values)}}
-    except ValueError:
-        raise ParameterError(mismatch) from None
+    return _json(text) if text.startswith("{") or os.path.isfile(text) else family_descriptor(text)
 
 
 def _load_channel(text: str, seed: int, stream: int) -> Channel:
-    data = _family_dict(text)
+    data = _channel_dict(text)
     if has_type(data, dict) and "kraus" in data:
         return decode_channel(data)
     return channel_from_family(data, rng_for(seed, stream))
@@ -194,13 +136,9 @@ def cmd_eof(args) -> tuple[dict, list]:
 
 def cmd_chi(args) -> tuple[dict, list]:
     channel = _load_channel(args.channel, args.seed, 0)
-    rho = _load_state(args)
-    if args.method == "direct":
-        value = chi_direct(channel, rho, _options(args))
-    else:
-        value = chi_from_roof(channel, rho, _options(args))
+    chi = chi_direct if args.method == "direct" else chi_from_roof
     payload = {
-        "chi_nats": value,
+        "chi_nats": chi(channel, _load_state(args), _options(args)),
         "lower_bound": True,
         "method": args.method,
         "channel": channel.label,
@@ -233,7 +171,7 @@ def cmd_truncate(args) -> tuple[dict, list]:
 
 
 def cmd_scan(args) -> tuple[dict, list]:
-    families = (_family_dict(args.left), _family_dict(args.right))
+    families = (_channel_dict(args.left), _channel_dict(args.right))
     for flag, family in zip(("--left", "--right"), families):
         if has_type(family, dict) and "kraus" in family:
             raise ParameterError(
@@ -451,9 +389,6 @@ def main(argv=None) -> int:
                     write_csv(os.path.join(args.out, name), columns, rows)
     except (RoofkitError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except KeyError as exc:
-        print(f"error: missing key {exc}", file=sys.stderr)
         return 1
     flagged = payload.get("verdict") == FLAGGED or payload.get("flagged", 0) > 0
     return 2 if flagged else 0

@@ -67,7 +67,7 @@ SIZE_CAP = 64
 
 @dataclass(frozen=True)
 class RoofOptions:
-    """Optimizer controls; ensemble_size defaults to rank(rho)^2 capped at 64."""
+    """Optimizer controls; ensemble_size defaults to rank(rho)^2 capped at 64, never below the rank."""
 
     restarts: int = 24
     max_iterations: int = 500
@@ -375,9 +375,7 @@ def _lockstep(f, m_mat: np.ndarray, options: RoofOptions) -> _RunStats:
 
 
 def _resolve_size(options: RoofOptions, rank: int) -> int:
-    size = options.ensemble_size
-    if size is None:
-        size = min(rank * rank, SIZE_CAP)
+    size = options.ensemble_size or max(rank, min(rank * rank, SIZE_CAP))
     if size < rank:
         raise ParameterError(f"ensemble size {size} is below the state rank {rank}")
     return size

@@ -1,11 +1,12 @@
-"""JSON and CSV interchange, and the channel-family table.
+"""JSON and CSV interchange, and the channel-family and named-state tables.
 
 Matrices travel as {"dim": n, "re": [[...]], "im": [[...]]} (rectangular ones
 carry "rows"/"cols" instead of "dim"); floats are emitted via repr, which
 round-trips doubles exactly.  CSV is reserved for tabular traces.  Every
-descriptor value (a family key, a phase spec, a noise density field, a
-matrix header or its entries, a Kraus or ensemble list) is checked against its
-key's type by one rule, `_typed`, never cast; decoders read only what it returns.
+descriptor value (a family key, a named state's value, a phase spec, a noise
+density field, a matrix header or its entries, a Kraus or ensemble list), short
+forms `kind:v1:v2...` included, is checked against its key's type by one rule,
+`_typed`, never cast; decoders read only what it returns.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .channels import (
     random_phase_channel,
     random_stinespring,
 )
-from .core import DensityMatrix, PureState, has_type, require_count
+from .core import DensityMatrix, PureState, has_type, random_density, random_pure, require_count
 from .errors import DimensionError, ParameterError
 from .roof import Ensemble, RoofResult
 
@@ -40,9 +41,9 @@ VERSION = "0.1.0"
 def _typed(what: str, data, keys: dict, needs=()) -> dict:
     """data's values, each checked against its type in `keys` and read by it: the one rule
     of every descriptor.  data must be a JSON object, keys outside `keys` or missing from
-    `needs` are errors, and int keys (dimensions, counts, grid sizes) are read by `require_count`.
-    A key typed by a decoder holds a nested JSON object, and one typed [decoder] a JSON
-    list of them; their errors get the key's name."""
+    `needs` are errors, and int keys (dimensions, counts, grid sizes) are read by `require_count`
+    as counts >= 1, or >= 0 for a key named seed.  A key typed by a decoder holds a nested JSON
+    object, and one typed [decoder] a JSON list of them; their errors get the key's name."""
     if not has_type(data, dict):
         raise ParameterError(f"{what} must be a JSON object (a dict), got {data!r}")
     unknown = sorted(set(data) - set(keys))
@@ -59,8 +60,8 @@ def _typed(what: str, data, keys: dict, needs=()) -> dict:
         fits = not isinstance(kind, type) or (isinstance(value, list) if listed else has_type(value, kind))
         if not fits:
             raise ParameterError(f"{what} key {key!r} must be of type {kind.__name__}, got {value!r}")
-        if want is int:     # numpy sizes arrays by int keys
-            value = require_count(value, f"{what} key {key!r}")
+        if want is int:     # numpy sizes arrays by int keys; a seed may be 0
+            value = require_count(value, f"{what} key {key!r}", 0 if key == "seed" else 1)
         try:
             values[key] = [want[0](item) for item in value] if listed else want(value)
         except ParameterError as exc:   # only decoders raise it
@@ -88,7 +89,8 @@ def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
 
 
 def decode_matrix(data: dict) -> np.ndarray:
-    values = _typed("matrix", data, {"dim": int, "rows": int, "cols": int, "re": list, "im": list})
+    keys = {"dim": int, "rows": int, "cols": int, "re": list, "im": list}
+    values = _typed("matrix", data, keys, needs=("re", "im"))
     rows = values["re"] + values["im"]      # 2-d parts, checked before numpy's 64-dimension cap
     if not all(isinstance(row, list) and not any(isinstance(x, list) for x in row) for row in rows):
         raise ParameterError("re/im parts must be matching 2-d arrays")
@@ -109,7 +111,7 @@ def encode_vector(vec) -> dict:
 
 
 def decode_vector(data: dict) -> np.ndarray:
-    values = _typed("vector", data, {"dim": int, "re": list, "im": list})
+    values = _typed("vector", data, {"dim": int, "re": list, "im": list}, needs=("re", "im"))
     re, im = values["re"], values["im"]     # flat lists, checked before numpy's 64-dimension cap
     if len(re) != len(im) or any(isinstance(x, list) for x in re + im):
         raise ParameterError("re/im parts must be matching 1-d arrays")
@@ -138,7 +140,7 @@ def encode_channel(channel: Channel) -> dict:
 
 def decode_channel(data: dict) -> Channel:
     keys = {"label": str, "in_dim": int, "out_dim": int, "kraus": [decode_matrix]}
-    values = _typed("channel", data, keys)
+    values = _typed("channel", data, keys, needs=("kraus",))
     ops = values["kraus"]
     channel = Channel(ops, label=values.get("label", ""))
     for key in ("in_dim", "out_dim"):
@@ -149,11 +151,12 @@ def decode_channel(data: dict) -> Channel:
     return channel
 
 
-# density family -> (its fields with their types, none needed, its class): _FAMILIES's layout
+# density family -> (its fields with their types, all needed, its class): _FAMILIES's layout
 _DENSITIES = {
-    "gaussian": ({"std": float}, (), GaussianDensity),
-    "uniform": ({"half_width": float}, (), UniformDensity),
-    "custom": (dict.fromkeys(("points", "values", "weights"), list), (), TabulatedDensity),
+    "gaussian": ({"std": float}, ("std",), GaussianDensity),
+    "uniform": ({"half_width": float}, ("half_width",), UniformDensity),
+    "custom": (dict.fromkeys(("points", "values", "weights"), list), ("points", "values", "weights"),
+               TabulatedDensity),
 }
 
 
@@ -165,9 +168,9 @@ def encode_density_profile(density) -> dict:
 
 
 def decode_density_profile(data: dict):
-    """The density a profile describes; a missing field is a KeyError naming it."""
-    (fields, _, cls), values = _family_row(data, _DENSITIES, "density profile")
-    return cls(**{k: values[k] for k in fields})
+    """The density a profile describes, read by its _DENSITIES row."""
+    (_, _, cls), values = _family_row(data, _DENSITIES, "density family")
+    return cls(**values)
 
 
 def encode_phase_spec(spec: RandomPhaseSpec) -> dict:
@@ -212,36 +215,83 @@ _FAMILIES = {
     "noiseless": ({"dim": int}, ("dim",), lambda rng, dim: noiseless(dim)),
     "dephasing": ({"q": float}, (), lambda rng, q=0.25: dephasing(q)),
     "depolarizing": ({"dim": int}, ("dim",), lambda rng, dim: completely_depolarizing(dim)),
-    "random": (
-        {"dim": int, "out": int, "env": int},
-        ("dim",),
-        lambda rng, dim, out=None, env=None: random_stinespring(dim, out or dim, env or dim, rng),
-    ),
+    "random": ({"dim": int, "out": int, "env": int}, ("dim",),
+               lambda rng, dim, out=None, env=None: random_stinespring(dim, out or dim, env or dim, rng)),
     "measure_prepare": ({"dim": int, "outcomes": int}, ("dim",), _random_measure_prepare),
-    "phase": (
-        {"a": float, "d": int, "density": decode_density_profile},
-        ("a", "d"),
-        lambda rng, **spec: random_phase_channel(_phase_spec(**spec)),
-    ),
+    "phase": ({"a": float, "d": int, "density": decode_density_profile}, ("a", "d"),
+              lambda rng, **spec: random_phase_channel(_phase_spec(**spec))),
 }
 
 
-def _family_row(data, table: dict, what: str):
-    """The _FAMILIES or _DENSITIES row that data's "family" names, and data's other values
-    read by _typed against it.  `what` names the descriptor, its first word the family kind."""
+# named state -> (its values with their types, in the order its short form
+# `kind:v1:v2...` fills them; the values it needs; its builder, called with
+# them): _FAMILIES's layout.  Omitted values default to seed = 0 and rank = dim.
+_STATES = {
+    "mixed": ({"dim": int}, ("dim",), lambda dim: DensityMatrix(np.eye(dim) / dim)),
+    "pure": ({"dim": int, "seed": int}, ("dim",), lambda dim, seed=0: random_pure(dim, seed).density()),
+    "random": ({"dim": int, "rank": int, "seed": int}, ("dim",),
+               lambda dim, rank=None, seed=0: random_density(dim, rank or dim, seed)),
+    "bell": ({}, (), lambda: PureState(np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2)).density()),
+    "plus": ({}, (), lambda: PureState(np.array([1.0, 1.0]) / math.sqrt(2)).density()),
+    "diag": ({"p": list}, ("p",), lambda p: DensityMatrix(np.diag(p))),
+}
+
+# how a short form's text fills a key of each type; a kind with a key of any
+# other type (the phase family's density) has no short form
+_SHORT = {int: int, float: float, list: lambda text: [float(v) for v in text.split(",")]}
+
+
+def _short_form(text: str, table: dict, noun: str) -> dict:
+    """The descriptor of `table` that `kind:v1:v2...` stands for: its values fill the
+    kind's keys in order, each read from text by its key's type; _typed checks the rest."""
+    kind, *values = text.split(":")
+    if kind not in table:   # refused by _family_row, which names it
+        return {"family": kind}
+    keys = table[kind][0]
+    if not all(want in _SHORT for want in keys.values()):
+        raise ParameterError(f"no {noun} short form {text!r}; give a JSON descriptor")
+    mismatch = f"{noun} {kind!r} takes the values {list(keys)}, not {text!r}"
+    if len(values) > len(keys):
+        raise ParameterError(mismatch)
+    try:    # each value must be a number, or a comma list of them, of its key's type
+        return {"family": kind, **{k: _SHORT[want](v) for (k, want), v in zip(keys.items(), values)}}
+    except ValueError:
+        raise ParameterError(mismatch) from None
+
+
+def _family_row(data, table: dict, noun: str):
+    """The row of `table` that data's "family" names, and data's other values read by
+    _typed against it.  `noun` names the table's kinds in errors."""
     if not has_type(data, dict):
-        raise ParameterError(f"{what} must be a JSON object (a dict), got {data!r}")
-    noun, kind = what.split()[0], data.get("family")
+        raise ParameterError(f"{noun} descriptor must be a JSON object (a dict), got {data!r}")
+    kind = data.get("family")
     if not isinstance(kind, str) or kind not in table:
-        raise ParameterError(f"unknown {noun} family {kind!r}")
+        raise ParameterError(f"unknown {noun} {kind!r}")
     keys, needs, _ = row = table[kind]
     rest = {k: v for k, v in data.items() if k != "family"}
-    return row, _typed(f"{noun} family {kind!r}", rest, keys, needs)
+    return row, _typed(f"{noun} {kind!r}", rest, keys, needs)
+
+
+def named_state(text: str) -> DensityMatrix:
+    """The state a named short form such as mixed:4, random:4:2:7 or bell stands for."""
+    descriptor = _short_form(text, _STATES, "named state")
+    (_, _, build), values = _family_row(descriptor, _STATES, "named state")
+    return build(**values)
+
+
+def family_descriptor(text: str) -> dict:
+    """The channel family descriptor a short form such as random:2:3 stands for."""
+    return _short_form(text, _FAMILIES, "channel family")
+
+
+def check_family(family: dict) -> None:
+    """Refuse a descriptor that channel_from_family refuses, before drawing anything."""
+    _family_row(family, _FAMILIES, "channel family")
 
 
 def channel_from_family(family: dict, rng: np.random.Generator) -> Channel:
     """Construct a channel from a descriptor by its _FAMILIES row, drawing randomness from rng."""
-    (_, _, build), values = _family_row(family, _FAMILIES, "channel descriptor")
+    (_, _, build), values = _family_row(family, _FAMILIES, "channel family")
     return build(rng, **values)
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import time
 
 import numpy as np
@@ -77,6 +78,11 @@ class TestChannelValidation:
     def test_rejects_empty_kraus_list(self):
         with pytest.raises(ParameterError):
             Channel([])
+
+    @pytest.mark.parametrize("stack", [np.eye(2), np.ones((1, 1, 1, 1))], ids=["2d", "4d"])
+    def test_rejects_a_stack_that_is_not_3d(self, stack):
+        with pytest.raises(DimensionError, match="^Kraus operators must share one rectangular shape$"):
+            Channel(stack)
 
     @pytest.mark.parametrize("shape", [(1, 2, 0), (1, 0, 2), (2, 0, 0)])
     def test_rejects_zero_size_kraus_operators(self, shape):
@@ -217,7 +223,7 @@ class TestKrausStack:
         assert back.kraus.tobytes() == ch.kraus.tobytes()
 
     def test_phase_complement_holds_one_operator_per_grid_point(self):
-        # rank-1 effects and pure outputs: 16 operators, never 16 * 64 * 16 handed to Channel
+        # one operator |p_i><i| per grid point: 16, never 16 * 64 * 16 handed to Channel
         spec = RandomPhaseSpec(1.0, 16, GaussianDensity(1.0))
         start = time.perf_counter()
         assert phase_channel_complement_mp(spec).kraus.shape == (16, 64, 16)
@@ -454,6 +460,26 @@ class TestMeasurePrepare:
         with pytest.raises(ValidityError):
             measure_prepare([np.eye(2) * 0.5], [random_density(2, 2, 0)])
 
+    @pytest.mark.parametrize(
+        "povm, outputs, error, message",
+        [
+            ([np.eye(2), np.zeros((3, 3))], [random_density(2, 2, 0)] * 2, DimensionError,
+             "POVM elements must be square and share one dimension"),
+            ([np.ones((2, 3))], [random_density(2, 2, 0)], DimensionError,
+             "POVM elements must be square and share one dimension"),
+            ([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])],
+             [random_density(2, 2, 0), random_density(3, 3, 0)], DimensionError,
+             "output states must share one dimension"),
+            # sums to the identity, but the second effect is not positive
+            ([np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])], [random_density(2, 2, 0)] * 2,
+             ValidityError, "POVM element has eigenvalue -5.000e-01"),
+        ],
+        ids=["povm-dims", "povm-not-square", "output-dims", "negative-effect"],
+    )
+    def test_refusals_name_their_rule(self, povm, outputs, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            measure_prepare(povm, outputs)
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ParameterError):
             measure_prepare(
@@ -526,10 +552,11 @@ class TestDensities:
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_positive_parameters_must_be_finite(self, bad):
         # an infinite width used to reach numpy as inf * 0 and the tails as an OverflowError
-        for build in (GaussianDensity, UniformDensity,
-                      lambda w: RandomPhaseSpec(w, 3, GaussianDensity(1.0))):
+        for build in (GaussianDensity, UniformDensity):
             with pytest.raises(ParameterError, match=r"must lie in \(0, inf\)"):
                 build(bad)
+        with pytest.raises(ParameterError, match=r"half width must lie in \(0, 8\.98847e\+307\)"):
+            RandomPhaseSpec(bad, 3, GaussianDensity(1.0))
         spec = RandomPhaseSpec(1.0, 3, GaussianDensity(1.0))
         with pytest.raises(ParameterError, match=r"t-grid half width must lie in \(0, inf\)"):
             phase_channel_complement_mp(spec, t_half_width=bad)
@@ -631,6 +658,19 @@ class TestRandomPhaseChannel:
         with pytest.raises(ResolutionError):
             random_phase_channel(spec)
 
+    @pytest.mark.parametrize("density", [GaussianDensity(1.0), UniformDensity(1.0), UniformDensity(1e10)],
+                             ids=["gaussian", "uniform", "wide-uniform"])
+    def test_extreme_half_width_dephases_without_warnings(self, density):
+        # (s u)^2 and w u overflowed to inf, with a RuntimeWarning; the multiplier is the identity
+        ch = random_phase_channel(RandomPhaseSpec(1e300, 3, density))
+        rho = random_density(3, 3, 46)
+        assert np.abs(apply(ch, rho).entries - np.diag(np.diag(rho.entries))).max() <= 1e-15
+
+    def test_gaussian_forms_vanish_where_their_square_overflows(self):
+        u = np.array([1e300, -1e300, 0.0])
+        for form in (GaussianDensity(1.0).characteristic, GaussianDensity(1e300).profile):
+            assert form(u).tolist() == [0.0, 0.0, 1.0]
+
     def test_spec_validation(self):
         with pytest.raises(ParameterError):
             RandomPhaseSpec(0.0, 8, GaussianDensity(1.0))
@@ -669,7 +709,107 @@ class TestPhaseComplement:
             assert abs(output_entropy(comp, psi) - output_entropy(ch, psi)) <= 0.05
 
 
+    def test_stack_is_the_measure_prepare_map(self):
+        # acceptance criterion 09's spec and inputs; the stack used to come from measure_prepare
+        spec = RandomPhaseSpec(1.0, 8, GaussianDensity(1.0))
+        comp = phase_channel_complement_mp(spec, t_points=64, t_half_width=8.0)
+        t = -8.0 + (np.arange(64) + 0.5) * (16.0 / 64)
+        prof = np.exp(-((t[:, None] - spec.grid()[None, :]) ** 2))
+        prof /= np.linalg.norm(prof, axis=0)
+        povm = [np.diag(e) for e in np.eye(8)]
+        via_mp = measure_prepare(povm, [DensityMatrix(np.outer(p, p)) for p in prof.T])
+        assert comp.kraus.shape == (8, 64, 8)
+        for i in range(20):
+            psi = random_pure(8, (900, i)).density()
+            assert np.abs(apply(comp, psi).entries - apply(via_mp, psi).entries).max() <= 1e-12
+
+    @pytest.mark.parametrize(
+        "density, reach",
+        [
+            (GaussianDensity(0.5), 8.0),
+            (UniformDensity(1.5), 30.0 * math.pi / 1.5),
+            (TabulatedDensity(np.array([-2.0, 0.0, 1.0]), np.array([0.25, 0.5, 0.25]), np.ones(3)),
+             12.0),
+        ],
+        ids=["gaussian", "uniform", "custom"],
+    )
+    def test_default_t_grid_reaches_past_the_grid_by_the_profile_reach(self, density, reach):
+        spec = RandomPhaseSpec(1.0, 4, density)
+        assert density.profile_reach() == reach
+        default = phase_channel_complement_mp(spec, t_points=32).kraus
+        explicit = phase_channel_complement_mp(spec, t_points=32, t_half_width=1.0 + reach).kraus
+        assert default.tobytes() == explicit.tobytes()
+
+    def test_custom_density_prepares_its_shifted_profiles(self):
+        points, values = np.array([-1.0, 0.0, 1.0]), np.array([0.25, 0.5, 0.25])
+        spec = RandomPhaseSpec(1.0, 3, TabulatedDensity(points, values, np.ones(3)))
+        comp = phase_channel_complement_mp(spec, t_points=16, t_half_width=5.0)
+        t = -5.0 + (np.arange(16) + 0.5) * (10.0 / 16)
+        for i, x in enumerate(spec.grid()):
+            # the inverse transform of sqrt(pdf), sampled at t - x_i
+            p = np.exp(1j * np.multiply.outer(t - x, points)) @ np.sqrt(values)
+            p /= np.linalg.norm(p)
+            out = apply(comp, basis_state(3, i).density()).entries
+            assert np.abs(out - np.outer(p, p.conj())).max() <= 1e-12
+
+
+# the Gaussian lattice tail as it was once summed: term by term down to TERM_FLOOR,
+# with the index of the last term, so the mass left out is alpha(d + last)
+def _lattice_tail_term_by_term(dens, d):
+    total, m = 0.0, 0
+    while True:
+        term = dens.pdf(d + m) + dens.pdf(-d - m)
+        total += term
+        if term < 1e-14:
+            return total, m
+        m += 1
+
+
+def _lattice_tail_reference(std, d):
+    """2 sum_m p(d + m) over every term that does not underflow, summed exactly."""
+    m = np.arange(int(40 * std) + 2)
+    z = (d + m) / std
+    return math.fsum(2.0 * np.exp(-z * z / 2.0) / (std * math.sqrt(2 * math.pi)))
+
+
+WIDTHS = [10.0 ** k for k in range(-3, 15)]
+
+
 class TestTails:
+    @pytest.mark.parametrize("d", [1.0, 2.0, 5.0])
+    @pytest.mark.parametrize("std", WIDTHS)
+    def test_gaussian_lattice_tail_lies_between_the_shifted_masses(self, std, d):
+        # the sum took one term per unit of std, and stopped at once with 8e-15
+        # once the peak fell below 1e-14 (std 1e14: gamma(2) = 8e-15, alpha(2) ~ 1)
+        dens = GaussianDensity(std)
+        started = time.perf_counter()
+        alpha, _, gamma = tail_quantities(dens, d)
+        assert time.perf_counter() - started < 0.1
+        assert alpha - 1e-12 <= gamma <= dens.tail_mass(d - 1.0) + 1e-12
+
+    @pytest.mark.parametrize("d", [1.0, 2.0, 5.0])
+    @pytest.mark.parametrize("std", [s for s in WIDTHS if s <= 1e4] + [50.0, 100.0, 101.0, 300.0])
+    def test_gaussian_lattice_tail_matches_its_terms(self, std, d):
+        dens = GaussianDensity(std)
+        gamma = dens.lattice_tail(d)
+        assert abs(gamma - _lattice_tail_reference(std, d)) <= 1e-12
+        # the term-by-term sum is exact up to the mass it leaves out: 1.4e-12 at
+        # std 1e3 and 1.5e-11 at std 1e4
+        looped, last = _lattice_tail_term_by_term(dens, d)
+        assert -1e-12 <= gamma - looped <= dens.tail_mass(d + last) + 1e-12
+        if std <= 100.0:
+            assert gamma == looped
+
+    @pytest.mark.parametrize("d", [1.0, 2.0, 5.0])
+    @pytest.mark.parametrize("width", [0.3, 1.0, 2.5, 7.0, 1e3, 1e9])
+    def test_uniform_lattice_tail_lies_between_the_shifted_masses(self, width, d):
+        dens = UniformDensity(width)
+        alpha, _, gamma = tail_quantities(dens, d)
+        assert alpha - 1e-12 <= gamma <= dens.tail_mass(d - 1.0) + 1e-12
+        if width <= 1e3:    # the lattice sum of pdf values, term by term
+            terms = [dens.pdf(d + m) + dens.pdf(-d - m) for m in range(int(width) + 2)]
+            assert gamma == pytest.approx(math.fsum(terms), abs=1e-12)
+
     def test_compact_support_has_no_tail(self):
         dens = UniformDensity(2.0)
         alpha, beta, gamma = tail_quantities(dens, 2.0)

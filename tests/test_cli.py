@@ -11,8 +11,10 @@ from roofkit import (
     DensityMatrix, channel_from_family, dephasing, random_density, random_pure, rng_for,
 )
 from roofkit import cli, roof
-from roofkit.cli import _family_dict, _named_state, main
-from roofkit.serialize import dumps, encode_channel, encode_state, read_json
+from roofkit.cli import main
+from roofkit.serialize import (
+    dumps, encode_channel, encode_state, family_descriptor, named_state, read_json,
+)
 
 
 def run(capsys, *argv):
@@ -43,15 +45,18 @@ NAMED_ERRORS = {
         "channel family 'noiseless' takes the values ['dim']",
     ("ccooe", "--channel", "random:2:2:2:9", "--named", "mixed:2"):
         "channel family 'random' takes the values ['dim', 'out', 'env']",
-    ("ccooe", "--channel", "phase:1:4", "--named", "mixed:4"): "'phase:1:4'",
+    ("ccooe", "--channel", "phase:1:4", "--named", "mixed:4"):
+        "error: no channel family short form 'phase:1:4'; give a JSON descriptor\n",
     # an empty scan still checks its descriptors
     ("additivity", "scan", "--left", "noiseless", "--right", "noiseless:2", "--samples", "0"):
         "channel family 'noiseless' needs the key 'dim'",
     # state short forms with more values than they take
-    ("entropy", "--named", "mixed:2:9"): "does not match the form mixed:D",
-    ("entropy", "--named", "bell:3"): "does not match the form bell",
-    ("entropy", "--named", "diag:0.5,0.5:7"): "does not match the form diag:P1,P2,...",
-    ("entropy", "--named", "random:2:2:1:5"): "does not match the form random:D[:RANK[:SEED]]",
+    ("entropy", "--named", "mixed:2:9"): "named state 'mixed' takes the values ['dim'], not 'mixed:2:9'",
+    ("entropy", "--named", "bell:3"): "named state 'bell' takes the values [], not 'bell:3'",
+    ("entropy", "--named", "diag:0.5,0.5:7"):
+        "named state 'diag' takes the values ['p'], not 'diag:0.5,0.5:7'",
+    ("entropy", "--named", "random:2:2:1:5"):
+        "named state 'random' takes the values ['dim', 'rank', 'seed'], not 'random:2:2:1:5'",
     # descriptor values of the wrong JSON type
     ("ccooe", "--channel", '{"family": "noiseless", "dim": 2.7}', "--named", "mixed:2"):
         "channel family 'noiseless' key 'dim' must be of type int, got 2.7",
@@ -60,11 +65,20 @@ NAMED_ERRORS = {
     ("ccooe", "--channel", '{"family": "random", "dim": 2, "env": false}', "--named", "mixed:2"):
         "channel family 'random' key 'env' must be of type int, got False",
     # state short forms whose values are not numbers of their form
-    ("entropy", "--named", "mixed:0"): "does not match the form mixed:D",
-    ("entropy", "--named", "mixed:-1"): "does not match the form mixed:D",
-    ("entropy", "--named", "pure:x"): "does not match the form pure:D[:SEED]",
-    ("entropy", "--named", "random:2:x"): "does not match the form random:D[:RANK[:SEED]]",
-    ("entropy", "--named", "diag:0.5,x"): "does not match the form diag:P1,P2,...",
+    ("entropy", "--named", "pure:x"): "named state 'pure' takes the values ['dim', 'seed'], not 'pure:x'",
+    ("entropy", "--named", "random:2:x"):
+        "named state 'random' takes the values ['dim', 'rank', 'seed'], not 'random:2:x'",
+    ("entropy", "--named", "diag:0.5,x"): "named state 'diag' takes the values ['p'], not 'diag:0.5,x'",
+    # state values read like family keys: counts >= 1, and seeds counts >= 0
+    ("entropy", "--named", "mixed:0"): "named state 'mixed' key 'dim' must be an integer >= 1, got 0",
+    ("entropy", "--named", "mixed:-1"): "named state 'mixed' key 'dim' must be an integer >= 1, got -1",
+    ("entropy", "--named", "random:3:0"):
+        "named state 'random' key 'rank' must be an integer >= 1, got 0",
+    ("entropy", "--named", "pure:3:-1"):
+        "named state 'pure' key 'seed' must be an integer >= 0, got -1",
+    ("entropy", "--named", "mixed"): "error: named state 'mixed' needs the key 'dim'\n",
+    ("entropy", "--named", "vortex:3"): "error: unknown named state 'vortex'\n",
+    ("ccooe", "--channel", "vortex:3", "--named", "mixed:2"): "error: unknown channel family 'vortex'\n",
     # non-finite values, which every tolerance comparison used to let through
     ("entropy", "--named", "diag:nan,1"): "density matrix has non-finite entries",
     ("entropy", "--named", "diag:inf,1"): "density matrix has non-finite entries",
@@ -135,7 +149,7 @@ NAMED_ERRORS = {
     ("ccooe", "--channel", '{"kraus": [{"re": [[]], "im": [[]]}]}', "--named", "mixed:2"):
         "error: Kraus operators must be at least 1 x 1, got (1, 0)\n",
     ("ccooe", "--channel", "{three}", "--named", "mixed:2"):
-        "channel descriptor must be a JSON object (a dict), got 3",
+        "channel family descriptor must be a JSON object (a dict), got 3",
     ("entropy", "--state", '{"re": [[1, 0], [0]], "im": [[0, 0], [0, 0]]}'):
         "matrix key 're' must be of type list, got [[1, 0], [0]]",
     # integers too large for a float are typed errors, not an OverflowError
@@ -171,7 +185,9 @@ PHASE_SPEC_ERRORS = {
         "density family 'gaussian' takes no key 'mean'; its keys are ['std']",
     f'"a": {BIG}, "d": 2': f"channel family 'phase' key 'a' must be of type float, got {BIG}",
     # JSON Infinity passes the float type check; it used to reach numpy as inf * 0
-    '"a": Infinity, "d": 3': "half width must lie in (0, inf), got inf",
+    '"a": Infinity, "d": 3': "half width must lie in (0, 8.98847e+307), got inf",
+    # the grid spans 2a, which must be finite
+    '"a": 1e308, "d": 3': "half width must lie in (0, 8.98847e+307), got 1e+308",
     '"a": 1.0, "d": 3, "density": {"family": "gaussian", "std": Infinity}':
         "channel family 'phase' key 'density': "
         "standard deviation must lie in (0, inf), got inf",
@@ -473,6 +489,32 @@ class TestPhaseChannel:
         row, = payload["result"]["tails"]
         assert (row["alpha"], row["beta"], row["gamma"], row["entropy_bound"]) == (0.0,) * 4
 
+    def test_wide_std_tails_finish_between_their_bounds(self, capsys):
+        # the lattice tail summed one term per unit of std, and hung from std 1e8 on
+        spec = '{"a": 1.0, "d": 3, "density": {"family": "gaussian", "std": 1e8}}'
+        code, payload, err = run(capsys, "phase-channel", "--spec", spec, "--tails", "2")
+        assert (code, err) == (0, "")
+        row, = payload["result"]["tails"]
+        alpha_prev = math.erfc(1.0 / (1e8 * math.sqrt(2.0)))
+        assert row["alpha"] <= row["gamma"] <= alpha_prev
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("ccooe", "--channel", '{"family": "phase", "a": 1e300, "d": 3}', "--named", "mixed:3",
+             "--restarts", "1"),
+            ("phase-channel", "--spec", '{"a": 1e300, "d": 3}', "--tails", "2", "--samples", "2"),
+            ("phase-channel", "--spec", '{"a": 1e300, "d": 3, "density": {"family": "uniform", '
+             '"half_width": 1e10}}', "--samples", "2"),
+        ],
+        ids=["ccooe-gaussian", "phase-channel-gaussian", "phase-channel-uniform"],
+    )
+    def test_extreme_half_width_runs_without_warnings(self, capsys, argv):
+        # (s u)^2 and w u overflowed, warned on stderr, and the exit code still read 0
+        code, payload, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert payload is not None
+
     def test_cross_check(self, capsys):
         code, payload, _ = run(
             capsys, "phase-channel", "--spec", self.SPEC, "--samples", "2",
@@ -523,7 +565,6 @@ class TestFailureModes:
     @pytest.mark.parametrize(
         "argv",
         [
-            ("entropy", "--named", "mixed"),
             ("eof", "--dims", "2x2", "--named", "pure"),
             ("ccooe", "--channel", "noiseless", "--named", "mixed:2"),
             ("additivity", "scan", "--left", "noiseless:2"),
@@ -598,9 +639,16 @@ class TestFailureModes:
              "channel family 'phase' needs the key 'a'"),
             (("phase-channel", "--spec", '{"a": 1.0}'), "channel family 'phase' needs the key 'd'"),
             (("gibbs", "--hamiltonian", '{"dim": 2, "re": [[0, 0], [0, 1]]}', "--level", "0.25"),
-             "missing key 'im'"),
+             "matrix needs the key 'im'"),
+            (("entropy", "--state", '{"im": [[1]]}'), "matrix needs the key 're'"),
+            (("ccooe", "--channel", '{"kraus": [{"re": [[1]]}]}', "--named", "mixed:1"),
+             "channel key 'kraus': matrix needs the key 'im'"),
             (("phase-channel", "--spec", '{"a": 1.0, "d": 4, "density": {"family": "gaussian"}}'),
-             "missing key 'std'"),
+             "channel family 'phase' key 'density': density family 'gaussian' needs the key 'std'"),
+            (("ccooe", "--channel", '{"family": "phase", "a": 1.0, "d": 4, "density": '
+              '{"family": "uniform"}}', "--named", "mixed:4"),
+             "channel family 'phase' key 'density': density family 'uniform' needs the key "
+             "'half_width'"),
         ],
     )
     def test_missing_key_is_named(self, capsys, argv, message):
@@ -628,7 +676,7 @@ SHORT_FORMS = [
 def test_short_form_and_descriptor_build_the_same_channel(short, descriptor):
     # the CLI parses short forms from the library's family table, so both
     # routes must draw the same Kraus operators from the same stream
-    from_short = channel_from_family(_family_dict(short), rng_for(5, 0)).kraus
+    from_short = channel_from_family(family_descriptor(short), rng_for(5, 0)).kraus
     from_json = channel_from_family(descriptor, rng_for(5, 0)).kraus
     assert from_short.shape == from_json.shape
     assert from_short.tobytes() == from_json.tobytes()
@@ -639,6 +687,7 @@ NAMED_FORMULAS = {
     "mixed:3": lambda: np.eye(3) / 3,
     "pure:3": lambda: random_pure(3, 0).projector(),
     "pure:3:5": lambda: random_pure(3, 5).projector(),
+    "pure:3:0": lambda: random_pure(3, 0).projector(),
     "random:3": lambda: random_density(3, 3, 0).entries,
     "random:3:2": lambda: random_density(3, 2, 0).entries,
     "random:3:2:7": lambda: random_density(3, 2, 7).entries,
@@ -650,7 +699,7 @@ NAMED_FORMULAS = {
 
 @pytest.mark.parametrize("text", sorted(NAMED_FORMULAS))
 def test_named_state_equals_its_formula(text):
-    entries = _named_state(text).entries
+    entries = named_state(text).entries
     expected = NAMED_FORMULAS[text]()
     assert entries.shape == expected.shape
     assert np.abs(entries - expected).max() <= 1e-15

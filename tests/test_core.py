@@ -376,6 +376,36 @@ def test_bounded_counts_name_their_range(build, message):
         build()
 
 
+# shapes and orders that do not fit together, each refused by its own rule
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: truncation_experiment(random_density(8, 8, 1), SubsystemShape((2, 2, 2)), (1,)),
+         ParameterError, "need a four-factor shape, got (2, 2, 2)"),
+        (lambda: trace_out(np.eye(3), (2, 2), (0,)),
+         DimensionError, "matrix shape (3, 3) does not match factors (2, 2)"),
+        (lambda: partial_transpose(np.eye(4), (2, 3), 0),
+         DimensionError, "matrix shape (4, 4) does not match factors (2, 3)"),
+        (lambda: mixed_with(random_density(2, 2, 1), random_density(3, 3, 2), 0.5),
+         DimensionError, "states live on different spaces"),
+        (lambda: min_orbit_energy(np.eye(3), random_density(2, 2, 1)),
+         DimensionError, "hamiltonian and state dimensions differ"),
+        (lambda: TruncationProjector([np.eye(2)[:, :1], np.eye(2, 3)]),
+         DimensionError, "bad column family shape (2, 3)"),
+        (lambda: TruncationProjector([np.ones(2)]), DimensionError, "bad column family shape (2,)"),
+        (lambda: require_keep((1, 0), 2),
+         ParameterError, "keep indices must be non-empty and strictly increasing, got (1, 0)"),
+        (lambda: require_keep((), 2),
+         ParameterError, "keep indices must be non-empty and strictly increasing, got ()"),
+    ],
+    ids=["truncation-factors", "trace-out", "partial-transpose", "mixed-with", "min-orbit-energy",
+         "projector-wide", "projector-1d", "keep-order", "keep-empty"],
+)
+def test_mismatched_shapes_name_their_rule(build, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build()
+
+
 GAUSSIAN_SPEC = RandomPhaseSpec(1.0, 2, GaussianDensity(1.0))
 NOISELESS = {"family": "noiseless", "dim": 2}
 
@@ -393,8 +423,9 @@ REALS = {
                              "exponent", "(0, 1)", 1.0),
     "GaussianDensity.std": (GaussianDensity, "standard deviation", "(0, inf)", 0.0),
     "UniformDensity.half_width": (UniformDensity, "half width", "(0, inf)", 0.0),
+    # the grid spans 2 half_width, which must be finite
     "RandomPhaseSpec.half_width": (lambda x: RandomPhaseSpec(x, 2, GaussianDensity(1.0)),
-                                   "half width", "(0, inf)", 0.0),
+                                   "half width", "(0, 8.98847e+307)", 1e308),
     "phase_channel_complement_mp.t_half_width":
         (lambda x: phase_channel_complement_mp(GAUSSIAN_SPEC, t_half_width=x).kraus,
          "t-grid half width", "(0, inf)", 0.0),

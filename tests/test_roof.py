@@ -96,6 +96,11 @@ class TestEnsembleFromMixing:
         with pytest.raises(ParameterError):
             ensemble_from_mixing(rho, np.eye(2)[:, :1])
 
+    def test_rejects_a_mixing_matrix_that_is_not_2d(self):
+        rho = DensityMatrix(np.eye(2) / 2)
+        with pytest.raises(ParameterError, match=r"^mixing matrix must be 2-d, got shape \(2,\)$"):
+            ensemble_from_mixing(rho, np.ones(2))
+
     def test_rejects_non_finite_entries(self):
         # NaN fails the orthonormality comparison, and its members would be
         # dropped as weightless: the rest missed rho by 0.177
@@ -232,6 +237,18 @@ class TestCcooe:
         rho = random_density(3, 3, 9)
         with pytest.raises(ParameterError):
             ccooe(noiseless(3), rho, RoofOptions(ensemble_size=2))
+
+    def test_default_ensemble_size_is_never_below_the_rank(self):
+        # min(r^2, 64) was 64 at rank 65, so every default roof there was refused
+        rho = DensityMatrix(np.eye(65) / 65)
+        res = ccooe(noiseless(65), rho, RoofOptions(restarts=1))
+        assert len(res.ensemble.weights) <= 65
+        assert np.abs(res.ensemble.barycenter().entries - rho.entries).max() <= 1e-12
+        assert res.value == pytest.approx(0.0, abs=1e-9)    # pure members stay pure
+
+    def test_state_must_fit_the_channel_input(self):
+        with pytest.raises(DimensionError, match=r"^state dimension 3 != channel input 2$"):
+            ccooe(noiseless(2), random_density(3, 3, 1), FAST)
 
     def test_options_validation(self):
         with pytest.raises(ParameterError):
@@ -465,6 +482,22 @@ class TestChiSlot:
         descended = chi_direct(ch, rho, SLOT_OPTS)
         assert len(descents) == 3
         assert from_slot.hex() == descended.hex()
+
+    def test_members_outside_the_output_support_are_discarded_with_a_warning(
+        self, descents, monkeypatch
+    ):
+        from roofkit import roof
+
+        ch, rho = noiseless(2), basis_state(2, 0).density()
+        # a slot roof with a member |1>, which the channel keeps outside supp ch(|0><0|)
+        ensemble = Ensemble(np.array([0.5, 0.5]), [basis_state(2, 0), basis_state(2, 1)])
+        key = (ch.kraus.shape, ch.kraus.tobytes(), rho.entries.tobytes(), SLOT_OPTS)
+        slot = roof.RoofResult(0.0, ensemble, 1, 0, 0.0, 0, True, 1)
+        monkeypatch.setattr(roof, "_last_chi", (key, slot))
+        message = r"^discarded 1 ensemble member\(s\) with infinite relative entropy$"
+        with pytest.warns(RuntimeWarning, match=message):
+            value = chi_direct(ch, rho, SLOT_OPTS)
+        assert value == 0.0 and descents == []
 
     def test_ccooe_never_reads_the_slot(self, descents):
         ch, rho = _slot_input()

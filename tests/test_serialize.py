@@ -31,6 +31,7 @@ from roofkit.serialize import (
     additivity_csv_rows,
     csv_text,
     decode_channel,
+    decode_density_profile,
     decode_matrix,
     decode_phase_spec,
     decode_state,
@@ -161,6 +162,34 @@ class TestMatrixRoundTrip:
         with pytest.raises(ParameterError, match=re.escape(message)):
             decode(data)
 
+    @pytest.mark.parametrize(
+        "decode, data, message",
+        [
+            (decode_matrix, {"dim": 1, "im": [[0.0]]}, "matrix needs the key 're'"),
+            (decode_matrix, {"re": [[1.0]]}, "matrix needs the key 'im'"),
+            (decode_vector, {"im": [0.0]}, "vector needs the key 're'"),
+            (decode_vector, {"dim": 1, "re": [1.0]}, "vector needs the key 'im'"),
+            (decode_channel, {"label": "id"}, "channel needs the key 'kraus'"),
+            (decode_density_profile, {"family": "gaussian"},
+             "density family 'gaussian' needs the key 'std'"),
+            (decode_density_profile, {"family": "uniform"},
+             "density family 'uniform' needs the key 'half_width'"),
+            (decode_density_profile, {"family": "custom", "values": [1.0], "weights": [1.0]},
+             "density family 'custom' needs the key 'points'"),
+            (decode_density_profile, {"family": "custom", "points": [0.0], "weights": [1.0]},
+             "density family 'custom' needs the key 'values'"),
+            (decode_density_profile, {"family": "custom", "points": [0.0], "values": [1.0]},
+             "density family 'custom' needs the key 'weights'"),
+        ],
+    )
+    def test_every_decoder_names_a_missing_key(self, decode, data, message):
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            decode(data)
+
+    def test_declared_vector_dim_must_match_the_entries(self):
+        with pytest.raises(DimensionError, match=r"^declared dim 3 does not match length 2$"):
+            decode_vector({"dim": 3, "re": [1.0, 0.0], "im": [0.0, 0.0]})
+
     def test_integral_float_headers_still_decode(self):
         data = {"dim": 2.0, "re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]]}
         assert np.array_equal(decode_matrix(data), np.diag([1.0, 0.0]))
@@ -255,9 +284,10 @@ class TestPhaseSpec:
         [({"family": "gaussian"}, "std"), ({"family": "uniform"}, "half_width"),
          ({"family": "custom", "points": [0.0]}, "values")],
     )
-    def test_missing_density_field_is_a_key_error(self, density, key):
-        # the CLI reports it as `missing key 'KEY'`
-        with pytest.raises(KeyError, match=f"'{key}'"):
+    def test_missing_density_field_is_named(self, density, key):
+        message = (f"channel family 'phase' key 'density': density family "
+                   f"{density['family']!r} needs the key {key!r}")
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
             decode_phase_spec({"a": 1.0, "d": 4, "density": density})
 
     def test_unknown_family_rejected(self):
@@ -272,7 +302,7 @@ class TestPhaseSpec:
             decode_phase_spec(data)
 
     def test_density_that_is_not_an_object_rejected(self):
-        with pytest.raises(ParameterError, match="density profile"):
+        with pytest.raises(ParameterError, match="density family descriptor must be a JSON object"):
             decode_phase_spec({"a": 1.0, "d": 4, "density": 3})
 
 
