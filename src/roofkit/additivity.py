@@ -159,6 +159,7 @@ def margin_check(
         lhs, lhs_bound, rhs, rhs_bound, extra = _TRIO_ROWS[kind](roof, entropy)
         diag = {f"roof_{k}": v for k, v in roof.items()}
         diag["converged"] = [r.converged for r in roofs.values()]
+        diag["restarts_agreeing"] = [r.restarts_agreeing for r in roofs.values()]
         diag["restarts"] = roofs["joint"].restarts_used
         return AdditivityReport(
             kind, (phi.label, psi.label), state_label, lhs, lhs_bound, rhs, rhs_bound,

@@ -304,7 +304,8 @@ class GaussianDensity:
         # underflows for a tiny std; y phi(y) is 0 wherever phi(y) underflows
         half_moment = (y * phi_y if phi_y else 0.0) + math.erfc(y / SQRT2) / 2.0
         alpha = self.tail_mass(d)
-        return abs(-half_moment - math.log(s * math.sqrt(2 * math.pi)) * alpha)
+        # log(s sqrt(2 pi)) as a sum: the product overflows once s > 7.2e307
+        return abs(-half_moment - (math.log(s) + 0.5 * math.log(2 * math.pi)) * alpha)
 
     def lattice_tail(self, d: float) -> float:
         s = self.std
@@ -427,6 +428,15 @@ class RandomPhaseSpec:
         half_width = require_real(self.half_width, "half width", 0.0, np.finfo(float).max / 2.0, strict=True)
         object.__setattr__(self, "half_width", half_width)
         object.__setattr__(self, "grid_size", require_count(self.grid_size, "grid size"))
+        if isinstance(self.density, TabulatedDensity):
+            # the channel forms the phases u x for grid differences u up to 2 half_width,
+            # and the complement's default t-grid reaches profile_reach() beyond them
+            reach = float(np.abs(self.density.points).max())
+            if not math.isfinite((2.0 * half_width + self.density.profile_reach()) * reach):
+                raise ParameterError(
+                    f"half width {half_width:g} and tabulated points up to |x| = {reach:g} "
+                    "put the phases u x beyond the float range"
+                )
 
     def grid(self) -> np.ndarray:
         a, d = self.half_width, self.grid_size

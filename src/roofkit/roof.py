@@ -8,6 +8,17 @@ manifold, Barzilai-Borwein steps with a nonmonotone line search and QR
 retraction (Wen & Yin, Math. Program. 142 (2013)), yields certified *upper*
 bounds on the roof; reported optima are never lower bounds.
 
+The descent runs on N = M D^(1/2), with D = diag(lambda_j / lambda_max) the
+support spectrum, so N^H N = D (Riemannian preconditioning, Mishra &
+Sepulchre, SIAM J. Optim. 26 (2016)).  Column j of M moves the members only
+by sqrt(lambda_j), so the curvature along it scales with lambda_j, and one
+scalar Barzilai-Borwein step cannot serve columns whose eigenvalues differ by
+orders of magnitude; in N every column moves the members by sqrt(lambda_max).
+Gradient norms, steps and inner products are read in N, so a roof's
+`gradient_norm` is the norm of the projected gradient in N, never below the
+Euclidean Stiefel norm at the same point since D <= I.  A sphere descent has
+D = [1] and runs M itself.
+
 The restarts descend in lockstep: all starts of a roof are one (R, m, r)
 stack, so each backtracking round makes one batched retraction and one
 batched kernel call over the restarts still searching.  That call also
@@ -54,7 +65,7 @@ SUPPORT_CUT = 1e-12
 WEIGHT_DROP = 1e-14
 LOG_FLOOR = 1e-12
 ARMIJO = 1e-4
-# the least Barzilai-Borwein step, the longest trial step t ||xi||_F, and the
+# the least Barzilai-Borwein step, the longest trial step in M, t ||xi D^(-1/2)||_F, and the
 # Zhang-Hager nonmonotone weight eta; at 0.99 the reference forgets after about
 # 100 iterations, not 7, and eta < 1 keeps Zhang-Hager's convergence
 BB_MIN = 1e-10
@@ -119,11 +130,11 @@ class Ensemble:
         return DensityMatrix((amps.T * self.weights) @ amps.conj())
 
 
-def _support_factor(rho: DensityMatrix) -> tuple[np.ndarray, int]:
-    """Columns sqrt(lambda_j) e_j over the eigenvalues above 1e-12."""
+def _support_factor(rho: DensityMatrix) -> tuple[np.ndarray, int, np.ndarray]:
+    """Columns sqrt(lambda_j) e_j over the r eigenvalues above 1e-12, r, and lambda_j / lambda_max."""
     vals, vecs = hermitian_eig(rho.entries)
     r = int((vals > SUPPORT_CUT).sum())
-    return vecs[:, :r] * np.sqrt(vals[:r]), r
+    return vecs[:, :r] * np.sqrt(vals[:r]), r, vals[:r] / vals[0]
 
 
 def ensemble_from_mixing(rho: DensityMatrix, mixing) -> Ensemble:
@@ -136,7 +147,7 @@ def ensemble_from_mixing(rho: DensityMatrix, mixing) -> Ensemble:
     m_arr = require_finite(mixing, "mixing matrix")
     if m_arr.ndim != 2:
         raise ParameterError(f"mixing matrix must be 2-d, got shape {m_arr.shape}")
-    g, r = _support_factor(rho)
+    g, r, _ = _support_factor(rho)
     if m_arr.shape[1] != r or m_arr.shape[0] < r:
         raise ParameterError(
             f"mixing matrix must be m x {r} with m >= {r}, got {m_arr.shape}"
@@ -284,59 +295,78 @@ def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None]).reshape(n)
 
 
-def _tangent(m_mat: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    sym = _h(m_mat) @ grad
-    return grad - m_mat @ (sym + _h(sym)) / 2.0
+def _tangent(n_mat: np.ndarray, grad: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The projection G - N S onto the tangent space of N^H N = diag(d) at N.
+
+    S solves D S + S D = N^H G + G^H N, so S_jk = (N^H G + G^H N)_jk /
+    (d_j + d_k), and N^H xi + xi^H N = 0; at D = I this is the Euclidean
+    Stiefel projection G - N sym(N^H G).
+    """
+    sym = _h(n_mat) @ grad
+    return grad - n_mat @ ((sym + _h(sym)) / (d[:, None] + d))
 
 
 @dataclass
 class _RunStats:
-    """Every restart's end point and stop record, along a leading axis."""
+    """Every restart's end point N and stop record, along a leading axis."""
 
-    m_mat: np.ndarray
+    n_mat: np.ndarray
     value: np.ndarray
     grad_norm: np.ndarray
     iterations: np.ndarray
     converged: np.ndarray
 
 
-def _lockstep(f, m_mat: np.ndarray, options: RoofOptions) -> _RunStats:
-    """Feasible Barzilai-Borwein descent with QR retraction.
+def _lockstep(f, n_mat: np.ndarray, d: np.ndarray, options: RoofOptions) -> _RunStats:
+    """Feasible Barzilai-Borwein descent with QR retraction, preconditioned by d.
 
     The method of Wen & Yin, Math. Program. 142 (2013), run on a stack of
-    starts together.  Every restart keeps its own state: from s = X_k -
-    X_{k-1} and y = xi_k - xi_{k-1} (xi the projected gradient) it takes the
-    BB1 step <s,s>/|<s,y>| on odd iterations and the BB2 step |<s,y>|/<y,y>
-    on even ones (1 on the first, or when <s,y> = 0), at least BB_MIN and
-    with t ||xi||_F at most STEP_MAX, and halves it until the nonmonotone
-    Armijo test of Zhang & Hager, SIAM J. Optim. 14 (2004), holds against
-    its reference value C.  The slope along -xi is 2 ||xi||^2, since dF =
-    2 Re<G, dX>.  C starts at the start's value and f_k <= C_k <= f_0, so no
-    restart ends above its start.  BB steps are nonmonotone by design, so C
-    keeps a long memory (NONMONOTONE = 0.99): an overshoot that raises f
-    for a few iterations passes the test rather than costing a backtracking
-    round, and rounds are what a small roof pays for.  A restart leaves when
-    its gradient norm drops below `grad_tol`, when its step falls to 1e-14
-    without passing the test, or at the iteration cap.  Norms and inner
-    products are row-wise reductions over each point, so no restart's
-    arithmetic depends on the others.
+    starts together, on points N with N^H N = D = diag(d) and f a function
+    of N.  The mixing matrix M = N D^(-1/2) moves the members by
+    sqrt(lambda_j) along column j, so its curvature spreads with rho's
+    spectrum; N's columns all move them alike (Riemannian preconditioning,
+    Mishra & Sepulchre, SIAM J. Optim. 26 (2016)).  At d = 1, as on the
+    sphere, N is M and every line is the plain Stiefel descent's arithmetic.
+    xi is the Euclidean projection of f's gradient onto the tangent space at
+    N (`_tangent`), and its norm is the reported gradient norm.
 
-    Every backtracking round retracts its trials with one batched Cholesky
-    and one batched inverse of their r x r Gram matrices (`_retract`), and
-    evaluates the kernel f with gradients; the iteration keeps the value and
-    gradient of each row that its round accepts, so every trial point has one
-    value and every accepted point is eigensolved once.
+    Every restart keeps its own state: from s = X_k - X_{k-1} and y = xi_k -
+    xi_{k-1} it takes the BB1 step <s,s>/|<s,y>| on odd iterations and the
+    BB2 step |<s,y>|/<y,y> on even ones (1 on the first, or when <s,y> = 0),
+    at least BB_MIN and with t ||xi D^(-1/2)||_F, the step in M, at most
+    STEP_MAX, and halves it until the nonmonotone Armijo test of Zhang &
+    Hager, SIAM J. Optim. 14 (2004), holds against its reference value C.
+    The slope along -xi is 2 ||xi||^2, since dF = 2 Re<G, dX>.  C starts at
+    the start's value and f_k <= C_k <= f_0, so no restart ends above its
+    start.  BB steps are nonmonotone by design, so C keeps a long memory
+    (NONMONOTONE = 0.99): an overshoot that raises f for a few iterations
+    passes the test rather than costing a backtracking round, and rounds are
+    what a small roof pays for.  A restart leaves when its gradient norm
+    drops below `grad_tol`, when its step falls to 1e-14 without passing the
+    test, or at the iteration cap.  Norms and inner products are row-wise
+    reductions over each point, so no restart's arithmetic depends on the
+    others.
+
+    Every backtracking round retracts its trials in M, where X - t xi
+    D^(-1/2) steps along a tangent at X = N D^(-1/2), with one batched
+    Cholesky and one batched inverse of their r x r Gram matrices
+    (`_retract`), and maps them back by D^(1/2); it evaluates the kernel f
+    with gradients, and the iteration keeps the value and gradient of each
+    row that its round accepts, so every trial point has one value and every
+    accepted point is eigensolved once.
     """
-    value, grad = f(m_mat)
-    ref, weight = value.copy(), np.ones(len(m_mat))    # Zhang-Hager C_k and Q_k
-    end, grad_norm = m_mat.copy(), np.full(len(m_mat), math.inf)
-    iterations = np.zeros(len(m_mat), dtype=int)
+    root = np.sqrt(d)
+    inv_root = 1.0 / root
+    value, grad = f(n_mat)
+    ref, weight = value.copy(), np.ones(len(n_mat))    # Zhang-Hager C_k and Q_k
+    end, grad_norm = n_mat.copy(), np.full(len(n_mat), math.inf)
+    iterations = np.zeros(len(n_mat), dtype=int)
     # live indexes the restarts still descending; x, grad, xi, last_x and
     # last_xi hold only their rows and shrink when a restart leaves
-    live, x = np.arange(len(m_mat)), m_mat
+    live, x = np.arange(len(n_mat)), n_mat
     for it in range(1, options.max_iterations + 1):
         iterations[live] = it
-        xi = _tangent(x, grad)
+        xi = _tangent(x, grad, d)
         squares = _inner(xi, xi)
         slope = 2.0 * squares
         t = np.ones(len(live))
@@ -346,13 +376,14 @@ def _lockstep(f, m_mat: np.ndarray, options: RoofOptions) -> _RunStats:
             num, den = (_inner(s, s), sy) if it % 2 else (sy, _inner(y, y))
             t = np.maximum(np.divide(num, den, out=t, where=sy > 0.0), BB_MIN)
         grad_norm[live] = norm = np.sqrt(squares)
-        t = np.minimum(t, STEP_MAX / np.maximum(norm, options.grad_tol))
+        step = xi * inv_root
+        t = np.minimum(t, STEP_MAX / np.maximum(np.sqrt(_inner(step, step)), options.grad_tol))
         t[norm < options.grad_tol] = 0.0               # converged: no search
         accepted = np.zeros(len(live), dtype=bool)
         following, next_grad = np.empty_like(x), np.empty_like(x)
         search = np.arange(len(live))
         while (search := search[t[search] > 1e-14]).size:
-            cand = _retract(x[search] - t[search, None, None] * xi[search])
+            cand = _retract((x[search] - t[search, None, None] * xi[search]) * inv_root) * root
             cand_value, cand_grad = f(cand)
             ok = cand_value <= ref[live[search]] - ARMIJO * t[search] * slope[search]
             hit = search[ok]
@@ -392,18 +423,19 @@ def _random_start(rng: np.random.Generator, size: int, rank: int) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def _multistart(f, size: int, rank: int, options: RoofOptions) -> tuple[_RunStats, int]:
+def _multistart(f, size: int, d: np.ndarray, options: RoofOptions) -> tuple[_RunStats, int]:
     """Every restart's end of `options.restarts` descents, and the index of the best.
 
-    Restart idx starts from the stream rng_for(seed, idx), and all restarts
-    run as one `_lockstep` stack, each stopping on its own rule.  Scanning
+    Restart idx starts from the Q factor drawn from the stream rng_for(seed,
+    idx) times D^(1/2), and all restarts run as one `_lockstep` stack over
+    N^H N = diag(d), each stopping on its own rule.  Scanning
     in index order, a restart replaces the best only when its value is lower
     by more than TIE_TOL.
     """
     starts = np.stack(
-        [_random_start(rng_for(options.seed, i), size, rank) for i in range(options.restarts)]
+        [_random_start(rng_for(options.seed, i), size, len(d)) for i in range(options.restarts)]
     )
-    runs = _lockstep(f, starts, options)
+    runs = _lockstep(f, starts * np.sqrt(d), d, options)
     best = 0
     for i in range(1, options.restarts):
         if runs.value[i] < runs.value[best] - TIE_TOL:
@@ -436,10 +468,12 @@ def ccooe(channel: Channel, rho: DensityMatrix, options: RoofOptions | None = No
     options = options or RoofOptions()
     if rho.dim != channel.in_dim:
         raise DimensionError(f"state dimension {rho.dim} != channel input {channel.in_dim}")
-    g, rank = _support_factor(rho)
+    g, rank, d = _support_factor(rho)
     size = _resolve_size(options, rank)
-    runs, best = _multistart(_objective(channel.kraus, g), size, rank, options)
-    ensemble = ensemble_from_mixing(rho, runs.m_mat[best])
+    # N's members are g D^(-1/2) @ N[i] = sqrt(lambda_max) V N[i]
+    root = np.sqrt(d)
+    runs, best = _multistart(_objective(channel.kraus, g / root), size, d, options)
+    ensemble = ensemble_from_mixing(rho, runs.n_mat[best] / root)
     value = average_output_entropy(channel, ensemble)
     return RoofResult(
         value=value,
@@ -536,7 +570,7 @@ def min_output_entropy(
     value and the achieving input.
     """
     options = options or RoofOptions()
-    runs, best = _multistart(_objective(channel.kraus), channel.in_dim, 1, options)
-    psi = runs.m_mat[best, :, 0]
+    runs, best = _multistart(_objective(channel.kraus), channel.in_dim, np.ones(1), options)
+    psi = runs.n_mat[best, :, 0]
     state = PureState(psi / np.linalg.norm(psi))
     return output_entropy(channel, state.density()), state

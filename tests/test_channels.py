@@ -588,6 +588,23 @@ class TestDensities:
         with pytest.raises(ParameterError, match="points, values and weights have non-finite entries"):
             TabulatedDensity(*table)
 
+    @pytest.mark.parametrize(
+        "half_width, points",
+        [(1e300, [-1e10, 0.0, 1e10]), (1.0, [-1e155, 0.0, 1e155]), (1e300, [-1.0, 0.0, 1e300])],
+        ids=["wide-grid", "wide-profile-reach", "both-wide"],
+    )
+    def test_tabulated_phases_must_stay_finite(self, half_width, points):
+        # u x overflowed for grid differences u and tabulation points x, and the channel
+        # reached the eigensolver with NaN entries after three RuntimeWarnings
+        dens = TabulatedDensity(np.array(points), np.array([0.25, 0.5, 0.25]), np.ones(3))
+        message = "^" + re.escape(f"half width {half_width:g} and tabulated points up to |x| = {points[-1]:g} ")
+        with pytest.raises(ParameterError, match=message):
+            RandomPhaseSpec(half_width, 3, dens)
+        # the widest grid whose phases, and the complement's, stay finite
+        widest = RandomPhaseSpec(1e300, 3, TabulatedDensity(
+            np.array([-1.0, 0.0, 1.0]), np.array([0.25, 0.5, 0.25]), np.ones(3)))
+        assert np.isfinite(schur_matrix(widest)).all()
+
     def test_tabulated_has_no_tail_data(self):
         dens = TabulatedDensity(np.array([-1.0, 0.0, 1.0]), np.array([0.25, 0.5, 0.25]), np.ones(3))
         with pytest.raises(UnsupportedError):
@@ -865,6 +882,21 @@ class TestTails:
             tail_entropy_bound(dens, 3.0, math.nan, 1.0)
         with pytest.raises(ParameterError, match=r"output entropy must lie in \[0, inf\)"):
             tail_entropy_bound(dens, 3.0, 1.0, math.nan)
+
+    def test_huge_std_log_mass_is_finite(self):
+        # log(s sqrt(2 pi)) overflowed to inf once s > 7.2e307, and beta was reported as null
+        for std in (7.5e307, 1e308, np.finfo(float).max):
+            _, beta, _ = tail_quantities(GaussianDensity(std), 2.0)
+            assert math.isfinite(beta) and beta > 0.0, std
+
+    @pytest.mark.parametrize("std", [0.1, 0.3, 1.0, 2.5, 7.5])
+    def test_log_mass_sum_matches_the_log_of_the_product(self, std):
+        dens = GaussianDensity(std)
+        for d in (0.5, 1.0, 2.0, 4.0):
+            y = d / std
+            half_moment = y * math.exp(-y * y / 2.0) / math.sqrt(2 * math.pi) + math.erfc(y / math.sqrt(2.0)) / 2.0
+            product_form = abs(-half_moment - math.log(std * math.sqrt(2 * math.pi)) * dens.tail_mass(d))
+            assert dens.tail_log_mass(d) == pytest.approx(product_form, rel=1e-15, abs=0.0), d
 
     # the last column: whether the profile reach 4 / std, and so the default t-grid, is finite
     @pytest.mark.parametrize(

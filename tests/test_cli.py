@@ -196,6 +196,11 @@ PHASE_SPEC_ERRORS = {
     '"a": 1.0, "d": 3, "density": {"family": "custom", "points": [0.0], "values": [NaN], '
     '"weights": [1.0]}':
         "channel family 'phase' key 'density': points, values and weights have non-finite entries",
+    # u x overflowed and the channel reached the eigensolver with NaN entries
+    '"a": 1e300, "d": 3, "density": {"family": "custom", "points": [-1e10, 0.0, 1e10], '
+    '"values": [0.25, 0.5, 0.25], "weights": [1.0, 1.0, 1.0]}':
+        "half width 1e+300 and tabulated points up to |x| = 1e+10 put the phases u x "
+        "beyond the float range",
 }
 for body, message in PHASE_SPEC_ERRORS.items():
     NAMED_ERRORS[("phase-channel", "--spec", f"{{{body}}}")] = f"error: {message}\n"
@@ -401,6 +406,10 @@ REPORT_KEYS = {
     "kind", "channels", "state", "lhs", "lhs_bound", "rhs", "rhs_bound", "margin",
     "tolerance", "verdict", "refined", "diagnostics",
 }
+# a superadditivity report's diagnostics; the three lists run joint, left, right
+MARGIN_DIAGNOSTICS = {
+    "roof_joint", "roof_left", "roof_right", "converged", "restarts_agreeing", "restarts",
+}
 MARGINS_CSV = "item,lhs,lhs_bound_dir,rhs,rhs_bound_dir,margin,verdict"
 
 
@@ -443,6 +452,13 @@ def test_additivity_report_layouts(
         assert result[entry_key]
         for entry in result[entry_key]:
             assert set(entry) == entry_keys
+    reports = [result] if result_keys == REPORT_KEYS else result.get("reports", [])
+    for report in reports:
+        diag = report["diagnostics"]
+        assert set(diag) == MARGIN_DIAGNOSTICS
+        # one restart per roof agrees with itself
+        assert diag["restarts_agreeing"] == [1, 1, 1]
+        assert len(diag["converged"]) == 3
     assert (tmp_path / csv_name).read_text().splitlines()[0] == csv_header
 
 

@@ -417,9 +417,9 @@ def descents(monkeypatch):
 
     calls, multistart = [], roof._multistart
 
-    def record(f, size, rank, options):
+    def record(f, size, d, options):
         calls.append(options)
-        return multistart(f, size, rank, options)
+        return multistart(f, size, d, options)
 
     monkeypatch.setattr(roof, "_multistart", record)
     monkeypatch.setattr(roof, "_last_chi", (None, None))
@@ -550,7 +550,7 @@ def test_gradient_matches_central_differences(case):
         f = _objective(kstack)
         m_mat = _random_start(rng, 3, 1)
     else:
-        g, rank = _support_factor(random_density(3, 2, 63))  # rank-deficient
+        g, rank, _ = _support_factor(random_density(3, 2, 63))  # rank-deficient
         assert rank == 2
         f = _objective(kstack, g)
         m_mat = _random_start(rng, rank * rank, rank)
@@ -561,30 +561,45 @@ def test_gradient_matches_central_differences(case):
     assert central == pytest.approx(2.0 * np.vdot(grad, direction).real, rel=1e-6)
 
 
+def _support_of_n(seed):
+    """The support factor that maps N = M D^(1/2) to members, g D^(-1/2), and d."""
+    from roofkit.roof import _support_factor
+
+    g, _, d = _support_factor(random_density(3, 2, seed))
+    return g / np.sqrt(d), d
+
+
 def _stack_case(objective, seed):
-    """The kernel of an objective, with its (size, rank)."""
-    from roofkit.roof import _objective, _support_factor
+    """The kernel of an objective on N = M D^(1/2), with its size and spectrum d."""
+    from roofkit.roof import _objective
 
     objective, kstack = _kraus_case(objective, seed)
     if objective == "sphere":
-        return _objective(kstack), 3, 1
-    g, rank = _support_factor(random_density(3, 2, seed + 1))
-    return _objective(kstack, g), rank * rank, rank
+        return _objective(kstack), 3, np.ones(1)
+    g, d = _support_of_n(seed + 1)
+    return _objective(kstack, g), len(d) ** 2, d
+
+
+def _starts(seed, size, d, count=8):
+    """`_multistart`'s seeded starts: Q factors times D^(1/2)."""
+    from roofkit.roof import _random_start
+
+    return np.stack([_random_start(rng_for(seed, i), size, len(d)) for i in range(count)]) * np.sqrt(d)
 
 
 @pytest.mark.parametrize("objective", OBJECTIVES)
 def test_no_restart_ends_above_its_start(objective):
     # the nonmonotone reference value keeps f_k <= C_k <= f_0, so a restart
     # stopped at any iteration cap is no higher than where it started
-    from roofkit.roof import _lockstep, _random_start
+    from roofkit.roof import _lockstep
 
-    f, size, rank = _stack_case(objective, 82)
-    starts = np.stack([_random_start(rng_for(84, i), size, rank) for i in range(8)])
+    f, size, d = _stack_case(objective, 82)
+    starts = _starts(84, size, d)
     start_values = f(starts)[0]
     for cap in (1, 2, 3, 5, 10, 30, 500):
-        runs = _lockstep(f, starts, RoofOptions(max_iterations=cap))
+        runs = _lockstep(f, starts, d, RoofOptions(max_iterations=cap))
         assert np.all(runs.value <= start_values), cap
-        np.testing.assert_allclose(runs.value, f(runs.m_mat)[0], rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(runs.value, f(runs.n_mat)[0], rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("objective", OBJECTIVES)
@@ -593,8 +608,8 @@ def test_batched_kernel_matches_points(objective):
     from roofkit.roof import _random_start
 
     rng = np.random.default_rng(71)
-    f, size, rank = _stack_case(objective, 72)
-    stack = np.stack([_random_start(rng, size, rank) for _ in range(5)])
+    f, size, d = _stack_case(objective, 72)
+    stack = np.stack([_random_start(rng, size, len(d)) for _ in range(5)])
     values, grads = f(stack)
     assert values.shape == (5,)
     assert grads.shape == stack.shape
@@ -604,7 +619,7 @@ def test_batched_kernel_matches_points(objective):
         assert np.array_equal(grads[i], grad)
 
 
-def _two_call_lockstep(value_fn, grad_fn, m_mat, options):
+def _two_call_lockstep(value_fn, grad_fn, n_mat, d, options):
     """`_lockstep` with separate value and gradient calls, as a reference.
 
     Every trial point is evaluated by `value_fn` and every accepted point
@@ -616,14 +631,16 @@ def _two_call_lockstep(value_fn, grad_fn, m_mat, options):
         ARMIJO, BB_MIN, NONMONOTONE, STEP_MAX, _inner, _retract, _RunStats, _tangent,
     )
 
-    value, grad = grad_fn(m_mat)
-    ref, weight = value.copy(), np.ones(len(m_mat))
-    end, grad_norm = m_mat.copy(), np.full(len(m_mat), math.inf)
-    iterations = np.zeros(len(m_mat), dtype=int)
-    live, x = np.arange(len(m_mat)), m_mat
+    root = np.sqrt(d)
+    inv_root = 1.0 / root
+    value, grad = grad_fn(n_mat)
+    ref, weight = value.copy(), np.ones(len(n_mat))
+    end, grad_norm = n_mat.copy(), np.full(len(n_mat), math.inf)
+    iterations = np.zeros(len(n_mat), dtype=int)
+    live, x = np.arange(len(n_mat)), n_mat
     for it in range(1, options.max_iterations + 1):
         iterations[live] = it
-        xi = _tangent(x, grad)
+        xi = _tangent(x, grad, d)
         squares = _inner(xi, xi)
         slope = 2.0 * squares
         t = np.ones(len(live))
@@ -633,12 +650,13 @@ def _two_call_lockstep(value_fn, grad_fn, m_mat, options):
             num, den = (_inner(s, s), sy) if it % 2 else (sy, _inner(y, y))
             t = np.maximum(np.divide(num, den, out=t, where=sy > 0.0), BB_MIN)
         grad_norm[live] = norm = np.sqrt(squares)
-        t = np.minimum(t, STEP_MAX / np.maximum(norm, options.grad_tol))
+        step = xi * inv_root
+        t = np.minimum(t, STEP_MAX / np.maximum(np.sqrt(_inner(step, step)), options.grad_tol))
         t[norm < options.grad_tol] = 0.0
         accepted, following = np.zeros(len(live), dtype=bool), np.empty_like(x)
         search = np.arange(len(live))
         while (search := search[t[search] > 1e-14]).size:
-            cand = _retract(x[search] - t[search, None, None] * xi[search])
+            cand = _retract((x[search] - t[search, None, None] * xi[search]) * inv_root) * root
             ok = value_fn(cand) <= ref[live[search]] - ARMIJO * t[search] * slope[search]
             following[search[ok]] = cand[ok]
             accepted[search[ok]] = True
@@ -659,10 +677,10 @@ def _two_call_lockstep(value_fn, grad_fn, m_mat, options):
 
 @pytest.mark.parametrize("objective", OBJECTIVES)
 def test_fused_trials_match_the_two_call_descent(objective):
-    from roofkit.roof import _lockstep, _random_start
+    from roofkit.roof import _lockstep
 
-    f, size, rank = _stack_case(objective, 101)
-    starts = np.stack([_random_start(rng_for(103, i), size, rank) for i in range(8)])
+    f, size, d = _stack_case(objective, 101)
+    starts = _starts(103, size, d)
     calls = []
 
     def value_only(m_mat):
@@ -675,8 +693,8 @@ def test_fused_trials_match_the_two_call_descent(objective):
 
     for cap in (1, 3, 10, 500):
         options = RoofOptions(max_iterations=cap)
-        fused = _lockstep(f, starts, options)
-        reference = _two_call_lockstep(value_only, value_and_grad, starts, options)
+        fused = _lockstep(f, starts, d, options)
+        reference = _two_call_lockstep(value_only, value_and_grad, starts, d, options)
         for field in dataclasses.fields(fused):
             assert _same(getattr(fused, field.name), getattr(reference, field.name)), field.name
     # two trial rounds without a gradient call between them: a line search
@@ -693,19 +711,19 @@ def test_one_gradient_call_per_iteration_without_backtracks(objective, monkeypat
 
     from roofkit import roof
 
-    f, size, rank = _stack_case(objective, 101)
-    starts = np.stack([roof._random_start(rng_for(103, i), size, rank) for i in range(8)])
+    f, size, d = _stack_case(objective, 101)
+    starts = _starts(103, size, d)
     options = RoofOptions(max_iterations=500)
     rounds = []
     _two_call_lockstep(
         lambda m_mat: rounds.append(len(m_mat)) or f(m_mat)[0], f,
-        starts, options,
+        starts, d, options,
     )
     events, retract, tangent = [], roof._retract, roof._tangent
 
-    def record_tangent(x, grad):
+    def record_tangent(x, grad, d):
         events.append("T")
-        return tangent(x, grad)
+        return tangent(x, grad, d)
 
     def record_retract(x):
         events.append("R")
@@ -717,7 +735,7 @@ def test_one_gradient_call_per_iteration_without_backtracks(objective, monkeypat
 
     monkeypatch.setattr(roof, "_tangent", record_tangent)
     monkeypatch.setattr(roof, "_retract", record_retract)
-    runs = roof._lockstep(record_f, starts, options)
+    runs = roof._lockstep(record_f, starts, d, options)
     trace = "".join(events)
     assert re.fullmatch(r"G(?:T(?:RG)*)*", trace), trace
     assert trace.count("T") == runs.iterations.max()
@@ -736,12 +754,12 @@ def test_line_search_rarely_backtracks_on_two_qubit_eof(monkeypatch):
 
     calls, iterations, lockstep = [0], [0], roof._lockstep
 
-    def counted(f, m_mat, options):
+    def counted(f, m_mat, d, options):
         def kernel(m):
             calls[0] += 1
             return f(m)
 
-        runs = lockstep(kernel, m_mat, options)
+        runs = lockstep(kernel, m_mat, d, options)
         calls[0] -= 1                                   # the starts' evaluation
         iterations[0] += int(runs.iterations.max())
         return runs
@@ -752,6 +770,8 @@ def test_line_search_rarely_backtracks_on_two_qubit_eof(monkeypatch):
             eof(random_density(4, rank, (seed, rank)), SubsystemShape((2, 2)),
                 RoofOptions(restarts=24))
     assert calls[0] / iterations[0] < 1.3, (calls[0], iterations[0])
+    # the descent on N^H N = D: 1191 iterations on the Stiefel manifold M^H M = I, 454 here
+    assert iterations[0] <= 1191 // 2, iterations[0]
 
 
 def _eigh_spectral(a):
@@ -840,14 +860,14 @@ def _matmul_kernel(kstack, g=None):
 def test_qubit_side_kernel_matches_matmul_reference(objective):
     # seeded starts and the end points of their descents, where the members
     # are as pure as the channel lets them be
-    from roofkit.roof import _lockstep, _random_start, _support_factor
+    from roofkit.roof import _lockstep
 
-    f, size, rank = _stack_case(objective, 161)
+    f, size, d = _stack_case(objective, 161)
     objective, kstack = _kraus_case(objective, 161)
-    g = None if objective == "sphere" else _support_factor(random_density(3, 2, 162))[0]
+    g = None if objective == "sphere" else _support_of_n(162)[0]
     assert min(kstack.shape[:2]) == 2
-    starts = np.stack([_random_start(rng_for(163, i), size, rank) for i in range(8)])
-    ends = _lockstep(f, starts, RoofOptions(max_iterations=500)).m_mat
+    starts = _starts(163, size, d)
+    ends = _lockstep(f, starts, d, RoofOptions(max_iterations=500)).n_mat
     for points in (starts, ends):
         value, grad = f(points)
         expected_value, expected_grad = _matmul_kernel(kstack, g)(points)
@@ -874,7 +894,7 @@ def test_cholesky_qr_matches_householder_q_on_tangent_steps(size, rank):
     rng = np.random.default_rng((92, size, rank))
     for _ in range(3):
         x = _householder_q(_gaussian(rng, size, rank))
-        xi = _tangent(x, _gaussian(rng, size, rank))
+        xi = _tangent(x, _gaussian(rng, size, rank), np.ones(rank))
         xi /= np.linalg.norm(xi)
         for step in np.logspace(-3, 3, 13):
             cand = x - step * xi
@@ -909,15 +929,13 @@ def test_forced_huge_trial_is_clamped(monkeypatch):
     from roofkit import roof
     from roofkit.roof import _h
 
-    f = roof._objective(
-        random_stinespring(36, 4, 9, 141).kraus,
-        roof._support_factor(random_density(36, 36, 142))[0],
-    )
+    g, _, d = roof._support_factor(random_density(36, 36, 142))
+    f = roof._objective(random_stinespring(36, 4, 9, 141).kraus, g / np.sqrt(d))
     rng = np.random.default_rng(143)
     u, v = _gaussian(rng, 64, 1), _gaussian(rng, 36, 1)
 
-    def rank_one_tangent(x, grad):
-        xi = (u - x @ (_h(x) @ u)) @ _h(v)           # x^H xi = 0
+    def rank_one_tangent(x, grad, d):
+        xi = (u - x @ ((_h(x) @ u) / d[:, None])) @ _h(v)   # x^H xi = 0, as x^H x = D
         xi /= np.linalg.norm(xi, axis=(-2, -1), keepdims=True)
         # a descent direction, so that the search accepts a step
         return xi * np.sign(roof._inner(xi, grad))[:, None, None]
@@ -931,40 +949,125 @@ def test_forced_huge_trial_is_clamped(monkeypatch):
     monkeypatch.setattr(roof, "BB_MIN", 1e10)
     monkeypatch.setattr(roof, "_tangent", rank_one_tangent)
     monkeypatch.setattr(roof, "_retract", recorded)
-    starts = np.stack([roof._random_start(rng_for(144, i), 64, 36) for i in range(2)])
-    runs = roof._lockstep(f, starts, RoofOptions(max_iterations=3))
+    starts = _starts(144, 64, d, 2)
+    runs = roof._lockstep(f, starts, d, RoofOptions(max_iterations=3))
     assert np.isclose(np.concatenate(grams).max(), 1.0 + roof.STEP_MAX ** 2, rtol=1e-6)
     assert np.all(np.isfinite(runs.value))
     assert np.all(runs.iterations == 3)                 # iterations 1 and 2 accepted a point
-    gram = _h(runs.m_mat) @ runs.m_mat
-    assert np.abs(gram - np.eye(36)).max() <= 1e-8
+    gram = _h(runs.n_mat) @ runs.n_mat
+    assert np.abs(gram - np.diag(d)).max() <= 1e-8
 
 
 def test_line_search_calls_no_eigensolver_outside_the_kernel(monkeypatch):
     # on a qubit side the kernel is closed form, so the whole descent is eigensolver-free
-    from roofkit.roof import _lockstep, _random_start
+    from roofkit.roof import _lockstep
 
-    f, size, rank = _stack_case("roof", 145)
-    starts = np.stack([_random_start(rng_for(146, i), size, rank) for i in range(8)])
+    f, size, d = _stack_case("roof", 145)
+    starts = _starts(146, size, d)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the line search called an eigensolver, an SVD or a QR")
 
     for name in ("eig", "eigh", "eigvals", "eigvalsh", "svd", "qr"):
         monkeypatch.setattr(np.linalg, name, forbidden)
-    assert np.all(_lockstep(f, starts, RoofOptions(max_iterations=50)).iterations >= 1)
+    assert np.all(_lockstep(f, starts, d, RoofOptions(max_iterations=50)).iterations >= 1)
 
 
 @pytest.mark.parametrize("objective", OBJECTIVES)
 def test_lockstep_end_points_are_orthonormal(objective):
-    from roofkit.roof import _lockstep, _random_start
+    # as mixing matrices N D^(-1/2), which `ensemble_from_mixing` reads
+    from roofkit.roof import _lockstep
 
-    f, size, rank = _stack_case(objective, 95)
-    starts = np.stack([_random_start(rng_for(96, i), size, rank) for i in range(8)])
+    f, size, d = _stack_case(objective, 95)
+    starts = _starts(96, size, d)
     for cap in (1, 10, 500):
-        runs = _lockstep(f, starts, RoofOptions(max_iterations=cap))
-        gram = np.swapaxes(runs.m_mat.conj(), -1, -2) @ runs.m_mat
-        assert np.abs(gram - np.eye(rank)).max() <= 1e-12, cap
+        mixing = _lockstep(f, starts, d, RoofOptions(max_iterations=cap)).n_mat / np.sqrt(d)
+        gram = np.swapaxes(mixing.conj(), -1, -2) @ mixing
+        assert np.abs(gram - np.eye(len(d))).max() <= 1e-12, cap
+
+
+# two-qubit spectra, before normalization, whose smallest eigenvalues reach 1e-11
+ILL_SPECTRA = {
+    "rank2": [1.0, 1e-11],
+    "rank3": [1.0, 1e-5, 1e-11],
+    "rank4": [1.0, 1e-4, 1e-8, 1e-11],
+    "rank4-pairs": [0.5, 0.5, 1e-11, 1e-11],
+    "rank4-mild": [1.0, 0.3, 1e-3, 1e-6],
+}
+
+
+def _ill_conditioned_state(spectrum, seed):
+    u = random_unitary(4, (180, seed))
+    p = np.zeros(4)
+    p[: len(spectrum)] = np.array(spectrum) / sum(spectrum)
+    rho = (u * p) @ u.conj().T
+    return DensityMatrix((rho + rho.conj().T) / 2.0)
+
+
+def _two_qubit_trace():
+    from roofkit import partial_trace_channel
+
+    return partial_trace_channel(SubsystemShape((2, 2)), (0,))
+
+
+@pytest.mark.parametrize("spectrum", sorted(ILL_SPECTRA))
+def test_metric_keeps_the_tangent_and_the_gram(spectrum):
+    # xi = G - N S keeps N^H xi + xi^H N = 0, and the retraction keeps N^H N = D
+    from roofkit import roof
+    from roofkit.roof import _h
+
+    g, rank, d = roof._support_factor(_ill_conditioned_state(ILL_SPECTRA[spectrum], 0))
+    assert rank == len(ILL_SPECTRA[spectrum])
+    f = roof._objective(_two_qubit_trace().kraus, g / np.sqrt(d))
+    starts = _starts(181, rank * rank, d)
+    rng = np.random.default_rng(182)
+    points = [(starts, rng.normal(size=starts.shape) + 1j * rng.normal(size=starts.shape))]
+    for cap in (1, 10, 100, 500):
+        ends = roof._lockstep(f, starts, d, RoofOptions(max_iterations=cap)).n_mat
+        assert np.abs(_h(ends) @ ends - np.diag(d)).max() <= 1e-12, cap
+        points.append((ends, f(ends)[1]))
+    for n_mat, grad in points:
+        normal = _h(n_mat) @ roof._tangent(n_mat, grad, d)
+        assert np.abs(normal + _h(normal)).max() <= 1e-12
+
+
+def test_metric_gradient_norm_is_at_least_the_stiefel_norm():
+    # ||xi_N|| is the least ||(G_M - M S) D^(-1/2)|| over Hermitian S, and the Stiefel
+    # ||xi_M|| the least ||G_M - M S||, so D <= I keeps ||xi_N|| >= ||xi_M||
+    from roofkit import roof
+
+    kraus = _two_qubit_trace().kraus
+    states = [random_density(4, rank, (183, rank, i)) for rank in (2, 3, 4) for i in range(20)]
+    states += [_ill_conditioned_state(spectrum, 1) for spectrum in ILL_SPECTRA.values()]
+    for i, rho in enumerate(states):
+        g, rank, d = roof._support_factor(rho)
+        m_mat = _starts(184 + i, rank * rank, np.ones(rank), 4)
+        n_mat = m_mat * np.sqrt(d)
+        xi_n = roof._tangent(n_mat, roof._objective(kraus, g / np.sqrt(d))(n_mat)[1], d)
+        xi_m = roof._tangent(m_mat, roof._objective(kraus, g)(m_mat)[1], np.ones(rank))
+        norms = [np.linalg.norm(xi, axis=(-2, -1)) for xi in (xi_n, xi_m)]
+        assert np.all(norms[0] >= norms[1]), i
+
+
+@pytest.mark.parametrize("spectrum", sorted(ILL_SPECTRA))
+def test_ill_conditioned_roofs_end_no_higher_than_the_stiefel_descent(spectrum):
+    # the D = I descent is the Stiefel descent on M, from the same seeded starts
+    from roofkit import roof
+
+    channel, options = _two_qubit_trace(), RoofOptions(restarts=24)
+    for seed in range(2):
+        rho = _ill_conditioned_state(ILL_SPECTRA[spectrum], seed)
+        res = eof(rho, SubsystemShape((2, 2)), options)
+        g, rank, _ = roof._support_factor(rho)
+        stiefel, best = roof._multistart(
+            roof._objective(channel.kraus, g), rank * rank, np.ones(rank), options
+        )
+        assert res.value <= stiefel.value[best] + 1e-9, seed
+        # the witness: its members' entanglement entropies and its barycenter
+        amps = np.array([s.amplitudes for s in res.ensemble.states]).reshape(-1, 2, 2)
+        members = [entropy_nats(a @ a.conj().T) for a in amps]
+        assert float(res.ensemble.weights @ members) == pytest.approx(res.value, abs=1e-12)
+        assert np.abs(res.ensemble.barycenter().entries - rho.entries).max() <= 1e-12
 
 
 def test_roof_paths_call_no_einsum_or_svd(monkeypatch, descents):
@@ -1035,8 +1138,8 @@ def test_results_do_not_depend_on_stack_companions(case, monkeypatch):
 
     multistart, lockstep = roof._multistart, roof._lockstep
 
-    def alone(f, starts, options):
-        runs = [lockstep(f, start[None], options) for start in starts]
+    def alone(f, starts, d, options):
+        runs = [lockstep(f, start[None], d, options) for start in starts]
         return roof._RunStats(*(
             np.concatenate([getattr(r, f.name) for r in runs])
             for f in dataclasses.fields(roof._RunStats)
@@ -1048,12 +1151,12 @@ def test_results_do_not_depend_on_stack_companions(case, monkeypatch):
         def record_multistart(*args):
             best, idx = multistart(*args)
             best_runs.append((best.value, best.iterations, best.converged, best.grad_norm,
-                              idx, best.m_mat))
+                              idx, best.n_mat))
             return best, idx
 
-        def record_lockstep(f, starts, options):
+        def record_lockstep(f, starts, d, options):
             stacks.append(len(starts))
-            return descend(f, starts, options)
+            return descend(f, starts, d, options)
 
         monkeypatch.setattr(roof, "_multistart", record_multistart)
         monkeypatch.setattr(roof, "_lockstep", record_lockstep)
@@ -1117,7 +1220,7 @@ def test_kernel_side_is_the_smaller_one_for_pure_members(monkeypatch):
     monkeypatch.setattr(roof, "_spectral", record_spectral)
     monkeypatch.setattr(roof, "_qubit_spectral", record_qubit_spectral)
     kstack = random_stinespring(3, 4, 2, 121).kraus
-    g, rank = roof._support_factor(random_density(3, 2, 122))
+    g, rank, _ = roof._support_factor(random_density(3, 2, 122))
     unit = roof._random_start(rng_for(123), 3, 1)
     mixing = roof._random_start(rng_for(124), rank * rank, rank)
     for f, m_mat in [
