@@ -431,10 +431,10 @@ class RandomPhaseSpec:
         if isinstance(self.density, TabulatedDensity):
             # the channel forms the phases u x for grid differences u up to 2 half_width,
             # and the complement's default t-grid reaches profile_reach() beyond them
-            reach = float(np.abs(self.density.points).max())
-            if not math.isfinite((2.0 * half_width + self.density.profile_reach()) * reach):
+            widest = float(np.abs(self.density.points).max())
+            if not math.isfinite((2.0 * half_width + self.density.profile_reach()) * widest):
                 raise ParameterError(
-                    f"half width {half_width:g} and tabulated points up to |x| = {reach:g} "
+                    f"half width {half_width:g} and tabulated points up to |x| = {widest:g} "
                     "put the phases u x beyond the float range"
                 )
 

@@ -451,6 +451,7 @@ class RoofResult:
     ensemble: Ensemble
     restarts_used: int
     best_restart: int
+    # the projected gradient's norm at the best end point, in N^H N = D
     gradient_norm: float
     iterations: int
     converged: bool
