@@ -60,9 +60,16 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     Evaluated in sigma's eigenbasis: a sigma-eigenvalue at or below 1e-12
     carrying more than 1e-10 of rho's weight makes the divergence infinite.
     """
-    if rho.dim != sigma.dim:
+    return relative_entropy_eig(rho, *hermitian_eig(sigma.entries))
+
+
+def relative_entropy_eig(rho: DensityMatrix, svals: np.ndarray, svecs: np.ndarray) -> float:
+    """`relative_entropy` from sigma's eigenpairs, as `hermitian_eig` returns them.
+
+    One eigensolve of sigma then serves every rho compared with it.
+    """
+    if rho.dim != len(svals):
         raise DimensionError("states live on different spaces")
-    svals, svecs = hermitian_eig(sigma.entries)
     rho_s = svecs.conj().T @ rho.entries @ svecs
     diag = rho_s.diagonal().real
     small = svals <= SUPPORT_TOL

@@ -20,14 +20,18 @@ Euclidean Stiefel norm at the same point since D <= I.  A sphere descent has
 D = [1] and runs M itself.
 
 The restarts descend in lockstep: all starts of a roof are one (R, m, r)
-stack, so each backtracking round makes one batched retraction and one
-batched kernel call over the restarts still searching.  That call also
-returns the gradients, which the next iteration takes for every row the
-round accepted.  Each restart keeps its own step, reference value and stop
-rule, so its trajectory does not depend on which restarts share the stack,
-and neither does any result.  Pure members are eigensolved on the smaller
-side of the Stinespring dilation, output or environment, which gives the
-same value and gradient.
+stack, their Q factors from one stacked QR, so each backtracking round makes
+one batched retraction and one batched kernel call.  The first round of an
+iteration runs over every live restart, so a restart that has just converged
+has its end point evaluated once more; later rounds run over the restarts
+still searching.  The kernel call also returns the gradients, which the next
+iteration takes for every row the round accepted.  A restart's end point and
+stop record are written once, when it leaves the stack.  Each restart keeps
+its own step, reference value and stop rule, so its trajectory does not
+depend on which restarts share the stack, and neither does any result.  The
+witness's member outputs are eigensolved as one stack.  Pure members are
+eigensolved on the smaller side of the Stinespring dilation, output or
+environment, which gives the same value and gradient.
 
 The kernel folds the support factor into the Kraus stack once per roof, so
 the member amplitudes and the gradient are stacked matmuls.  Members on a
@@ -58,7 +62,7 @@ from .core import (
     require_real,
     rng_for,
 )
-from .entropy import relative_entropy
+from .entropy import relative_entropy_eig, spectrum_entropy
 from .errors import DimensionError, ParameterError, ValidityError
 
 SUPPORT_CUT = 1e-12
@@ -144,10 +148,15 @@ def ensemble_from_mixing(rho: DensityMatrix, mixing) -> Ensemble:
     with weight at or below 1e-14 are dropped.  The entries must be finite
     and the columns orthonormal within 1e-6.
     """
+    return _ensemble(_support_factor(rho)[0], mixing)
+
+
+def _ensemble(g: np.ndarray, mixing) -> Ensemble:
+    """`ensemble_from_mixing` from rho's support factor g, as `_support_factor` returns it."""
     m_arr = require_finite(mixing, "mixing matrix")
     if m_arr.ndim != 2:
         raise ParameterError(f"mixing matrix must be 2-d, got shape {m_arr.shape}")
-    g, r, _ = _support_factor(rho)
+    r = g.shape[1]
     if m_arr.shape[1] != r or m_arr.shape[0] < r:
         raise ParameterError(
             f"mixing matrix must be m x {r} with m >= {r}, got {m_arr.shape}"
@@ -164,13 +173,22 @@ def ensemble_from_mixing(rho: DensityMatrix, mixing) -> Ensemble:
 
 
 def average_output_entropy(channel: Channel, ensemble: Ensemble) -> float:
-    """Mean output entropy of the ensemble members."""
-    return float(
-        sum(
-            w * output_entropy(channel, s.density())
-            for w, s in zip(ensemble.weights, ensemble.states)
+    """Mean output entropy of the ensemble members.
+
+    Each member's output is formed as `output_entropy` forms it from the
+    member's density matrix, one member at a time, and all outputs are
+    eigensolved as one stack; the w S terms are summed in member order.
+    """
+    if ensemble.states[0].dim != channel.in_dim:
+        raise DimensionError(
+            f"state dimension {ensemble.states[0].dim} != channel input {channel.in_dim}"
         )
-    )
+    outs = np.empty((len(ensemble), channel.out_dim, channel.out_dim), dtype=complex)
+    for out, s in zip(outs, ensemble.states):
+        p = s.projector()
+        out[...] = channel.apply_raw((p + p.conj().T) / 2.0)   # as DensityMatrix symmetrizes
+    spectra = np.linalg.eigvalsh((outs + _h(outs)) / 2.0)
+    return float(sum(w * spectrum_entropy(v) for w, v in zip(ensemble.weights, spectra)))
 
 
 # --- optimizer internals ----------------------------------------------------
@@ -308,13 +326,23 @@ def _tangent(n_mat: np.ndarray, grad: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 @dataclass
 class _RunStats:
-    """Every restart's end point N and stop record, along a leading axis."""
+    """Every restart's end point N and stop record, along a leading axis.
+
+    `stop` holds each restart's stop reason: "grad_tol" (its gradient norm
+    fell below `grad_tol`), "stalled_line_search" (its step fell to 1e-14
+    without passing the line search) or "iteration_cap" (still descending
+    after the last iteration).
+    """
 
     n_mat: np.ndarray
     value: np.ndarray
     grad_norm: np.ndarray
     iterations: np.ndarray
-    converged: np.ndarray
+    stop: np.ndarray
+
+    @property
+    def converged(self) -> np.ndarray:
+        return self.stop == "grad_tol"
 
 
 def _lockstep(f, n_mat: np.ndarray, d: np.ndarray, options: RoofOptions) -> _RunStats:
@@ -343,29 +371,34 @@ def _lockstep(f, n_mat: np.ndarray, d: np.ndarray, options: RoofOptions) -> _Run
     passes the test rather than costing a backtracking round, and rounds are
     what a small roof pays for.  A restart leaves when its gradient norm
     drops below `grad_tol`, when its step falls to 1e-14 without passing the
-    test, or at the iteration cap.  Norms and inner products are row-wise
-    reductions over each point, so no restart's arithmetic depends on the
-    others.
+    test, or at the iteration cap, and its end point, value, gradient norm,
+    iterations and stop reason are written once, when it leaves.  Norms and
+    inner products are row-wise reductions over each point, so no restart's
+    arithmetic depends on the others.
 
     Every backtracking round retracts its trials in M, where X - t xi
     D^(-1/2) steps along a tangent at X = N D^(-1/2), with one batched
     Cholesky and one batched inverse of their r x r Gram matrices
     (`_retract`), and maps them back by D^(1/2); it evaluates the kernel f
     with gradients, and the iteration keeps the value and gradient of each
-    row that its round accepts, so every trial point has one value and every
-    accepted point is eigensolved once.
+    row that its round accepts, so every accepted point is eigensolved
+    once.  Nearly every row passes its first trial, so the first round runs
+    over every live row without selecting any, and a row that has just
+    converged (step 0) has its end point evaluated once more and discarded;
+    only the later rounds select the rows still searching.
     """
     root = np.sqrt(d)
     inv_root = 1.0 / root
+    count, tol = len(n_mat), options.grad_tol
+    end, final, grad_norm = np.empty_like(n_mat), np.empty(count), np.empty(count)
+    iterations = np.full(count, options.max_iterations)
+    stop = np.full(count, "iteration_cap", dtype=object)
     value, grad = f(n_mat)
-    ref, weight = value.copy(), np.ones(len(n_mat))    # Zhang-Hager C_k and Q_k
-    end, grad_norm = n_mat.copy(), np.full(len(n_mat), math.inf)
-    iterations = np.zeros(len(n_mat), dtype=int)
-    # live indexes the restarts still descending; x, grad, xi, last_x and
-    # last_xi hold only their rows and shrink when a restart leaves
-    live, x = np.arange(len(n_mat)), n_mat
+    ref, weight = value.copy(), np.ones(count)       # Zhang-Hager C_k and Q_k
+    # live indexes the restarts still descending; every other array holds
+    # only their rows and shrinks when a restart leaves
+    live, x = np.arange(count), n_mat
     for it in range(1, options.max_iterations + 1):
-        iterations[live] = it
         xi = _tangent(x, grad, d)
         squares = _inner(xi, xi)
         slope = 2.0 * squares
@@ -375,34 +408,48 @@ def _lockstep(f, n_mat: np.ndarray, d: np.ndarray, options: RoofOptions) -> _Run
             sy = np.abs(_inner(s, y))
             num, den = (_inner(s, s), sy) if it % 2 else (sy, _inner(y, y))
             t = np.maximum(np.divide(num, den, out=t, where=sy > 0.0), BB_MIN)
-        grad_norm[live] = norm = np.sqrt(squares)
+        norm = np.sqrt(squares)
         step = xi * inv_root
-        t = np.minimum(t, STEP_MAX / np.maximum(np.sqrt(_inner(step, step)), options.grad_tol))
-        t[norm < options.grad_tol] = 0.0               # converged: no search
+        t = np.minimum(t, STEP_MAX / np.maximum(np.sqrt(_inner(step, step)), tol))
+        t[norm < tol] = 0.0                              # converged: no search
+        searching = t > 1e-14
         accepted = np.zeros(len(live), dtype=bool)
-        following, next_grad = np.empty_like(x), np.empty_like(x)
-        search = np.arange(len(live))
-        while (search := search[t[search] > 1e-14]).size:
-            cand = _retract((x[search] - t[search, None, None] * xi[search]) * inv_root) * root
-            cand_value, cand_grad = f(cand)
-            ok = cand_value <= ref[live[search]] - ARMIJO * t[search] * slope[search]
-            hit = search[ok]
-            following[hit], next_grad[hit], value[live[hit]] = cand[ok], cand_grad[ok], cand_value[ok]
-            accepted[hit] = True
-            search = search[~ok]
+        if searching.any():
+            # nearly every row passes its first trial, so the first round tries
+            # every live row rather than select the searching ones
+            following = _retract((x - t[:, None, None] * xi) * inv_root) * root
+            trial_value, next_grad = f(following)
+            accepted = searching & (trial_value <= ref - ARMIJO * t * slope)
+            value = np.where(accepted, trial_value, value)
+            search = np.flatnonzero(searching & ~accepted)
             t[search] /= 2.0
+            while (search := search[t[search] > 1e-14]).size:
+                cand = _retract((x[search] - t[search, None, None] * xi[search]) * inv_root) * root
+                cand_value, cand_grad = f(cand)
+                ok = cand_value <= ref[search] - ARMIJO * t[search] * slope[search]
+                hit = search[ok]
+                following[hit], next_grad[hit], value[hit] = cand[ok], cand_grad[ok], cand_value[ok]
+                accepted[hit] = True
+                search = search[~ok]
+                t[search] /= 2.0
         if not accepted.all():
+            leaving = ~accepted
+            gone = live[leaving]
+            end[gone], final[gone], grad_norm[gone] = x[leaving], value[leaving], norm[leaving]
+            iterations[gone] = it
+            stop[gone] = np.where(norm[leaving] < tol, "grad_tol", "stalled_line_search")
             if not accepted.any():
                 break
-            live, x, xi, following, next_grad = (
-                a[accepted] for a in (live, x, xi, following, next_grad)
+            live, x, xi, following, next_grad, value, ref, weight, norm = (
+                a[accepted] for a in (live, x, xi, following, next_grad, value, ref, weight, norm)
             )
         last_x, last_xi, x, grad = x, xi, following, next_grad
-        end[live] = x
-        q = NONMONOTONE * weight[live]
-        ref[live] = (q * ref[live] + value[live]) / (q + 1.0)
-        weight[live] = q + 1.0
-    return _RunStats(end, value, grad_norm, iterations, grad_norm < options.grad_tol)
+        q = NONMONOTONE * weight
+        ref = (q * ref + value) / (q + 1.0)
+        weight = q + 1.0
+    else:
+        end[live], final[live], grad_norm[live] = x, value, norm
+    return _RunStats(end, final, grad_norm, iterations, stop)
 
 
 def _resolve_size(options: RoofOptions, rank: int) -> int:
@@ -412,30 +459,29 @@ def _resolve_size(options: RoofOptions, rank: int) -> int:
     return size
 
 
-def _random_start(rng: np.random.Generator, size: int, rank: int) -> np.ndarray:
-    """`_retract`'s Q factor of a complex Gaussian, from a Householder QR.
+def _random_starts(rngs, size: int, rank: int) -> np.ndarray:
+    """`_retract`'s Q factor of a complex Gaussian from each generator, stacked.
 
-    A square Gaussian's Gram matrix can be too ill-conditioned for a Cholesky factor.
+    The Q factors come from one stacked Householder QR: a square Gaussian's
+    Gram matrix can be too ill-conditioned for a Cholesky factor.
     """
-    g = rng.normal(size=(size, rank)) + 1j * rng.normal(size=(size, rank))
+    g = np.stack([rng.normal(size=(size, rank)) + 1j * rng.normal(size=(size, rank)) for rng in rngs])
     q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
 def _multistart(f, size: int, d: np.ndarray, options: RoofOptions) -> tuple[_RunStats, int]:
     """Every restart's end of `options.restarts` descents, and the index of the best.
 
     Restart idx starts from the Q factor drawn from the stream rng_for(seed,
-    idx) times D^(1/2), and all restarts run as one `_lockstep` stack over
-    N^H N = diag(d), each stopping on its own rule.  Scanning
-    in index order, a restart replaces the best only when its value is lower
-    by more than TIE_TOL.
+    idx) times D^(1/2), the Q factors of all restarts from one stacked QR,
+    and all restarts run as one `_lockstep` stack over N^H N = diag(d), each
+    stopping on its own rule.  Scanning in index order, a restart replaces
+    the best only when its value is lower by more than TIE_TOL.
     """
-    starts = np.stack(
-        [_random_start(rng_for(options.seed, i), size, len(d)) for i in range(options.restarts)]
-    )
-    runs = _lockstep(f, starts * np.sqrt(d), d, options)
+    rngs = [rng_for(options.seed, i) for i in range(options.restarts)]
+    runs = _lockstep(f, _random_starts(rngs, size, len(d)) * np.sqrt(d), d, options)
     best = 0
     for i in range(1, options.restarts):
         if runs.value[i] < runs.value[best] - TIE_TOL:
@@ -457,6 +503,9 @@ class RoofResult:
     converged: bool
     # restarts ending within AGREE_TOL of the best, the best included
     restarts_agreeing: int
+    # each restart's stop reason, in restart order: "grad_tol",
+    # "stalled_line_search" or "iteration_cap"; `converged` is "grad_tol" at the best
+    stop_reasons: tuple[str, ...]
 
 
 def ccooe(channel: Channel, rho: DensityMatrix, options: RoofOptions | None = None) -> RoofResult:
@@ -474,7 +523,7 @@ def ccooe(channel: Channel, rho: DensityMatrix, options: RoofOptions | None = No
     # N's members are g D^(-1/2) @ N[i] = sqrt(lambda_max) V N[i]
     root = np.sqrt(d)
     runs, best = _multistart(_objective(channel.kraus, g / root), size, d, options)
-    ensemble = ensemble_from_mixing(rho, runs.n_mat[best] / root)
+    ensemble = _ensemble(g, runs.n_mat[best] / root)
     value = average_output_entropy(channel, ensemble)
     return RoofResult(
         value=value,
@@ -485,6 +534,7 @@ def ccooe(channel: Channel, rho: DensityMatrix, options: RoofOptions | None = No
         iterations=int(runs.iterations[best]),
         converged=bool(runs.converged[best]),
         restarts_agreeing=int((runs.value <= runs.value[best] + AGREE_TOL).sum()),
+        stop_reasons=tuple(runs.stop),
     )
 
 
@@ -544,10 +594,10 @@ def chi_direct(channel: Channel, rho: DensityMatrix, options: RoofOptions | None
     the same Kraus operators, rho and resolved options.
     """
     ensemble = _chi_roof(channel, rho, options).ensemble
-    reference = apply(channel, rho)
+    svals, svecs = hermitian_eig(apply(channel, rho).entries)
     total, dropped = 0.0, 0
     for w, s in zip(ensemble.weights, ensemble.states):
-        term = relative_entropy(apply(channel, s.density()), reference)
+        term = relative_entropy_eig(apply(channel, s.density()), svals, svecs)
         if math.isinf(term):
             dropped += 1
             continue

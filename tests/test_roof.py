@@ -12,9 +12,11 @@ from roofkit import (
     DimensionError,
     Ensemble,
     ParameterError,
+    PureState,
     RoofOptions,
     ValidityError,
     SubsystemShape,
+    apply,
     average_output_entropy,
     basis_state,
     binary_entropy,
@@ -30,10 +32,12 @@ from roofkit import (
     mixed_with,
     noiseless,
     output_entropy,
+    partial_trace_channel,
     random_density,
     random_pure,
     random_stinespring,
     random_unitary,
+    relative_entropy,
     rng_for,
     tensor,
     tensor_channel,
@@ -141,6 +145,27 @@ class TestAverageOutputEntropy:
         ens = ensemble_from_mixing(DensityMatrix(np.eye(2) / 2), np.eye(2))
         assert average_output_entropy(dephasing(0.25), ens) == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("channel, dim, rank, size", [
+        (noiseless(3), 3, 3, 9),                                  # pure outputs
+        (random_stinespring(3, 4, 2, 97), 3, 2, 4),               # outputs of rank 2 in 4 dims
+        (partial_trace_channel(SubsystemShape((6, 6)), (0,)), 36, 36, 64),  # 36-dim members
+    ], ids=["pure-outputs", "rank-deficient-outputs", "36-dim-members"])
+    def test_matches_the_member_by_member_sum(self, channel, dim, rank, size):
+        # one stacked eigensolve of the member outputs gives the bits of one
+        # output_entropy per member
+        from roofkit.roof import _random_starts
+
+        rho = random_density(dim, rank, (98, dim))
+        ens = ensemble_from_mixing(rho, _random_starts([rng_for(99, dim)], size, rank)[0])
+        assert len(ens) == size
+        expected = sum(w * output_entropy(channel, s.density()) for w, s in zip(ens.weights, ens.states))
+        assert average_output_entropy(channel, ens) == float(expected)
+
+    def test_members_must_match_the_channel_input(self):
+        ens = ensemble_from_mixing(DensityMatrix(np.eye(2) / 2), np.eye(2))
+        with pytest.raises(DimensionError):
+            average_output_entropy(noiseless(3), ens)
+
 
 class TestCcooe:
     def test_noiseless_channel_vanishes(self):
@@ -159,6 +184,15 @@ class TestCcooe:
         for q in (0.1, 0.25, 0.5):
             res = ccooe(dephasing(q), DensityMatrix(np.eye(2) / 2), FAST)
             assert res.value <= 1e-8
+
+    def test_rho_is_eigensolved_once_per_roof(self, monkeypatch):
+        # the support factor that sets the descent also reads the witness
+        from roofkit import roof
+
+        calls, eig = [], roof.hermitian_eig
+        monkeypatch.setattr(roof, "hermitian_eig", lambda a: calls.append(a) or eig(a))
+        ccooe(random_stinespring(3, 3, 2, 116), random_density(3, 2, 117), FAST)
+        assert len(calls) == 1
 
     def test_upper_bound_soundness(self):
         # returned value re-evaluates from the returned ensemble and the
@@ -492,12 +526,37 @@ class TestChiSlot:
         # a slot roof with a member |1>, which the channel keeps outside supp ch(|0><0|)
         ensemble = Ensemble(np.array([0.5, 0.5]), [basis_state(2, 0), basis_state(2, 1)])
         key = (ch.kraus.shape, ch.kraus.tobytes(), rho.entries.tobytes(), SLOT_OPTS)
-        slot = roof.RoofResult(0.0, ensemble, 1, 0, 0.0, 0, True, 1)
+        slot = roof.RoofResult(0.0, ensemble, 1, 0, 0.0, 0, True, 1, ("grad_tol",))
         monkeypatch.setattr(roof, "_last_chi", (key, slot))
         message = r"^discarded 1 ensemble member\(s\) with infinite relative entropy$"
         with pytest.warns(RuntimeWarning, match=message):
             value = chi_direct(ch, rho, SLOT_OPTS)
         assert value == 0.0 and descents == []
+
+    def test_one_reference_eigensolve_serves_every_member(self, descents, monkeypatch):
+        # channel(rho) is rank deficient and the slot's last member lies
+        # outside its support, so that member's term is infinite and discarded
+        from roofkit import roof
+
+        ch = noiseless(3)
+        rho = DensityMatrix(np.diag([0.6, 0.4, 0.0]).astype(complex))
+        plus = PureState(np.array([1.0, 1.0j, 0.0]) / math.sqrt(2.0))
+        members = [basis_state(3, 0), basis_state(3, 1), plus, basis_state(3, 2)]
+        ensemble = Ensemble(np.array([0.4, 0.3, 0.2, 0.1]), members)
+        key = (ch.kraus.shape, ch.kraus.tobytes(), rho.entries.tobytes(), SLOT_OPTS)
+        slot = roof.RoofResult(0.0, ensemble, 1, 0, 0.0, 0, True, 1, ("grad_tol",))
+        monkeypatch.setattr(roof, "_last_chi", (key, slot))
+        expected = 0.0
+        for w, s in zip(ensemble.weights, ensemble.states):
+            term = relative_entropy(apply(ch, s.density()), apply(ch, rho))
+            if not math.isinf(term):
+                expected += w * term
+        eigensolves, eig = [], roof.hermitian_eig
+        monkeypatch.setattr(roof, "hermitian_eig", lambda a: eigensolves.append(a) or eig(a))
+        with pytest.warns(RuntimeWarning, match=r"^discarded 1 ensemble member\(s\)"):
+            value = chi_direct(ch, rho, SLOT_OPTS)
+        assert value == float(expected) and value > 0.0
+        assert len(eigensolves) == 1 and descents == []
 
     def test_ccooe_never_reads_the_slot(self, descents):
         ch, rho = _slot_input()
@@ -542,18 +601,18 @@ def _kraus_case(objective, seed):
 @pytest.mark.parametrize("case", OBJECTIVES)
 def test_gradient_matches_central_differences(case):
     # dF = 2 Re<G, dM> for the Euclidean gradient G of every objective
-    from roofkit.roof import _objective, _random_start, _support_factor
+    from roofkit.roof import _objective, _random_starts, _support_factor
 
     rng = np.random.default_rng(61)
     objective, kstack = _kraus_case(case, 62)
     if objective == "sphere":
         f = _objective(kstack)
-        m_mat = _random_start(rng, 3, 1)
+        m_mat = _random_starts([rng], 3, 1)[0]
     else:
         g, rank, _ = _support_factor(random_density(3, 2, 63))  # rank-deficient
         assert rank == 2
         f = _objective(kstack, g)
-        m_mat = _random_start(rng, rank * rank, rank)
+        m_mat = _random_starts([rng], rank * rank, rank)[0]
     direction = rng.normal(size=m_mat.shape) + 1j * rng.normal(size=m_mat.shape)
     value, grad = f(m_mat)
     h = 1e-5
@@ -582,9 +641,9 @@ def _stack_case(objective, seed):
 
 def _starts(seed, size, d, count=8):
     """`_multistart`'s seeded starts: Q factors times D^(1/2)."""
-    from roofkit.roof import _random_start
+    from roofkit.roof import _random_starts
 
-    return np.stack([_random_start(rng_for(seed, i), size, len(d)) for i in range(count)]) * np.sqrt(d)
+    return _random_starts([rng_for(seed, i) for i in range(count)], size, len(d)) * np.sqrt(d)
 
 
 @pytest.mark.parametrize("objective", OBJECTIVES)
@@ -605,11 +664,11 @@ def test_no_restart_ends_above_its_start(objective):
 @pytest.mark.parametrize("objective", OBJECTIVES)
 def test_batched_kernel_matches_points(objective):
     # a stack of points gives, row by row, the bits of one point at a time
-    from roofkit.roof import _random_start
+    from roofkit.roof import _random_starts
 
     rng = np.random.default_rng(71)
     f, size, d = _stack_case(objective, 72)
-    stack = np.stack([_random_start(rng, size, len(d)) for _ in range(5)])
+    stack = _random_starts([rng] * 5, size, len(d))
     values, grads = f(stack)
     assert values.shape == (5,)
     assert grads.shape == stack.shape
@@ -637,6 +696,7 @@ def _two_call_lockstep(value_fn, grad_fn, n_mat, d, options):
     ref, weight = value.copy(), np.ones(len(n_mat))
     end, grad_norm = n_mat.copy(), np.full(len(n_mat), math.inf)
     iterations = np.zeros(len(n_mat), dtype=int)
+    stop = np.full(len(n_mat), "iteration_cap", dtype=object)
     live, x = np.arange(len(n_mat)), n_mat
     for it in range(1, options.max_iterations + 1):
         iterations[live] = it
@@ -663,6 +723,8 @@ def _two_call_lockstep(value_fn, grad_fn, n_mat, d, options):
             search = search[~ok]
             t[search] /= 2.0
         if not accepted.all():
+            gone = live[~accepted]
+            stop[gone] = np.where(grad_norm[gone] < options.grad_tol, "grad_tol", "stalled_line_search")
             live, x, xi, following = (a[accepted] for a in (live, x, xi, following))
             if not live.size:
                 break
@@ -672,16 +734,35 @@ def _two_call_lockstep(value_fn, grad_fn, n_mat, d, options):
         q = NONMONOTONE * weight[live]
         ref[live] = (q * ref[live] + value[live]) / (q + 1.0)
         weight[live] = q + 1.0
-    return _RunStats(end, value, grad_norm, iterations, grad_norm < options.grad_tol)
+    return _RunStats(end, value, grad_norm, iterations, stop)
 
 
+def _stalling(f):
+    """f with its gradient reversed at points whose N[0, 0] has a positive real part.
+
+    There -xi points uphill, so a restart whose trials stay in that half
+    halves its step to 1e-14 without passing the line search: it stalls.
+    """
+
+    def kernel(m_mat):
+        value, grad = f(m_mat)
+        return value, grad * np.where(m_mat[..., :1, :1].real > 0.0, -1.0, 1.0)
+
+    return kernel
+
+
+@pytest.mark.parametrize("stalls", [False, True], ids=["kernel", "stalling-kernel"])
 @pytest.mark.parametrize("objective", OBJECTIVES)
-def test_fused_trials_match_the_two_call_descent(objective):
+def test_fused_trials_match_the_two_call_descent(objective, stalls):
+    # _two_call_lockstep keeps the row-search loop that selects the searching
+    # rows in every round; _lockstep runs its first round over every live row
+    # and keeps its records compact, with the same bits
     from roofkit.roof import _lockstep
 
     f, size, d = _stack_case(objective, 101)
+    f = _stalling(f) if stalls else f
     starts = _starts(103, size, d)
-    calls = []
+    calls, reasons = [], set()
 
     def value_only(m_mat):
         calls.append("V")
@@ -697,9 +778,42 @@ def test_fused_trials_match_the_two_call_descent(objective):
         reference = _two_call_lockstep(value_only, value_and_grad, starts, d, options)
         for field in dataclasses.fields(fused):
             assert _same(getattr(fused, field.name), getattr(reference, field.name)), field.name
+        reasons.update(fused.stop)
     # two trial rounds without a gradient call between them: a line search
     # backtracked, so points accepted after a backtrack were compared too
     assert "VV" in "".join(calls)
+    # rows converged and met the cap, and on the stalling kernel rows stalled
+    assert reasons == {"grad_tol", "iteration_cap"} | ({"stalled_line_search"} if stalls else set())
+
+
+@pytest.mark.parametrize("objective", OBJECTIVES)
+def test_stop_reasons_match_each_restarts_record(objective):
+    from roofkit.roof import _lockstep
+
+    f, size, d = _stack_case(objective, 105)
+    starts = _starts(106, size, d)
+    for kernel in (f, _stalling(f)):
+        for cap in (1, 5, 500):
+            runs = _lockstep(kernel, starts, d, RoofOptions(max_iterations=cap))
+            assert set(runs.stop) <= {"grad_tol", "stalled_line_search", "iteration_cap"}
+            assert np.array_equal(runs.converged, runs.grad_norm < 1e-7)
+            capped = runs.stop == "iteration_cap"
+            assert np.all(runs.iterations[capped] == cap)
+            assert np.all(runs.iterations[~capped] <= cap)
+
+
+@pytest.mark.parametrize("spectrum", ["rank3", "rank4-pairs"])
+def test_roofs_report_every_restarts_stop_reason(spectrum):
+    # restarts stop at the cap on these spectra while the best one converges
+    for seed in range(2):
+        res = eof(_ill_conditioned_state(ILL_SPECTRA[spectrum], seed), SubsystemShape((2, 2)),
+                  RoofOptions(restarts=24))
+        assert len(res.stop_reasons) == res.restarts_used
+        assert res.converged == (res.stop_reasons[res.best_restart] == "grad_tol")
+        assert "iteration_cap" in res.stop_reasons
+    short = eof(random_density(4, 3, 107), SubsystemShape((2, 2)), RoofOptions(max_iterations=3))
+    assert short.stop_reasons == ("iteration_cap",) * 24
+    assert not short.converged and short.iterations == 3
 
 
 @pytest.mark.parametrize("objective", OBJECTIVES)
@@ -903,21 +1017,32 @@ def test_cholesky_qr_matches_householder_q_on_tangent_steps(size, rank):
 
 @pytest.mark.parametrize("rank", [1, 2, 3, 4, 6, 36])
 def test_seeded_starts_are_the_cholesky_qr_of_their_gaussian(rank):
-    from roofkit.roof import SIZE_CAP, _random_start, _retract
+    from roofkit.roof import SIZE_CAP, _random_starts, _retract
 
     size = min(rank * rank, SIZE_CAP)
+    starts = _random_starts([rng_for(93, i) for i in range(8)], size, rank)
     for i in range(8):
         expected = _retract(_gaussian(rng_for(93, i), size, rank))
-        assert np.abs(_random_start(rng_for(93, i), size, rank) - expected).max() <= 1e-13
+        assert np.abs(starts[i] - expected).max() <= 1e-13
+
+
+@pytest.mark.parametrize("size, rank", [(3, 1), (4, 2), (9, 3), (16, 4), (64, 36), (36, 36)])
+def test_stacked_starts_match_one_qr_per_restart(size, rank):
+    # one stacked QR gives each restart's Q factor and sign fix bit for bit
+    from roofkit.roof import _random_starts
+
+    stacked = _random_starts([rng_for(95, i) for i in range(24)], size, rank)
+    for i, start in enumerate(stacked):
+        assert np.array_equal(start, _householder_q(_gaussian(rng_for(95, i), size, rank))), i
 
 
 def test_square_starts_stay_orthonormal_within_1e9():
     # ensemble_size == rank gives square Gaussian starts, whose Gram matrix
     # can be too ill-conditioned for the Cholesky route
-    from roofkit.roof import _random_start
+    from roofkit.roof import _random_starts
 
-    for i in range(200):
-        x = _random_start(rng_for(94, i), 36, 36)
+    starts = _random_starts([rng_for(94, i) for i in range(200)], 36, 36)
+    for i, x in enumerate(starts):
         assert np.abs(x.conj().T @ x - np.eye(36)).max() <= 1e-9, i
 
 
@@ -1111,6 +1236,11 @@ STACK_CASES = {
     "eof-rank4": lambda: eof(random_density(4, 4, 113), SubsystemShape((2, 2)), FAST),
     # out 3 > env 2: the kernel runs on the complement's side
     "eof-3x2": lambda: eof(random_density(6, 3, 119), SubsystemShape((3, 2)), FAST),
+    # two restarts start with gradient norms 0.11 and 0.13 and leave at
+    # iteration 1, while the others descend
+    "eof-first-iteration-stop": lambda: eof(
+        random_density(4, 2, 112), SubsystemShape((2, 2)), RoofOptions(restarts=8, grad_tol=0.2)
+    ),
     "ccooe-square-mixing": lambda: ccooe(
         random_stinespring(3, 3, 2, 114), random_density(3, 2, 115),
         RoofOptions(restarts=8, ensemble_size=2, seed=1),
@@ -1155,8 +1285,9 @@ def test_results_do_not_depend_on_stack_companions(case, monkeypatch):
             return best, idx
 
         def record_lockstep(f, starts, d, options):
-            stacks.append(len(starts))
-            return descend(f, starts, d, options)
+            runs = descend(f, starts, d, options)
+            stacks.append((len(starts), int(((runs.iterations == 1) & runs.converged).sum())))
+            return runs
 
         monkeypatch.setattr(roof, "_multistart", record_multistart)
         monkeypatch.setattr(roof, "_lockstep", record_lockstep)
@@ -1167,7 +1298,9 @@ def test_results_do_not_depend_on_stack_companions(case, monkeypatch):
     # one _lockstep stack per _multistart call
     assert together[2] == apart[2] and len(together[2]) == len(together[1])
     if case != "ccooe-one-restart":
-        assert max(together[2]) > 1
+        assert max(size for size, _ in together[2]) > 1
+    if case == "eof-first-iteration-stop":
+        assert together[2] == [(8, 2)]
     assert _same(together[0], apart[0])
     assert _same(together[1], apart[1])
 
@@ -1221,8 +1354,8 @@ def test_kernel_side_is_the_smaller_one_for_pure_members(monkeypatch):
     monkeypatch.setattr(roof, "_qubit_spectral", record_qubit_spectral)
     kstack = random_stinespring(3, 4, 2, 121).kraus
     g, rank, _ = roof._support_factor(random_density(3, 2, 122))
-    unit = roof._random_start(rng_for(123), 3, 1)
-    mixing = roof._random_start(rng_for(124), rank * rank, rank)
+    unit = roof._random_starts([rng_for(123)], 3, 1)[0]
+    mixing = roof._random_starts([rng_for(124)], rank * rank, rank)[0]
     for f, m_mat in [
         (roof._objective(kstack), unit),
         (roof._objective(kstack, g), mixing),
