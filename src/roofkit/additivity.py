@@ -124,11 +124,12 @@ _TRIO_ROWS = {
         roof["joint"], "upper", max(roof["left"], roof["right"]), "upper", {}
     ),
 }
+TRIO_KINDS = tuple(_TRIO_ROWS)                  # the kinds margin_check takes, in table order
 
 
 def _require_kind(kind) -> None:
-    if kind not in _TRIO_ROWS:
-        raise ParameterError(f"unknown check {kind!r}; choose from {sorted(_TRIO_ROWS)}")
+    if kind not in TRIO_KINDS:
+        raise ParameterError(f"unknown check {kind!r}; choose from {sorted(TRIO_KINDS)}")
 
 
 def margin_check(

@@ -22,9 +22,9 @@ from dataclasses import asdict
 import numpy as np
 
 from .additivity import (
-    _TRIO_ROWS,
     DEFAULT_TOLERANCE,
     FLAGGED,
+    TRIO_KINDS,
     margin_check,
     scan_random,
     truncation_experiment,
@@ -146,7 +146,7 @@ def cmd_chi(args) -> tuple[dict, list]:
     return payload, []
 
 
-# each margin mode and the kind of check it reports, a row of additivity._TRIO_ROWS
+# each margin mode and the kind of check it reports, one of additivity.TRIO_KINDS
 _MARGIN_CMDS = {
     "margin": "superadditivity",
     "chi": "chi-subadditivity",
@@ -337,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = _subcommand(modes, "scan", cmd_scan, "margin checks over random draws of two families",
                     "--left", "--right", *_ROOF, "--tolerance")
     p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--check", choices=tuple(_TRIO_ROWS), default="superadditivity")
+    p.add_argument("--check", choices=TRIO_KINDS, default="superadditivity")
 
     p = _subcommand(sub, "phase-channel", cmd_phase_channel,
                     "discretized random-phase channel probes", "--seed")

@@ -25,13 +25,14 @@ one batched retraction and one batched kernel call.  The first round of an
 iteration runs over every live restart, so a restart that has just converged
 has its end point evaluated once more; later rounds run over the restarts
 still searching.  The kernel call also returns the gradients, which the next
-iteration takes for every row the round accepted.  A restart's end point and
-stop record are written once, when it leaves the stack.  Each restart keeps
-its own step, reference value and stop rule, so its trajectory does not
-depend on which restarts share the stack, and neither does any result.  The
-witness's member outputs are eigensolved as one stack.  Pure members are
-eigensolved on the smaller side of the Stinespring dilation, output or
-environment, which gives the same value and gradient.
+iteration takes for every row the round accepted.  A restart leaves the
+stack once, its record taken at its end point, by one gradient check past
+the iteration cap at the latest.  Each restart keeps its own step, reference
+value and stop rule, so its trajectory does not depend on which restarts
+share the stack, and neither does any result.  The witness's member outputs
+are eigensolved as one stack.  Pure members are eigensolved on the smaller
+side of the Stinespring dilation, output or environment, which gives the
+same value and gradient.
 
 The kernel folds the support factor into the Kraus stack once per roof, so
 the member amplitudes and the gradient are stacked matmuls.  Members on a
@@ -328,10 +329,11 @@ def _tangent(n_mat: np.ndarray, grad: np.ndarray, d: np.ndarray) -> np.ndarray:
 class _RunStats:
     """Every restart's end point N and stop record, along a leading axis.
 
-    `stop` holds each restart's stop reason: "grad_tol" (its gradient norm
-    fell below `grad_tol`), "stalled_line_search" (its step fell to 1e-14
-    without passing the line search) or "iteration_cap" (still descending
-    after the last iteration).
+    Value and gradient norm are N's.  `stop` holds each stop reason:
+    "grad_tol" (the norm is below `grad_tol`), "stalled_line_search" (the
+    step fell to 1e-14 without passing the line search) or "iteration_cap"
+    (still descending at the cap).  `iterations` is the iteration the
+    restart left in, the cap for one that took every step the cap allows.
     """
 
     n_mat: np.ndarray
@@ -339,10 +341,6 @@ class _RunStats:
     grad_norm: np.ndarray
     iterations: np.ndarray
     stop: np.ndarray
-
-    @property
-    def converged(self) -> np.ndarray:
-        return self.stop == "grad_tol"
 
 
 def _lockstep(f, n_mat: np.ndarray, d: np.ndarray, options: RoofOptions) -> _RunStats:
@@ -371,10 +369,10 @@ def _lockstep(f, n_mat: np.ndarray, d: np.ndarray, options: RoofOptions) -> _Run
     passes the test rather than costing a backtracking round, and rounds are
     what a small roof pays for.  A restart leaves when its gradient norm
     drops below `grad_tol`, when its step falls to 1e-14 without passing the
-    test, or at the iteration cap, and its end point, value, gradient norm,
-    iterations and stop reason are written once, when it leaves.  Norms and
-    inner products are row-wise reductions over each point, so no restart's
-    arithmetic depends on the others.
+    test, or at iteration cap + 1, which checks the gradient and takes no
+    step; one exit writes its `_RunStats` record, all from its end point.
+    Norms and inner products are row-wise reductions over each point, so no
+    restart's arithmetic depends on the others.
 
     Every backtracking round retracts its trials in M, where X - t xi
     D^(-1/2) steps along a tangent at X = N D^(-1/2), with one batched
@@ -389,16 +387,15 @@ def _lockstep(f, n_mat: np.ndarray, d: np.ndarray, options: RoofOptions) -> _Run
     """
     root = np.sqrt(d)
     inv_root = 1.0 / root
-    count, tol = len(n_mat), options.grad_tol
+    cap, count, tol = options.max_iterations, len(n_mat), options.grad_tol
     end, final, grad_norm = np.empty_like(n_mat), np.empty(count), np.empty(count)
-    iterations = np.full(count, options.max_iterations)
-    stop = np.full(count, "iteration_cap", dtype=object)
+    iterations, stop = np.empty(count, dtype=int), np.empty(count, dtype=object)
     value, grad = f(n_mat)
     ref, weight = value.copy(), np.ones(count)       # Zhang-Hager C_k and Q_k
     # live indexes the restarts still descending; every other array holds
     # only their rows and shrinks when a restart leaves
     live, x = np.arange(count), n_mat
-    for it in range(1, options.max_iterations + 1):
+    for it in range(1, cap + 2):                     # cap + 1 checks and takes no step
         xi = _tangent(x, grad, d)
         squares = _inner(xi, xi)
         slope = 2.0 * squares
@@ -414,9 +411,7 @@ def _lockstep(f, n_mat: np.ndarray, d: np.ndarray, options: RoofOptions) -> _Run
         t[norm < tol] = 0.0                              # converged: no search
         searching = t > 1e-14
         accepted = np.zeros(len(live), dtype=bool)
-        if searching.any():
-            # nearly every row passes its first trial, so the first round tries
-            # every live row rather than select the searching ones
+        if it <= cap and searching.any():
             following = _retract((x - t[:, None, None] * xi) * inv_root) * root
             trial_value, next_grad = f(following)
             accepted = searching & (trial_value <= ref - ARMIJO * t * slope)
@@ -436,19 +431,18 @@ def _lockstep(f, n_mat: np.ndarray, d: np.ndarray, options: RoofOptions) -> _Run
             leaving = ~accepted
             gone = live[leaving]
             end[gone], final[gone], grad_norm[gone] = x[leaving], value[leaving], norm[leaving]
-            iterations[gone] = it
-            stop[gone] = np.where(norm[leaving] < tol, "grad_tol", "stalled_line_search")
+            iterations[gone] = min(it, cap)
+            unmet = "stalled_line_search" if it <= cap else "iteration_cap"
+            stop[gone] = np.where(norm[leaving] < tol, "grad_tol", unmet)
             if not accepted.any():
                 break
-            live, x, xi, following, next_grad, value, ref, weight, norm = (
-                a[accepted] for a in (live, x, xi, following, next_grad, value, ref, weight, norm)
+            live, x, xi, following, next_grad, value, ref, weight = (
+                a[accepted] for a in (live, x, xi, following, next_grad, value, ref, weight)
             )
         last_x, last_xi, x, grad = x, xi, following, next_grad
         q = NONMONOTONE * weight
         ref = (q * ref + value) / (q + 1.0)
         weight = q + 1.0
-    else:
-        end[live], final[live], grad_norm[live] = x, value, norm
     return _RunStats(end, final, grad_norm, iterations, stop)
 
 
@@ -495,17 +489,23 @@ class RoofResult:
 
     value: float
     ensemble: Ensemble
-    restarts_used: int
     best_restart: int
-    # the projected gradient's norm at the best end point, in N^H N = D
+    # the best restart's `_RunStats` record: gradient norm (in N^H N = D) and iterations
     gradient_norm: float
     iterations: int
-    converged: bool
     # restarts ending within AGREE_TOL of the best, the best included
     restarts_agreeing: int
     # each restart's stop reason, in restart order: "grad_tol",
-    # "stalled_line_search" or "iteration_cap"; `converged` is "grad_tol" at the best
+    # "stalled_line_search" or "iteration_cap"
     stop_reasons: tuple[str, ...]
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reasons[self.best_restart] == "grad_tol"
+
+    @property
+    def restarts_used(self) -> int:
+        return len(self.stop_reasons)
 
 
 def ccooe(channel: Channel, rho: DensityMatrix, options: RoofOptions | None = None) -> RoofResult:
@@ -528,11 +528,9 @@ def ccooe(channel: Channel, rho: DensityMatrix, options: RoofOptions | None = No
     return RoofResult(
         value=value,
         ensemble=ensemble,
-        restarts_used=options.restarts,
         best_restart=best,
         gradient_norm=float(runs.grad_norm[best]),
         iterations=int(runs.iterations[best]),
-        converged=bool(runs.converged[best]),
         restarts_agreeing=int((runs.value <= runs.value[best] + AGREE_TOL).sum()),
         stop_reasons=tuple(runs.stop),
     )

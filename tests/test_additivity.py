@@ -34,6 +34,7 @@ from roofkit import (
     tensor,
     truncation_experiment,
 )
+from roofkit.additivity import TRIO_KINDS
 from roofkit.serialize import decode_phase_spec
 
 FAST = RoofOptions(restarts=8, seed=0)
@@ -480,11 +481,9 @@ class TestFamilyTable:
 
 
 def test_checks_share_one_trio():
-    from roofkit.additivity import _TRIO_ROWS
-
     phi, psi = dephasing(0.3), random_stinespring(2, 2, 2, 93)
     omega = random_density(4, 4, 94)
-    reports = {kind: margin_check(kind, phi, psi, omega, FAST) for kind in _TRIO_ROWS}
+    reports = {kind: margin_check(kind, phi, psi, omega, FAST) for kind in TRIO_KINDS}
     keys = ("roof_joint", "roof_left", "roof_right")
     trio = [reports["superadditivity"].diagnostics[k] for k in keys]
     for kind, report in reports.items():

@@ -537,10 +537,15 @@ class TestDensities:
 
     def test_pdf_normalization(self):
         ts = np.linspace(-6.0, 6.0, 8001)
-        gauss = np.trapezoid([GaussianDensity(0.7).pdf(float(t)) for t in ts], ts)
+
+        def trapezoid(pdf):
+            y = np.array([pdf(float(t)) for t in ts])
+            return float(((y[1:] + y[:-1]) * np.diff(ts)).sum() / 2.0)
+
+        gauss = trapezoid(GaussianDensity(0.7).pdf)
         assert gauss == pytest.approx(1.0, abs=1e-6)
         # trapezoid converges only linearly across the jump at the endpoints
-        flat = np.trapezoid([UniformDensity(3.0).pdf(float(t)) for t in ts], ts)
+        flat = trapezoid(UniformDensity(3.0).pdf)
         assert flat == pytest.approx(1.0, abs=1e-3)
 
     def test_parameter_validation(self):
@@ -578,6 +583,10 @@ class TestDensities:
             TabulatedDensity(pts, np.array([0.5, -0.5]), np.ones(2))
         with pytest.raises(ParameterError):
             TabulatedDensity(pts, np.array([0.1, 0.1]), np.ones(2))
+        with pytest.raises(ParameterError, match="^points, values and weights must be 1-d and equally"):
+            TabulatedDensity(pts, np.array([1.0]), np.ones(2))
+        with pytest.raises(ParameterError, match="^empty tabulation$"):
+            TabulatedDensity(np.array([]), np.array([]), np.array([]))
 
     @pytest.mark.parametrize("column", range(3))
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
@@ -711,6 +720,12 @@ class TestPhaseComplement:
         comp = phase_channel_complement_mp(spec)
         ok, _ = is_ppt_choi(comp)
         assert ok
+
+    def test_profile_off_the_t_grid_is_refused(self):
+        # a std-10 profile shifted by -10 leaves no weight on the t-grid [-0.1, 0.1]
+        spec = RandomPhaseSpec(10.0, 2, GaussianDensity(10.0))
+        with pytest.raises(ResolutionError, match="^a shifted profile has no support on the t-grid"):
+            phase_channel_complement_mp(spec, t_points=8, t_half_width=0.1)
 
     def test_gram_matches_schur_matrix(self):
         for s in (0.5, 1.0, 2.0):
@@ -882,6 +897,9 @@ class TestTails:
             tail_entropy_bound(dens, 3.0, math.nan, 1.0)
         with pytest.raises(ParameterError, match=r"output entropy must lie in \[0, inf\)"):
             tail_entropy_bound(dens, 3.0, 1.0, math.nan)
+        # a std of 1e300 puts all but about 1e-300 of the mass beyond d = 1: alpha rounds to 1
+        with pytest.raises(ParameterError, match="^tail mass 1.0 leaves nothing inside the cutoff$"):
+            tail_entropy_bound(GaussianDensity(1e300), 1.0, 1.0, 1.0)
 
     def test_huge_std_log_mass_is_finite(self):
         # log(s sqrt(2 pi)) overflowed to inf once s > 7.2e307, and beta was reported as null

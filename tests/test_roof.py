@@ -526,7 +526,7 @@ class TestChiSlot:
         # a slot roof with a member |1>, which the channel keeps outside supp ch(|0><0|)
         ensemble = Ensemble(np.array([0.5, 0.5]), [basis_state(2, 0), basis_state(2, 1)])
         key = (ch.kraus.shape, ch.kraus.tobytes(), rho.entries.tobytes(), SLOT_OPTS)
-        slot = roof.RoofResult(0.0, ensemble, 1, 0, 0.0, 0, True, 1, ("grad_tol",))
+        slot = roof.RoofResult(0.0, ensemble, 0, 0.0, 0, 1, ("grad_tol",))
         monkeypatch.setattr(roof, "_last_chi", (key, slot))
         message = r"^discarded 1 ensemble member\(s\) with infinite relative entropy$"
         with pytest.warns(RuntimeWarning, match=message):
@@ -544,7 +544,7 @@ class TestChiSlot:
         members = [basis_state(3, 0), basis_state(3, 1), plus, basis_state(3, 2)]
         ensemble = Ensemble(np.array([0.4, 0.3, 0.2, 0.1]), members)
         key = (ch.kraus.shape, ch.kraus.tobytes(), rho.entries.tobytes(), SLOT_OPTS)
-        slot = roof.RoofResult(0.0, ensemble, 1, 0, 0.0, 0, True, 1, ("grad_tol",))
+        slot = roof.RoofResult(0.0, ensemble, 0, 0.0, 0, 1, ("grad_tol",))
         monkeypatch.setattr(roof, "_last_chi", (key, slot))
         expected = 0.0
         for w, s in zip(ensemble.weights, ensemble.states):
@@ -684,7 +684,9 @@ def _two_call_lockstep(value_fn, grad_fn, n_mat, d, options):
     Every trial point is evaluated by `value_fn` and every accepted point
     again by `grad_fn`.  `_lockstep` takes a trial's value and an accepted
     point's gradient from one call instead, so with `value_fn` taking its
-    values from the gradient call the two descents match bit for bit.
+    values from the gradient call the two descents match bit for bit.  A
+    restart still descending after the cap leaves at one more gradient check
+    without a step, so its record is taken at its end point.
     """
     from roofkit.roof import (
         ARMIJO, BB_MIN, NONMONOTONE, STEP_MAX, _inner, _retract, _RunStats, _tangent,
@@ -696,10 +698,10 @@ def _two_call_lockstep(value_fn, grad_fn, n_mat, d, options):
     ref, weight = value.copy(), np.ones(len(n_mat))
     end, grad_norm = n_mat.copy(), np.full(len(n_mat), math.inf)
     iterations = np.zeros(len(n_mat), dtype=int)
-    stop = np.full(len(n_mat), "iteration_cap", dtype=object)
-    live, x = np.arange(len(n_mat)), n_mat
-    for it in range(1, options.max_iterations + 1):
-        iterations[live] = it
+    stop = np.empty(len(n_mat), dtype=object)
+    live, x, cap = np.arange(len(n_mat)), n_mat, options.max_iterations
+    for it in range(1, cap + 2):
+        iterations[live] = min(it, cap)
         xi = _tangent(x, grad, d)
         squares = _inner(xi, xi)
         slope = 2.0 * squares
@@ -713,6 +715,8 @@ def _two_call_lockstep(value_fn, grad_fn, n_mat, d, options):
         step = xi * inv_root
         t = np.minimum(t, STEP_MAX / np.maximum(np.sqrt(_inner(step, step)), options.grad_tol))
         t[norm < options.grad_tol] = 0.0
+        if it > cap:
+            t[:] = 0.0                                   # the gradient check only
         accepted, following = np.zeros(len(live), dtype=bool), np.empty_like(x)
         search = np.arange(len(live))
         while (search := search[t[search] > 1e-14]).size:
@@ -724,7 +728,8 @@ def _two_call_lockstep(value_fn, grad_fn, n_mat, d, options):
             t[search] /= 2.0
         if not accepted.all():
             gone = live[~accepted]
-            stop[gone] = np.where(grad_norm[gone] < options.grad_tol, "grad_tol", "stalled_line_search")
+            unmet = "stalled_line_search" if it <= cap else "iteration_cap"
+            stop[gone] = np.where(grad_norm[gone] < options.grad_tol, "grad_tol", unmet)
             live, x, xi, following = (a[accepted] for a in (live, x, xi, following))
             if not live.size:
                 break
@@ -786,6 +791,19 @@ def test_fused_trials_match_the_two_call_descent(objective, stalls):
     assert reasons == {"grad_tol", "iteration_cap"} | ({"stalled_line_search"} if stalls else set())
 
 
+def _assert_records_at_end_points(f, d, runs, cap):
+    """Each restart's stop record is consistent, and its gradient norm is its end point's."""
+    from roofkit.roof import _inner, _tangent
+
+    assert set(runs.stop) <= {"grad_tol", "stalled_line_search", "iteration_cap"}
+    xi = _tangent(runs.n_mat, f(runs.n_mat)[1], d)
+    assert np.array_equal(runs.grad_norm, np.sqrt(_inner(xi, xi)))
+    assert np.array_equal(runs.stop == "grad_tol", runs.grad_norm < 1e-7)
+    capped = runs.stop == "iteration_cap"
+    assert np.all(runs.iterations[capped] == cap)
+    assert np.all(runs.iterations[~capped] <= cap)
+
+
 @pytest.mark.parametrize("objective", OBJECTIVES)
 def test_stop_reasons_match_each_restarts_record(objective):
     from roofkit.roof import _lockstep
@@ -795,11 +813,32 @@ def test_stop_reasons_match_each_restarts_record(objective):
     for kernel in (f, _stalling(f)):
         for cap in (1, 5, 500):
             runs = _lockstep(kernel, starts, d, RoofOptions(max_iterations=cap))
-            assert set(runs.stop) <= {"grad_tol", "stalled_line_search", "iteration_cap"}
-            assert np.array_equal(runs.converged, runs.grad_norm < 1e-7)
-            capped = runs.stop == "iteration_cap"
-            assert np.all(runs.iterations[capped] == cap)
-            assert np.all(runs.iterations[~capped] <= cap)
+            _assert_records_at_end_points(kernel, d, runs, cap)
+
+
+@pytest.mark.parametrize("cap", [3, 39])
+def test_capped_roofs_record_each_restart_at_its_end_point(cap, monkeypatch):
+    # at cap 3 every restart is still descending; at cap 39 restart 3's last
+    # step lands on a point whose gradient norm, 5.04e-8, meets grad_tol
+    from roofkit import roof
+
+    seen, lockstep = [], roof._lockstep
+
+    def record(f, n_mat, d, options):
+        seen.append((f, d, lockstep(f, n_mat, d, options)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(roof, "_lockstep", record)
+    res = eof(random_density(4, 4, 3), SubsystemShape((2, 2)),
+              RoofOptions(restarts=6, max_iterations=cap, seed=0))
+    (f, d, runs), = seen
+    _assert_records_at_end_points(f, d, runs, cap)
+    assert res.gradient_norm == runs.grad_norm[res.best_restart]
+    if cap == 3:
+        assert res.stop_reasons == ("iteration_cap",) * 6 and not res.converged
+        assert f"{res.gradient_norm:.4e}" == "7.3346e-02"
+    else:
+        assert res.stop_reasons[3] == "grad_tol" and runs.iterations[3] == cap
 
 
 @pytest.mark.parametrize("spectrum", ["rank3", "rank4-pairs"])
@@ -1280,13 +1319,14 @@ def test_results_do_not_depend_on_stack_companions(case, monkeypatch):
 
         def record_multistart(*args):
             best, idx = multistart(*args)
-            best_runs.append((best.value, best.iterations, best.converged, best.grad_norm,
+            best_runs.append((best.value, best.iterations, best.stop, best.grad_norm,
                               idx, best.n_mat))
             return best, idx
 
         def record_lockstep(f, starts, d, options):
             runs = descend(f, starts, d, options)
-            stacks.append((len(starts), int(((runs.iterations == 1) & runs.converged).sum())))
+            first = (runs.iterations == 1) & (runs.stop == "grad_tol")
+            stacks.append((len(starts), int(first.sum())))
             return runs
 
         monkeypatch.setattr(roof, "_multistart", record_multistart)

@@ -38,6 +38,7 @@ from roofkit.serialize import (
     decode_vector,
     dumps,
     encode_channel,
+    encode_density_profile,
     encode_ensemble,
     decode_ensemble,
     encode_matrix,
@@ -150,6 +151,10 @@ class TestMatrixRoundTrip:
              "re/im parts must be matching 2-d arrays"),
             (decode_matrix, {"re": json.loads("[" * 600 + "1" + "]" * 600), "im": [[0.0]]},
              "re/im parts must be matching 2-d arrays"),
+            # parts of different shapes, and empty parts
+            (decode_matrix, {"re": [[1, 0], [0, 1]], "im": [[0, 0, 0], [0, 0, 0]]},
+             "re/im parts must be matching 2-d arrays"),
+            (decode_matrix, {"re": [], "im": []}, "re/im parts must be matching 2-d arrays"),
             # vector parts nested deeper than one list, also past numpy's 64 dimensions
             (decode_vector, {"re": [[1.0]], "im": [[0.0]]}, "re/im parts must be matching 1-d arrays"),
             (decode_vector, {"re": _nested(600), "im": [0.0]},
@@ -185,6 +190,18 @@ class TestMatrixRoundTrip:
     def test_every_decoder_names_a_missing_key(self, decode, data, message):
         with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
             decode(data)
+
+    @pytest.mark.parametrize(
+        "encode, value, message",
+        [
+            (encode_matrix, np.zeros(2), "expected a matrix, got array of ndim 1"),
+            (encode_matrix, np.zeros((2, 2, 2)), "expected a matrix, got array of ndim 3"),
+            (encode_density_profile, object(), "unknown density type object"),
+        ],
+    )
+    def test_encoders_refuse_what_they_cannot_write(self, encode, value, message):
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            encode(value)
 
     def test_declared_vector_dim_must_match_the_entries(self):
         with pytest.raises(DimensionError, match=r"^declared dim 3 does not match length 2$"):
