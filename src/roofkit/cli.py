@@ -146,20 +146,11 @@ def cmd_chi(args) -> tuple[dict, list]:
     return payload, []
 
 
-# each margin mode and the kind of check it reports, one of additivity.TRIO_KINDS
-_MARGIN_CMDS = {
-    "margin": "superadditivity",
-    "chi": "chi-subadditivity",
-    "corollary": "corollary-max",
-}
-
-
 def cmd_margin(args) -> tuple[dict, list]:
     left = _load_channel(args.left, args.seed, 0)
     right = _load_channel(args.right, args.seed, 1)
     rho = _load_state(args)
-    kind = _MARGIN_CMDS[args.mode]
-    report = margin_check(kind, left, right, rho, _options(args), args.tolerance, "omega")
+    report = margin_check(args.check, left, right, rho, _options(args), args.tolerance, "omega")
     return asdict(report), [("margins.csv", ADDITIVITY_CSV_FIELDS, additivity_csv_rows([report]))]
 
 
@@ -287,6 +278,7 @@ _SHARED = {
     "--bits": {"action": "store_true", "help": "add bit-valued display fields"},
     "--left": {"required": True, "help": "channel file or family"},
     "--right": {"required": True, "help": "channel file or family"},
+    "--check": {"choices": TRIO_KINDS, "default": "superadditivity"},
 }
 _STATE = ("--state", "--named")
 _ROOF = ("--seed", "--restarts")
@@ -327,17 +319,15 @@ def build_parser() -> argparse.ArgumentParser:
     modes = sub.add_parser(
         "additivity", help="margin checks, truncation traces and scans"
     ).add_subparsers(dest="mode", required=True)
-    for mode in _MARGIN_CMDS:
-        _subcommand(modes, mode, cmd_margin, f"{mode} check of a channel pair at a state",
-                    "--left", "--right", *_STATE, *_ROOF, "--tolerance")
+    _subcommand(modes, "margin", cmd_margin, "margin check of a channel pair at a state",
+                "--left", "--right", *_STATE, *_ROOF, "--tolerance", "--check")
     p = _subcommand(modes, "truncate", cmd_truncate, "truncation ladder of a four-factor state",
                     *_STATE, *_ROOF)
     p.add_argument("--dims", required=True, help="four factors, e.g. 2x2x2x2")
     p.add_argument("--ranks", default="1,2", help="strictly ascending ranks")
     p = _subcommand(modes, "scan", cmd_scan, "margin checks over random draws of two families",
-                    "--left", "--right", *_ROOF, "--tolerance")
+                    "--left", "--right", *_ROOF, "--tolerance", "--check")
     p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--check", choices=TRIO_KINDS, default="superadditivity")
 
     p = _subcommand(sub, "phase-channel", cmd_phase_channel,
                     "discretized random-phase channel probes", "--seed")

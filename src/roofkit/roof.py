@@ -391,7 +391,7 @@ def _lockstep(f, n_mat: np.ndarray, d: np.ndarray, options: RoofOptions) -> _Run
     end, final, grad_norm = np.empty_like(n_mat), np.empty(count), np.empty(count)
     iterations, stop = np.empty(count, dtype=int), np.empty(count, dtype=object)
     value, grad = f(n_mat)
-    ref, weight = value.copy(), np.ones(count)       # Zhang-Hager C_k and Q_k
+    ref, weight = value.copy(), 1.0                  # Zhang-Hager C_k and Q_k
     # live indexes the restarts still descending; every other array holds
     # only their rows and shrinks when a restart leaves
     live, x = np.arange(count), n_mat
@@ -436,8 +436,8 @@ def _lockstep(f, n_mat: np.ndarray, d: np.ndarray, options: RoofOptions) -> _Run
             stop[gone] = np.where(norm[leaving] < tol, "grad_tol", unmet)
             if not accepted.any():
                 break
-            live, x, xi, following, next_grad, value, ref, weight = (
-                a[accepted] for a in (live, x, xi, following, next_grad, value, ref, weight)
+            live, x, xi, following, next_grad, value, ref = (
+                a[accepted] for a in (live, x, xi, following, next_grad, value, ref)
             )
         last_x, last_xi, x, grad = x, xi, following, next_grad
         q = NONMONOTONE * weight

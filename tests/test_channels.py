@@ -203,6 +203,9 @@ class TestKrausStack:
         assert ch.kraus.dtype == complex
         assert ch.kraus.flags.c_contiguous
 
+    def test_repr_names_label_dimensions_and_environment(self):
+        assert repr(dephasing(0.25)) == "Channel('dephasing(q=0.25)', 2->2, env=2)"
+
     def test_builders_cover_every_family(self):
         assert {f"family:{name}" for name in _FAMILIES} <= set(BUILDERS)
 

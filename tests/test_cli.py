@@ -11,6 +11,7 @@ from roofkit import (
     DensityMatrix, channel_from_family, dephasing, random_density, random_pure, rng_for,
 )
 from roofkit import cli, roof
+from roofkit.additivity import TRIO_KINDS
 from roofkit.cli import main
 from roofkit.serialize import (
     dumps, encode_channel, encode_state, family_descriptor, named_state, read_json,
@@ -377,24 +378,24 @@ class TestAdditivity:
 PAIR = ("--left", "dephasing:0.25", "--right", "noiseless:2", "--restarts", "4")
 
 
-@pytest.mark.parametrize(
-    "mode, kind",
-    [("margin", "superadditivity"), ("chi", "chi-subadditivity"), ("corollary", "corollary-max")],
-)
-def test_margin_modes_read_one_trio(capsys, mode, kind):
+@pytest.mark.parametrize("kind", TRIO_KINDS)
+def test_margin_checks_read_one_trio(capsys, kind):
     reports = {}
-    for m in ("margin", mode):
-        code, payload, _ = run(capsys, "additivity", m, *PAIR, "--named", "random:4:4:3")
+    for k in ("superadditivity", kind):
+        code, payload, _ = run(
+            capsys, "additivity", "margin", *PAIR, "--named", "random:4:4:3", "--check", k
+        )
         assert code == 0
-        reports[m] = payload["result"]
-    report, diag = reports[mode], reports[mode]["diagnostics"]
+        assert payload["config"]["check"] == k
+        reports[k] = payload["result"]
+    report, diag = reports[kind], reports[kind]["diagnostics"]
     assert report["kind"] == kind
     roofs = ("roof_joint", "roof_left", "roof_right")
-    assert [diag[k] for k in roofs] == [reports["margin"]["diagnostics"][k] for k in roofs]
-    if mode == "chi":
+    assert [diag[k] for k in roofs] == [reports["superadditivity"]["diagnostics"][k] for k in roofs]
+    if kind == "chi-subadditivity":
         identity = diag["roof_margin"] - diag["entropy_gap"]
         assert report["margin"] == pytest.approx(identity, abs=1e-12)
-    if mode == "corollary":
+    if kind == "corollary-max":
         assert report["margin"] == diag["roof_joint"] - max(diag["roof_left"], diag["roof_right"])
     code, payload, _ = run(capsys, "additivity", "scan", *PAIR, "--samples", "1", "--check", kind)
     assert code == 0
@@ -798,12 +799,24 @@ class TestDeterminism:
         # the complement probe's mode is gone, so a script that still calls it fails loudly
         (("additivity", "complement", "--left", "dephasing:0.25", "--right", "noiseless:2",
           "--samples", "1", "--restarts", "1"), "argument mode: invalid choice: 'complement'"),
+        # the margin checks are one mode's --check values, not modes of their own
+        (("additivity", "chi", "--left", "noiseless:2", "--right", "noiseless:2",
+          "--named", "mixed:4"), "argument mode: invalid choice: 'chi'"),
+        (("additivity", "corollary", "--left", "noiseless:2", "--right", "noiseless:2",
+          "--named", "mixed:4"), "argument mode: invalid choice: 'corollary'"),
+        (("additivity", "margin", "--left", "noiseless:2", "--right", "noiseless:2",
+          "--named", "mixed:4", "--check", "bogus"), "argument --check: invalid choice: 'bogus'"),
     ],
     ids=["unknown-flag", "non-int-restarts", "bad-mode", "missing-right", "no-subcommand",
-         "state-and-named", "no-state", "csv-without-out", "both-without-out", "removed-mode"],
+         "state-and-named", "no-state", "csv-without-out", "both-without-out", "removed-mode",
+         "chi-mode", "corollary-mode", "unknown-check"],
 )
-def test_usage_error_exits_one(capsys, tmp_path, argv, message):
+def test_usage_error_exits_one(capsys, tmp_path, monkeypatch, argv, message):
     # 2 is the exit code of a flagged verdict, so usage errors exit 1 like other bad input
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a roof ran before the usage error was reported")
+
+    monkeypatch.setattr(roof, "_multistart", forbidden)
     state = tmp_path / "state.json"
     state.write_text(dumps(encode_state(DensityMatrix(np.diag([1.0, 0.0])))))
     code, payload, err = run(capsys, *(str(state) if a == "{state}" else a for a in argv))
@@ -861,6 +874,27 @@ def test_help_and_version_exit_zero(capsys, argv):
     assert capsys.readouterr().out
 
 
+def test_margin_and_scan_read_the_check_kinds(capsys):
+    helps = {}
+    for mode in (None, "margin", "scan"):
+        with pytest.raises(SystemExit):
+            main(["additivity", *([mode] if mode else []), "--help"])
+        helps[mode] = capsys.readouterr().out
+    assert "{margin,truncate,scan}" in helps[None]
+    for mode in ("margin", "scan"):
+        assert "--check {" + ",".join(TRIO_KINDS) + "}" in helps[mode]
+
+
+def test_eigensolver_failure_exits_one(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    code, payload, err = run(capsys, "ccooe", "--channel", "noiseless:2", "--named", "mixed:2")
+    assert (code, payload) == (1, None)
+    assert err.startswith("error: eigensolver did not converge") and err.count("\n") == 1
+
+
 GIBBS = ("gibbs", "--hamiltonian", '{"re": [[0, 0], [0, 1]], "im": [[0, 0], [0, 0]]}',
          "--level", "0.25")
 PAIR = ("--left", "noiseless:2", "--right", "noiseless:2")
@@ -876,7 +910,8 @@ PAIR = ("--left", "noiseless:2", "--right", "noiseless:2")
         (("ccooe", "--channel", "noiseless:2", "--named", "mixed:2"), ("--tolerance", "0.1")),
         (("eof", "--dims", "2x2", "--named", "bell"), ("--tolerance", "0.1")),
         (("additivity", "margin", *PAIR, "--named", "mixed:4"), ("--samples", "2")),
-        (("additivity", "chi", *PAIR, "--named", "mixed:4"), ("--bits",)),
+        (("additivity", "margin", *PAIR, "--named", "mixed:4", "--check", "chi-subadditivity"),
+         ("--bits",)),
         (("additivity", "scan", *PAIR), ("--named", "mixed:4")),
         (("additivity", "truncate", "--dims", "2x2x2x2", "--named", "mixed:16"),
          ("--left", "noiseless:2")),

@@ -1,8 +1,10 @@
 """State containers, tensor helpers, and truncation primitives."""
 
+import ast
 import math
 import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from roofkit import (
     DimensionError,
     EnergyConstraint,
     GaussianDensity,
+    NumericError,
     ParameterError,
     PureState,
     RandomPhaseSpec,
@@ -104,6 +107,9 @@ class TestPureState:
         psi = random_pure(4, 3)
         assert np.allclose(psi.density().entries, psi.projector())
         assert abs(np.trace(psi.projector()) - 1.0) < 1e-12
+
+    def test_repr_names_the_dimension(self):
+        assert repr(random_pure(3, 0)) == "PureState(dim=3)"
 
     def test_basis_state(self):
         e1 = basis_state(3, 1)
@@ -210,6 +216,15 @@ class TestHermitianEig:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValidityError):
             hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_solver_failure_is_a_numeric_error(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(NumericError, match="^eigensolver did not converge: Eigen") as exc:
+            hermitian_eig(np.eye(2))
+        assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
 
 
 class TestRandomSampling:
@@ -642,3 +657,16 @@ class TestHasType:
         finally:
             sys.setrecursionlimit(limit)
         assert verdicts == (True, False)
+
+
+def test_src_imports_only_numpy_and_the_stdlib():
+    # numpy is the one runtime dependency; scipy may be installed and would pass unnoticed
+    tops = set()
+    for path in (Path(__file__).parent.parent / "src" / "roofkit").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                tops.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                tops.add(node.module.split(".")[0])
+    assert "numpy" in tops
+    assert tops - {"numpy"} <= set(sys.stdlib_module_names)
