@@ -20,8 +20,10 @@ Euclidean Stiefel norm at the same point since D <= I.  A sphere descent has
 D = [1] and runs M itself.
 
 The restarts descend in lockstep: all starts of a roof are one (R, m, r)
-stack, their Q factors from one stacked QR, so each backtracking round makes
-one batched retraction and one batched kernel call.  The first round of an
+stack, their Q factors from one stacked QR, drawn once per process for each
+(seed, restarts, size, rank) and kept read-only in a bounded memo, since no
+start depends on the problem.  Each backtracking round makes one batched
+retraction and one batched kernel call.  The first round of an
 iteration runs over every live restart, so a restart that has just converged
 has its end point evaluated once more; later rounds run over the restarts
 still searching.  The kernel call also returns the gradients, which the next
@@ -35,10 +37,12 @@ side of the Stinespring dilation, output or environment, which gives the
 same value and gradient.
 
 The kernel folds the support factor into the Kraus stack once per roof, so
-the member amplitudes and the gradient are stacked matmuls.  Members on a
-2 x 2 side, as in two-qubit EoF and every qubit-output roof, never form their
-outputs: the three entries, the spectrum and dF/dA come in closed form from
-the two amplitude rows, without LAPACK or small matmuls.  Larger sides take
+the member amplitudes and the gradient are each one matrix product over all
+members of all restarts; one-row points keep a vector product each, whose
+bits do not depend on the stack's height.  Members on a 2 x 2 side, as in
+two-qubit EoF and every qubit-output roof, never form their outputs: the
+three entries, the spectrum and dF/dA come in closed form from the two
+amplitude rows, without LAPACK or small matmuls.  Larger sides take
 one `eigh` per output.  The QR retraction of a trial comes from one Cholesky
 factor of its r x r Gram matrix (Sato & Aihara, Comput. Optim. Appl. 72
 (2019)), not a QR or SVD of the m x r point.
@@ -46,6 +50,7 @@ factor of its r x r Gram matrix (Sato & Aihara, Comput. Optim. Appl. 72
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -251,10 +256,14 @@ def _objective(kstack: np.ndarray, g: np.ndarray | None = None):
     single column is a one-member mixing matrix with g = I.  The support
     factor is folded into the Kraus stack once per roof, lift = kstack @ g,
     so the member amplitudes W = M @ lift^T and the gradient
-    (dF/dA W) @ conj(lift) are stacked BLAS matmuls.  On a 2 x 2 side the
-    outputs A = W W^H are read entry by entry from W's two rows, and dF/dA W
-    is formed elementwise from `_qubit_spectral`'s three coefficients; larger
-    sides form A and dF/dA W as stacked matmuls around `_spectral`.  f takes
+    (dF/dA W) @ conj(lift) are each one (B m, r) @ (r, side * other) BLAS
+    product over the m rows of all B points.  A point with one row, on the
+    sphere or in a rank-1 roof, keeps its own vector product: flattened, BLAS
+    would run a vector or a matrix kernel by B, and the last bits would
+    depend on the stack's height.  On a 2 x 2 side the outputs A = W W^H are
+    read entry by entry from W's two rows, and dF/dA W is formed elementwise
+    from `_qubit_spectral`'s three coefficients; larger sides form A and
+    dF/dA W as stacked matmuls around `_spectral`.  f takes
     one point or a stack of points, with any leading shape, and returns one
     value per point and the gradient of each, both from one pass.
 
@@ -272,9 +281,15 @@ def _objective(kstack: np.ndarray, g: np.ndarray | None = None):
     lift = (kstack if g is None else kstack @ g).reshape(side * other, -1)
     lift_t, lift_c = lift.T, lift.conj()
 
+    def lifted(a, b):
+        # (B, m, r) @ (r, n) as one 2-D product, save on one-row points
+        if a.shape[1] == 1:
+            return a @ b
+        return (a.reshape(-1, a.shape[2]) @ b).reshape(*a.shape[:2], b.shape[1])
+
     def kernel(m_mat):
         rows = (1, m_mat.shape[-2]) if g is None else m_mat.shape[-2:]
-        w = m_mat.reshape(-1, *rows) @ lift_t          # (B, m, side * other)
+        w = lifted(m_mat.reshape(-1, *rows), lift_t)   # (B, m, side * other)
         w = w.reshape(*w.shape[:2], side, other)
         if side == 2:
             # A's diagonal holds the squared norms of W's two rows, and a10
@@ -292,7 +307,7 @@ def _objective(kstack: np.ndarray, g: np.ndarray | None = None):
             value, d = _spectral(w @ _h(w))
             dw = d @ w
         value = value.reshape(m_mat.shape[:-2])[()]
-        return value, (dw.reshape(*w.shape[:2], -1) @ lift_c).reshape(m_mat.shape)
+        return value, lifted(dw.reshape(*w.shape[:2], -1), lift_c).reshape(m_mat.shape)
 
     return kernel
 
@@ -465,17 +480,32 @@ def _random_starts(rngs, size: int, rank: int) -> np.ndarray:
     return q * (d / np.abs(d))[..., None, :]
 
 
+@functools.lru_cache(maxsize=16)
+def _seeded_starts(seed: int, restarts: int, size: int, rank: int) -> np.ndarray:
+    """`_random_starts` of the streams rng_for(seed, i), i < restarts, read-only and memoized.
+
+    The stack depends on these four inputs alone, never on the problem, so
+    roofs of one size and rank share it; the memo fills on first use and
+    keeps the 16 most recent stacks.
+    """
+    starts = _random_starts([rng_for(seed, i) for i in range(restarts)], size, rank)
+    starts.setflags(write=False)
+    return starts
+
+
 def _multistart(f, size: int, d: np.ndarray, options: RoofOptions) -> tuple[_RunStats, int]:
     """Every restart's end of `options.restarts` descents, and the index of the best.
 
     Restart idx starts from the Q factor drawn from the stream rng_for(seed,
     idx) times D^(1/2), the Q factors of all restarts from one stacked QR,
-    and all restarts run as one `_lockstep` stack over N^H N = diag(d), each
-    stopping on its own rule.  Scanning in index order, a restart replaces
-    the best only when its value is lower by more than TIE_TOL.
+    taken read-only from `_seeded_starts`' memo and scaled into a fresh
+    array, and all restarts run as one `_lockstep` stack over N^H N =
+    diag(d), each stopping on its own rule.  Scanning in index order, a
+    restart replaces the best only when its value is lower by more than
+    TIE_TOL.
     """
-    rngs = [rng_for(options.seed, i) for i in range(options.restarts)]
-    runs = _lockstep(f, _random_starts(rngs, size, len(d)) * np.sqrt(d), d, options)
+    starts = _seeded_starts(options.seed, options.restarts, size, len(d))
+    runs = _lockstep(f, starts * np.sqrt(d), d, options)
     best = 0
     for i in range(1, options.restarts):
         if runs.value[i] < runs.value[best] - TIE_TOL:

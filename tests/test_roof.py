@@ -678,6 +678,37 @@ def test_batched_kernel_matches_points(objective):
         assert np.array_equal(grads[i], grad)
 
 
+def _height_case(case, seed):
+    """A kernel on N = M D^(1/2) and 8 seeded points of it."""
+    from roofkit.roof import _objective, _random_starts, _support_factor
+
+    rngs = [rng_for(seed, i) for i in range(8)]
+    if case == "sphere":
+        return _objective(random_stinespring(3, 3, 3, seed).kraus), _random_starts(rngs, 3, 1)
+    if case == "eof-2x2":
+        kstack, rho = partial_trace_channel(SubsystemShape((2, 2)), (0,)).kraus, random_density(4, 3, seed)
+    elif case == "side3":
+        kstack, rho = random_stinespring(3, 3, 3, seed).kraus, random_density(3, 2, seed)
+    else:                                                  # rank-1: one member per point
+        kstack, rho = random_stinespring(3, 3, 3, seed).kraus, random_pure(3, seed).density()
+    g, rank, d = _support_factor(rho)
+    return _objective(kstack, g / np.sqrt(d)), _random_starts(rngs, rank * rank, rank) * np.sqrt(d)
+
+
+@pytest.mark.parametrize("case", ["eof-2x2", "side3", "rank-one", "sphere"])
+def test_kernel_bits_do_not_depend_on_stack_height(case):
+    # the lift products run as one matrix product over every member of a
+    # stack, save on one-row points, whose vector products BLAS would swap
+    # for a matrix kernel at some flattened heights and change last bits
+    f, stack = _height_case(case, 73)
+    alone = [f(point) for point in stack]
+    for height in range(1, len(stack) + 1):
+        values, grads = f(stack[:height])
+        for i in range(height):
+            assert values[i] == alone[i][0], (height, i)
+            assert np.array_equal(grads[i], alone[i][1]), (height, i)
+
+
 def _two_call_lockstep(value_fn, grad_fn, n_mat, d, options):
     """`_lockstep` with separate value and gradient calls, as a reference.
 
@@ -1085,6 +1116,56 @@ def test_square_starts_stay_orthonormal_within_1e9():
         assert np.abs(x.conj().T @ x - np.eye(36)).max() <= 1e-9, i
 
 
+def _still(n_mat):
+    """A kernel whose zero gradient stops every restart where it starts."""
+    return np.zeros(len(n_mat)), np.zeros_like(n_mat)
+
+
+@pytest.mark.parametrize("seed, restarts, size, rank", [(0, 24, 4, 2), (3, 8, 9, 3), (5, 4, 64, 36), (2, 3, 3, 1)])
+def test_multistart_descends_from_the_seeded_stack(seed, restarts, size, rank):
+    # a miss and a hit both start from each restart's own stream, bit for bit
+    from roofkit.roof import _multistart, _random_starts, _seeded_starts
+
+    d = np.linspace(1.0, 0.1, rank)
+    expected = _random_starts([rng_for(seed, i) for i in range(restarts)], size, rank) * np.sqrt(d)
+    _seeded_starts.cache_clear()
+    options = RoofOptions(restarts=restarts, seed=seed)
+    for hits in (0, 1):
+        runs, _ = _multistart(_still, size, d, options)
+        assert _seeded_starts.cache_info().hits == hits
+        assert _same(runs.n_mat, expected)
+
+
+def test_seeded_stacks_are_read_only_and_keyed_by_all_four_inputs():
+    from roofkit.roof import _seeded_starts
+
+    key = (4, 6, 9, 3)
+    entry = _seeded_starts(*key)
+    assert _seeded_starts(*key) is entry
+    with pytest.raises(ValueError):
+        entry[0, 0, 0] = 0.0
+    for part in range(4):
+        other = list(key)
+        other[part] += 1
+        changed = _seeded_starts(*other)
+        assert changed.shape != entry.shape or not np.array_equal(changed, entry), part
+
+
+def test_cleared_start_memo_repeats_every_result():
+    from roofkit.roof import _seeded_starts
+
+    channel, rho = random_stinespring(3, 3, 2, 124), random_density(3, 2, 125)
+
+    def results():
+        roof = ccooe(channel, rho, FAST)
+        return (_summary(roof), roof.stop_reasons), _summary(min_output_entropy(channel, FAST))
+
+    _seeded_starts.cache_clear()
+    missed, hit = results(), results()
+    _seeded_starts.cache_clear()
+    assert _same(missed, hit) and _same(missed, results())
+
+
 def test_forced_huge_trial_is_clamped(monkeypatch):
     # t = 1e10 along a rank-1 tangent of a (64, 36) point: the Gram matrix
     # I + t^2 xi^H xi has no Cholesky factor in double precision, and its eigh
@@ -1286,6 +1367,10 @@ STACK_CASES = {
     ),
     "ccooe-one-restart": lambda: ccooe(
         random_stinespring(3, 3, 2, 114), random_density(3, 2, 115), RoofOptions(restarts=1, seed=2)
+    ),
+    # a one-member roof on a 3 x 3 side: one-row points keep their vector products
+    "ccooe-rank-one-side3": lambda: ccooe(
+        random_stinespring(3, 3, 3, 121), random_pure(3, 122).density(), FAST
     ),
     # pure outputs: the log singularity
     "min-output-noiseless": lambda: min_output_entropy(noiseless(3), FAST),
